@@ -58,6 +58,10 @@ void Rng::fill(std::uint8_t* dst, std::size_t n) {
   }
 }
 
+void Rng::discard_bytes(std::size_t n) {
+  for (std::size_t words = (n + 7) / 8; words > 0; --words) next_u64();
+}
+
 Bytes Rng::bytes(std::size_t n) {
   Bytes out(n);
   fill(out.data(), n);

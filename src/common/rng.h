@@ -27,6 +27,8 @@ class Rng {
   /// Fill a buffer with random bytes.
   void fill(std::uint8_t* dst, std::size_t n);
   Bytes bytes(std::size_t n);
+  /// Advance the stream exactly as fill() of `n` bytes would.
+  void discard_bytes(std::size_t n);
   Block128 block();
 
  private:

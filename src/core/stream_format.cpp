@@ -229,9 +229,9 @@ CoreJob format_cbcmac_generate(ByteSpan message, std::size_t tag_len) {
 }
 
 CoreJob format_whirlpool_hash(ByteSpan message) {
-  Bytes padded = crypto::whirlpool_pad(message);
-  if (padded.size() / 64 > 255)
+  if (crypto::whirlpool_padded_len(message.size()) / 64 > 255)
     throw std::invalid_argument("whirlpool: message exceeds 255 blocks");
+  Bytes padded = crypto::whirlpool_pad(message);
   CoreJob job;
   job.params.alg = AlgId::kWhirlpoolHash;
   job.params.data_blocks = static_cast<std::uint8_t>(padded.size() / 64);

@@ -13,31 +13,11 @@ constexpr std::uint8_t kE[16] = {0x1, 0xB, 0x9, 0xC, 0xD, 0x6, 0xF, 0x3,
 constexpr std::uint8_t kR[16] = {0x7, 0xC, 0xB, 0xD, 0xE, 0x4, 0x9, 0xF,
                                  0x6, 0x3, 0x8, 0xA, 0x2, 0x5, 0x1, 0x0};
 
-struct WpTables {
-  std::array<std::uint8_t, 256> sbox{};
-  WpTables() {
-    std::uint8_t einv[16];
-    for (int i = 0; i < 16; ++i) einv[kE[i]] = static_cast<std::uint8_t>(i);
-    for (int x = 0; x < 256; ++x) {
-      std::uint8_t hi = kE[x >> 4];
-      std::uint8_t lo = einv[x & 0xF];
-      std::uint8_t y = kR[hi ^ lo];
-      sbox[static_cast<std::size_t>(x)] =
-          static_cast<std::uint8_t>((kE[hi ^ y] << 4) | einv[lo ^ y]);
-    }
-  }
-};
-
-const WpTables& wp() {
-  static const WpTables t;
-  return t;
-}
-
 // GF(2^8) with the Whirlpool polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
 constexpr std::uint8_t wp_xtime(std::uint8_t a) {
   return static_cast<std::uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1D : 0x00));
 }
-std::uint8_t wp_mul(std::uint8_t a, std::uint8_t b) {
+constexpr std::uint8_t wp_mul(std::uint8_t a, std::uint8_t b) {
   std::uint8_t p = 0;
   for (int i = 0; i < 8; ++i) {
     if (b & 1) p ^= a;
@@ -51,82 +31,109 @@ std::uint8_t wp_mul(std::uint8_t a, std::uint8_t b) {
 // row r is row 0 rotated right by r.
 constexpr std::uint8_t kCir[8] = {0x01, 0x01, 0x04, 0x01, 0x08, 0x05, 0x02, 0x09};
 
-// State is an 8x8 matrix of bytes; 512-bit blocks map to it row-major
-// (byte k -> row k/8, column k%8).
-using State = std::array<std::uint8_t, 64>;
-
-State sub_bytes(const State& s) {
-  State o;
-  for (std::size_t i = 0; i < 64; ++i) o[i] = wp().sbox[s[i]];
-  return o;
+constexpr std::uint64_t rotr64(std::uint64_t x, unsigned n) {
+  return n == 0 ? x : (x >> n) | (x << (64 - n));
 }
 
-// gamma/pi: shift column j downwards by j positions.
-State shift_columns(const State& s) {
-  State o;
-  for (int c = 0; c < 8; ++c)
-    for (int r = 0; r < 8; ++r)
-      o[static_cast<std::size_t>(8 * ((r + c) % 8) + c)] =
-          s[static_cast<std::size_t>(8 * r + c)];
-  return o;
-}
+// The 512-bit state is an 8x8 byte matrix, byte k at row k/8, column k%8;
+// each row is held as one big-endian word (column 0 in the top byte).
+//
+// One round's SubBytes + ShiftColumns + MixRows (rho) then reduces to eight
+// lookups per output row: ShiftColumns moves column c of row i - c down to
+// row i, and MixRows spreads a substituted byte b sitting in column c over
+// the row as b * (circulant row 0 shifted right by c columns). So
+// c[t][x] = c[0][x] rotated right by 8t bits, where c[0][x] packs
+// S(x) * (1, 1, 4, 1, 8, 5, 2, 9).
+struct WpTables {
+  std::uint8_t sbox[256]{};
+  std::uint64_t c[8][256]{};
+  std::uint64_t rc[Whirlpool::kRounds + 1]{};  // rc[r] for rounds 1..kRounds
 
-// theta: multiply the state by the circulant matrix on the right:
-// out[r][c] = sum_k state[r][k] * cir[(c - k) mod 8].
-State mix_rows(const State& s) {
-  State o{};
-  for (int r = 0; r < 8; ++r) {
-    for (int c = 0; c < 8; ++c) {
-      std::uint8_t acc = 0;
-      for (int k = 0; k < 8; ++k) {
-        acc ^= wp_mul(s[static_cast<std::size_t>(8 * r + k)], kCir[(c - k + 8) % 8]);
-      }
-      o[static_cast<std::size_t>(8 * r + c)] = acc;
+  constexpr WpTables() {
+    std::uint8_t einv[16]{};
+    for (int i = 0; i < 16; ++i) einv[kE[i]] = static_cast<std::uint8_t>(i);
+    for (int x = 0; x < 256; ++x) {
+      std::uint8_t hi = kE[x >> 4];
+      std::uint8_t lo = einv[x & 0xF];
+      std::uint8_t y = kR[hi ^ lo];
+      sbox[x] = static_cast<std::uint8_t>((kE[hi ^ y] << 4) | einv[lo ^ y]);
+    }
+    for (int x = 0; x < 256; ++x) {
+      std::uint64_t row = 0;
+      for (int k = 0; k < 8; ++k) row = (row << 8) | wp_mul(sbox[x], kCir[k]);
+      for (unsigned t = 0; t < 8; ++t) c[t][x] = rotr64(row, 8 * t);
+    }
+    // Round constant r: first row is S[8(r-1)] .. S[8(r-1)+7], rest zero.
+    for (int r = 1; r <= Whirlpool::kRounds; ++r) {
+      std::uint64_t row = 0;
+      for (int j = 0; j < 8; ++j) row = (row << 8) | sbox[8 * (r - 1) + j];
+      rc[r] = row;
     }
   }
-  return o;
+};
+
+constexpr WpTables kWp;
+
+using Rows = std::uint64_t[8];
+
+std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
 }
 
-State add_key(State s, const State& k) {
-  for (std::size_t i = 0; i < 64; ++i) s[i] ^= k[i];
-  return s;
+void store_be64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 7; i >= 0; --i) {
+    p[i] = static_cast<std::uint8_t>(v);
+    v >>= 8;
+  }
 }
 
-// Round constant r: first row is S[8(r-1)] .. S[8(r-1)+7], rest zero.
-State round_constant(int r) {
-  State rc{};
-  for (int j = 0; j < 8; ++j)
-    rc[static_cast<std::size_t>(j)] = wp().sbox[static_cast<std::size_t>(8 * (r - 1) + j)];
-  return rc;
+// out = rho(in): SubBytes, ShiftColumns and MixRows through the row tables.
+void rho(Rows out, const Rows in) {
+  for (unsigned i = 0; i < 8; ++i) {
+    out[i] = kWp.c[0][in[i] >> 56] ^
+             kWp.c[1][(in[(i + 7) & 7] >> 48) & 0xFF] ^
+             kWp.c[2][(in[(i + 6) & 7] >> 40) & 0xFF] ^
+             kWp.c[3][(in[(i + 5) & 7] >> 32) & 0xFF] ^
+             kWp.c[4][(in[(i + 4) & 7] >> 24) & 0xFF] ^
+             kWp.c[5][(in[(i + 3) & 7] >> 16) & 0xFF] ^
+             kWp.c[6][(in[(i + 2) & 7] >> 8) & 0xFF] ^
+             kWp.c[7][in[(i + 1) & 7] & 0xFF];
+  }
 }
 
 }  // namespace
 
-std::uint8_t whirlpool_sbox(std::uint8_t x) { return wp().sbox[x]; }
+std::uint8_t whirlpool_sbox(std::uint8_t x) { return kWp.sbox[x]; }
 
 void whirlpool_compress(std::array<std::uint8_t, 64>& h, const std::uint8_t block[64]) {
-  State m;
-  std::memcpy(m.data(), block, 64);
-  State k;
-  std::memcpy(k.data(), h.data(), 64);
-  State s = add_key(m, k);  // sigma[K^0]
+  Rows m{}, k{}, s{}, next{};
+  for (std::size_t i = 0; i < 8; ++i) {
+    m[i] = load_be64(block + 8 * i);
+    k[i] = load_be64(h.data() + 8 * i);
+    s[i] = m[i] ^ k[i];  // sigma[K^0]
+  }
   for (int r = 1; r <= Whirlpool::kRounds; ++r) {
-    k = add_key(mix_rows(shift_columns(sub_bytes(k))), round_constant(r));
-    s = add_key(mix_rows(shift_columns(sub_bytes(s))), k);
+    rho(next, k);
+    next[0] ^= kWp.rc[r];
+    std::memcpy(k, next, sizeof k);
+    rho(next, s);
+    for (std::size_t i = 0; i < 8; ++i) s[i] = next[i] ^ k[i];
   }
   // Miyaguchi-Preneel: H <- W(H, m) ^ H ^ m.
-  for (std::size_t i = 0; i < 64; ++i) h[i] = static_cast<std::uint8_t>(h[i] ^ s[i] ^ m[i]);
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::uint8_t* row = h.data() + 8 * i;
+    store_be64(row, load_be64(row) ^ s[i] ^ m[i]);
+  }
 }
 
 Bytes whirlpool_pad(ByteSpan message) {
-  Bytes out(message.begin(), message.end());
-  out.push_back(0x80);
-  while (out.size() % 64 != 32) out.push_back(0);
-  std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
-  Bytes len(32, 0);  // 256-bit length field, we carry the low 64 bits
-  for (int i = 0; i < 8; ++i)
-    len[24 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
-  out.insert(out.end(), len.begin(), len.end());
+  Bytes out(whirlpool_padded_len(message.size()), 0);
+  if (!message.empty()) std::memcpy(out.data(), message.data(), message.size());
+  out[message.size()] = 0x80;
+  // 256-bit big-endian length field; we carry the low 64 bits.
+  store_be64(out.data() + out.size() - 8, static_cast<std::uint64_t>(message.size()) * 8);
   return out;
 }
 
@@ -156,20 +163,14 @@ void Whirlpool::update(ByteSpan data) {
 }
 
 std::array<std::uint8_t, Whirlpool::kDigestSize> Whirlpool::digest() {
-  // Pad: 0x80, zeros to 32 mod 64, then a 256-bit big-endian bit length
-  // (we only track 64 bits of it; the upper 192 bits are zero).
+  // The tail of whirlpool_pad: 0x80, zeros, then the 256-bit big-endian bit
+  // length (we only track 64 bits of it; the upper 192 bits are zero).
+  // Padding depends only on the length mod 64, so the buffered remainder
+  // gives its size.
   std::array<std::uint8_t, 2 * kBlockSize> pad{};
-  std::size_t pad_len;
-  std::size_t rem = buf_len_;
+  const std::size_t pad_len = whirlpool_padded_len(buf_len_) - buf_len_;
   pad[0] = 0x80;
-  // Bytes needed after the 0x80 so that total length mod 64 == 32.
-  std::size_t after = (rem + 1) % kBlockSize;
-  std::size_t zeros = (after <= 32) ? (32 - after) : (kBlockSize + 32 - after);
-  pad_len = 1 + zeros + 32;
-  std::uint64_t bits = total_bytes_ * 8;
-  for (int i = 0; i < 8; ++i)
-    pad[pad_len - 8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
+  store_be64(pad.data() + pad_len - 8, total_bytes_ * 8);
   update(ByteSpan(pad.data(), pad_len));
   // After padding, buf_len_ is zero and total length is block-aligned.
   std::array<std::uint8_t, kDigestSize> out;

@@ -8,7 +8,11 @@
 // Whirlpool is a 512-bit Miyaguchi-Preneel construction over the dedicated
 // block cipher W: an 8x8 byte state, 10 rounds of SubBytes (S-box built from
 // E/E^-1/R mini-boxes), ShiftColumns, MixRows (circulant MDS matrix over
-// GF(2^8) mod x^8+x^4+x^3+x^2+1) and AddRoundKey.
+// GF(2^8) mod x^8+x^4+x^3+x^2+1) and AddRoundKey. The state is held as
+// eight big-endian 64-bit rows, and each round's first three steps are
+// eight lookups per row into 8x256 64-bit tables built at compile time.
+// This is one portable path: there is no hardware Whirlpool instruction,
+// so it sits outside the crypto kernel tier dispatch.
 #pragma once
 
 #include <array>

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "crypto/whirlpool.h"
 #include "mccp/control.h"
 #include "mccp/key_store.h"
 #include "reconfig/reconfig.h"
@@ -83,17 +84,35 @@ struct JobSpec {
   unsigned priority = 128;
 };
 
-/// A GCM submit whose IV length differs from the channel's registered
-/// nonce_len is unservable, and the two backends used to diverge on it: the
-/// simulated core waits forever for IV stream words that never arrive,
-/// while the fast path happily computes a tag the hardware never would.
+/// Largest Whirlpool message the hardware can hash in one job: the
+/// instruction word carries the padded block count in one byte, so the
+/// message plus its 0x80 byte and 32-byte length field may span at most
+/// 255 64-byte blocks.
+inline constexpr std::size_t kMaxWhirlpoolPayload = 255 * 64 - 33;
+static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload) == 255 * 64);
+static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) > 255 * 64);
+
+/// Packets no backend can serve; accepted, the two backends would diverge:
+///  * a GCM submit whose IV length differs from the channel's registered
+///    nonce_len: the simulated core waits forever for IV stream words that
+///    never arrive, while the fast path would compute a tag the hardware
+///    never would;
+///  * a Whirlpool payload over kMaxWhirlpoolPayload: its block count wraps
+///    in the instruction word and the simulator cannot format the job,
+///    while the fast path would return a digest.
 /// Backends call this at the submit seam and fail the job immediately
 /// (complete, !auth_ok) instead. Other modes don't need the check: CTR/CBC
 /// formatting is length-agnostic at this seam and CCM nonce lengths are
 /// validated at OPEN.
-inline bool gcm_iv_length_mismatch(const JobSpec& spec) {
-  return spec.channel.mode == ChannelMode::kGcm &&
-         spec.iv_or_nonce.size() != spec.channel.nonce_len;
+inline bool refused_at_submit(const JobSpec& spec) {
+  switch (spec.channel.mode) {
+    case ChannelMode::kGcm:
+      return spec.iv_or_nonce.size() != spec.channel.nonce_len;
+    case ChannelMode::kWhirlpool:
+      return spec.payload.size() > kMaxWhirlpoolPayload;
+    default:
+      return false;
+  }
 }
 
 /// Which CU slot personality a channel mode executes on (paper SVII.B):

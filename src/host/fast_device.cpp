@@ -148,9 +148,9 @@ bool FastDevice::close_channel(std::uint8_t channel_id) {
 }
 
 DeviceJobId FastDevice::submit(JobSpec spec) {
-  if (gcm_iv_length_mismatch(spec)) {
-    // Same seam contract as SimDevice: the simulated core would deadlock
-    // on this packet, so the fast path must not silently compute it.
+  if (refused_at_submit(spec)) {
+    // Same seam contract as SimDevice: the simulated hardware cannot serve
+    // this packet, so the fast path must not silently compute it.
     DeviceJobId id = next_job_++;
     JobResult& res = append_result();
     res.submit_cycle = now_;
@@ -176,7 +176,7 @@ std::vector<DeviceJobId> FastDevice::submit_batch(std::span<JobSpec> specs) {
   std::deque<DeviceJobId>* bucket = nullptr;
   unsigned bucket_priority = 0;
   for (JobSpec& spec : specs) {
-    if (gcm_iv_length_mismatch(spec)) {
+    if (refused_at_submit(spec)) {
       ids.push_back(submit(std::move(spec)));  // immediate seam failure
       continue;
     }

@@ -89,9 +89,10 @@ std::pair<std::uint8_t, std::uint8_t> block_fields(const ChannelInfo& ch, std::s
 }  // namespace
 
 DeviceJobId SimDevice::submit(JobSpec spec) {
-  if (gcm_iv_length_mismatch(spec)) {
+  if (refused_at_submit(spec)) {
     // Fail fast at the seam: accepted, this packet would deadlock the
-    // core (it waits for registered-nonce_len IV words that never come).
+    // core (a GCM IV shorter or longer than the registered nonce_len) or
+    // wrap the instruction's block count (an oversize Whirlpool message).
     DeviceJobId id = next_job_++;
     JobResult& res = results_[id];
     res.submit_cycle = sim_.now();

@@ -39,19 +39,21 @@ host::EngineConfig engine_config_from(const ScenarioSpec& spec) {
 
 namespace {
 
-Bytes make_iv(Rng& rng, ChannelMode mode, unsigned nonce_len) {
+std::size_t iv_len(ChannelMode mode, unsigned nonce_len) {
   switch (mode) {
     // The channel's registered nonce_len is the exact IV/nonce length the
     // core streams — a mismatched IV would underfill the simulated FIFOs.
-    case ChannelMode::kGcm: return rng.bytes(nonce_len);
-    case ChannelMode::kCcm: return rng.bytes(nonce_len);
-    case ChannelMode::kCtr: {
-      Bytes iv = rng.bytes(16);
-      iv[14] = iv[15] = 0;  // leave the 16-bit counter space clear
-      return iv;
-    }
-    default: return {};
+    case ChannelMode::kGcm:
+    case ChannelMode::kCcm: return nonce_len;
+    case ChannelMode::kCtr: return 16;
+    default: return 0;
   }
+}
+
+Bytes make_iv(Rng& rng, ChannelMode mode, unsigned nonce_len) {
+  Bytes iv = rng.bytes(iv_len(mode, nonce_len));
+  if (mode == ChannelMode::kCtr) iv[14] = iv[15] = 0;  // leave the 16-bit counter space clear
+  return iv;
 }
 
 }  // namespace
@@ -76,27 +78,38 @@ void ClassJobStream::draw_next() {
     next_time_.reset();
 }
 
-GeneratedJob ClassJobStream::take() {
+JobShape ClassJobStream::draw_shape() {
   const ChannelClass& p = spec_->profile;
-  host::JobSpec job;
   long long fixed_payload = -1, fixed_aad = -1;
   const ArrivalSpec& as = p.arrival;
   if (generated_ < as.trace_payload_len.size())
     fixed_payload = as.trace_payload_len[generated_];
   if (generated_ < as.trace_aad_len.size()) fixed_aad = as.trace_aad_len[generated_];
-  const std::size_t payload_len = normalize_payload(
+  JobShape shape;
+  shape.payload_len = normalize_payload(
       fixed_payload >= 0 ? static_cast<std::size_t>(fixed_payload) : p.payload.sample(rng_));
-  const std::size_t aad_len = normalize_aad(
+  shape.aad_len = normalize_aad(
       fixed_aad >= 0 ? static_cast<std::size_t>(fixed_aad) : p.aad.sample(rng_));
+  return shape;
+}
+
+bool ClassJobStream::draw_verify() {
+  return spec_->decrypt_fraction > 0.0 && spec_->profile.mode != ChannelMode::kWhirlpool &&
+         rng_.next_double() < spec_->decrypt_fraction;
+}
+
+GeneratedJob ClassJobStream::take() {
+  const ChannelClass& p = spec_->profile;
+  const JobShape shape = draw_shape();
+  host::JobSpec job;
   job.iv_or_nonce = make_iv(rng_, p.mode, p.nonce_len);
-  job.aad = rng_.bytes(aad_len);
-  job.payload = rng_.bytes(payload_len);
+  job.aad = rng_.bytes(shape.aad_len);
+  job.payload = rng_.bytes(shape.payload_len);
   job.priority = p.priority;
 
   GeneratedJob built;
   built.job = std::move(job);
-  if (spec_->decrypt_fraction > 0.0 && p.mode != ChannelMode::kWhirlpool &&
-      rng_.next_double() < spec_->decrypt_fraction) {
+  if (draw_verify()) {
     built.verify = true;
     built.verify_iv = built.job.iv_or_nonce;
     built.verify_aad = built.job.aad;
@@ -106,6 +119,19 @@ GeneratedJob ClassJobStream::take() {
   ++generated_;
   draw_next();
   return built;
+}
+
+JobShape ClassJobStream::take_shape() {
+  const ChannelClass& p = spec_->profile;
+  const JobShape shape = draw_shape();
+  rng_.discard_bytes(iv_len(p.mode, p.nonce_len));
+  rng_.discard_bytes(shape.aad_len);
+  rng_.discard_bytes(shape.payload_len);
+  draw_verify();
+
+  ++generated_;
+  draw_next();
+  return shape;
 }
 
 void ClassJobStream::skip() {

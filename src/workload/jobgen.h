@@ -52,6 +52,12 @@ struct GeneratedJob {
   Bytes verify_msg;  // CBC-MAC re-MACs the message itself (no ciphertext)
 };
 
+/// The sizes of one admitted arrival's job, without its bytes.
+struct JobShape {
+  std::size_t payload_len = 0;
+  std::size_t aad_len = 0;
+};
+
 class ClassJobStream {
  public:
   /// `max_cycles` stops offering arrivals past that instant (0 = off),
@@ -68,11 +74,16 @@ class ClassJobStream {
   /// Consume the pending arrival: build its job (drawing from the class
   /// rng in the fixed order above) and advance to the next instant.
   GeneratedJob take();
+  /// take() for a caller that needs only the job's sizes (the admission
+  /// planner): the same rng draws, without materialising any bytes.
+  JobShape take_shape();
   /// Consume the pending arrival without building it (drop admission).
   void skip();
 
  private:
   void draw_next();
+  JobShape draw_shape();
+  bool draw_verify();
 
   const ClassSpec* spec_;
   sim::Cycle max_cycles_;

@@ -19,16 +19,16 @@ namespace {
 /// CCM and key-cache effects are deliberately ignored — this feeds the
 /// autoscale demand model, which needs a deterministic, backend-free
 /// estimate, not an exact completion predictor.
-sim::Cycle modeled_service_cycles(const ChannelClass& prof, const host::JobSpec& job) {
+sim::Cycle modeled_service_cycles(const ChannelClass& prof, const JobShape& job) {
   std::size_t aad_blocks = 0;
   if (prof.mode == ChannelMode::kGcm) {
-    aad_blocks = (job.aad.size() + 15) / 16;
+    aad_blocks = (job.aad_len + 15) / 16;
   } else if (prof.mode == ChannelMode::kCcm) {
-    aad_blocks = crypto::ccm_encode_aad(job.aad).size() / 16;
+    aad_blocks = crypto::ccm_encode_aad(Bytes(job.aad_len, 0)).size() / 16;
   }
-  std::size_t payload_blocks = (job.payload.size() + 15) / 16;
+  std::size_t payload_blocks = (job.payload_len + 15) / 16;
   if (prof.mode == ChannelMode::kWhirlpool)
-    payload_blocks = crypto::whirlpool_padded_len(job.payload.size()) / 64;
+    payload_blocks = crypto::whirlpool_padded_len(job.payload_len) / 64;
   const crypto::AesKeySize ks = prof.key_len == 32   ? crypto::AesKeySize::k256
                                 : prof.key_len == 24 ? crypto::AesKeySize::k192
                                                      : crypto::AesKeySize::k128;
@@ -156,10 +156,10 @@ AdmissionPlan build_admission_plan(const ScenarioSpec& spec) {
     }
     // Mirror the live run's rng consumption; the job's sizes also feed
     // the modelled service queue.
-    const GeneratedJob job = streams[pick]->take();
+    const JobShape job = streams[pick]->take_shape();
     plan.accepted_cycles.push_back(cycle);
     if (model_queue) {
-      const sim::Cycle svc = modeled_service_cycles(spec.classes[pick].profile, job.job);
+      const sim::Cycle svc = modeled_service_cycles(spec.classes[pick].profile, job);
       service.push_back(svc);
       if (plan.drop_planned) {
         auto slot = std::min_element(win_core_free.begin(), win_core_free.end());

@@ -10,8 +10,9 @@
 // engine-clock boundary (the ceiling of the arrival instant).
 //
 // Crucially the builder consumes the streams exactly like the live run
-// will: take() for accepted arrivals (drawing the packet's rng values),
-// skip() for throttled/shed ones (drawing only the next instant). Since a
+// will: take_shape() for accepted arrivals (drawing the packet's rng values
+// exactly as take() does, without building its bytes), skip() for
+// throttled/shed ones (drawing only the next instant). Since a
 // stream's later arrival instants depend on which earlier slots drew
 // payloads, mirroring consumption is what keeps the plan's arrival
 // sequence equal to the live run's.

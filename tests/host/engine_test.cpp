@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "crypto/ccm.h"
 #include "crypto/gcm.h"
+#include "crypto/whirlpool.h"
 #include "host/engine.h"
 
 namespace mccp::host {
@@ -474,6 +475,53 @@ TEST(Engine, GcmIvLengthMismatchFailsFastOnBothBackends) {
     EXPECT_EQ(ch.stats().completed, 3u);
     EXPECT_EQ(ch.stats().failed, 2u);
   }
+}
+
+TEST(Engine, OversizeWhirlpoolPayloadRefusedAtSubmitOnBothBackends) {
+  // The hash instruction carries the padded block count in one byte. A
+  // payload one byte over 255 padded blocks used to throw out of
+  // SimDevice's pump (inside Completion::wait) while FastDevice returned a
+  // digest. Both backends now refuse it at the seam, through the single and
+  // the batched submit path, and agree on the largest servable payload.
+  Rng rng(79);
+  const Bytes largest = rng.bytes(kMaxWhirlpoolPayload);
+  ASSERT_EQ(largest.size(), 16287u);
+  Bytes oversize = largest;
+  oversize.push_back(0x5A);
+  const auto ref = crypto::whirlpool(largest);
+  std::vector<Bytes> digests;
+  for (Backend backend : {Backend::kSim, Backend::kFast}) {
+    Engine engine(
+        {.num_devices = 1,
+         .device = {.num_cores = 1, .slot_images = {reconfig::CoreImage::kWhirlpool}},
+         .backend = backend});
+    Channel wp = engine.open_channel(ChannelMode::kWhirlpool, 0);
+    ASSERT_TRUE(wp.valid());
+
+    Completion refused = engine.submit_encrypt(wp, {}, {}, oversize);
+    JobResult r;
+    ASSERT_NO_THROW(r = refused.wait(/*max_cycles=*/10'000)) << static_cast<int>(backend);
+    EXPECT_TRUE(r.complete);
+    EXPECT_FALSE(r.auth_ok);
+    EXPECT_TRUE(r.payload.empty());
+    EXPECT_EQ(r.accept_cycle, 0u);  // rejected at the seam, never accepted
+
+    std::vector<JobSpec> batch(2);
+    batch[0].payload = oversize;
+    batch[1].payload = largest;
+    std::vector<Completion> jobs = engine.submit_batch(wp, std::move(batch));
+    ASSERT_EQ(jobs.size(), 2u);
+    ASSERT_NO_THROW(engine.wait_all()) << static_cast<int>(backend);
+    EXPECT_FALSE(jobs[0].result().auth_ok);
+    EXPECT_TRUE(jobs[0].result().payload.empty());
+    ASSERT_TRUE(jobs[1].result().auth_ok) << static_cast<int>(backend);
+    EXPECT_EQ(to_hex(jobs[1].result().payload), to_hex(Bytes(ref.begin(), ref.end())));
+    digests.push_back(jobs[1].result().payload);
+
+    EXPECT_EQ(wp.stats().completed, 3u);
+    EXPECT_EQ(wp.stats().failed, 2u);
+  }
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(Engine, AdvanceToSkipsQuietGapsOnBothBackends) {
