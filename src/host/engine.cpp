@@ -100,16 +100,14 @@ Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
     top::MccpConfig device_cfg = config.device;
     if (i < config.slot_layouts.size() && !config.slot_layouts[i].empty())
       device_cfg.slot_images = config.slot_layouts[i];
-    if (config.backend == Backend::kFast) {
+    if (config.backend == Backend::kFast)
       devices_.push_back(std::make_unique<FastDevice>(device_cfg, "fast" + std::to_string(i)));
-      sim_devices_.push_back(nullptr);
-    } else {
-      auto dev = std::make_unique<SimDevice>(device_cfg, "mccp" + std::to_string(i));
-      sim_devices_.push_back(dev.get());
-      devices_.push_back(std::move(dev));
-    }
+    else
+      devices_.push_back(std::make_unique<SimDevice>(device_cfg, "mccp" + std::to_string(i)));
   }
   inflight_.resize(devices_.size());
+  done_.resize(devices_.size());
+  horizon_.resize(devices_.size());
   completions_seen_.assign(devices_.size(), Device::kCompletionsUnknown);
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
@@ -118,21 +116,20 @@ Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
   retain_specs_ = config.retain_specs || !config.faults.empty();
   for (const qos::TenantConfig& t : config.tenants) tenants_.register_tenant(t);
   for (const DeviceFault& f : config.faults) inject_fault(f.device, f.kill_at_cycle);
-  if (config.num_workers > 0)
-    pool_ = std::make_unique<WorkerPool>(std::min(config.num_workers, devices_.size()));
+  pool_ = std::make_unique<WorkerPool>(std::min(config.num_workers, devices_.size()));
 }
 
 Engine::Engine(std::vector<std::unique_ptr<Device>> devices, Placement placement,
                std::size_t num_workers)
     : devices_(std::move(devices)), placement_(placement) {
   if (devices_.empty()) throw std::invalid_argument("Engine: need at least one device");
-  for (auto& d : devices_) sim_devices_.push_back(dynamic_cast<SimDevice*>(d.get()));
   inflight_.resize(devices_.size());
+  done_.resize(devices_.size());
+  horizon_.resize(devices_.size());
   completions_seen_.assign(devices_.size(), Device::kCompletionsUnknown);
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
-  if (num_workers > 0)
-    pool_ = std::make_unique<WorkerPool>(std::min(num_workers, devices_.size()));
+  pool_ = std::make_unique<WorkerPool>(std::min(num_workers, devices_.size()));
 }
 
 Engine::~Engine() = default;
@@ -422,107 +419,74 @@ void Engine::finish_job(detail::JobState& st, const JobResult& result) {
   for (auto& fn : callbacks) fn(st.result);
 }
 
-void Engine::poll_completions() {
-  // An on_done callback may legally re-enter the engine (Completion::wait
-  // on another job calls step() -> poll_completions()), mutating the
-  // in-flight lists under us. Detach each completed entry from its list
-  // *before* running its callbacks, and rescan afterwards — indices are
-  // stale once a callback has run. Delivery order is the engine-wide
-  // submission order (ascending JobId) among the jobs that are complete,
-  // the same order the threaded drain enforces by sorting its batch.
-  for (;;) {
-    std::size_t best_dev = devices_.size();
-    std::size_t best_idx = 0;
-    JobId best_id = 0;
-    for (std::size_t d = 0; d < devices_.size(); ++d) {
-      if (!devices_[d]) continue;
-      // Completion-count skip: while the device's monotone counter still
-      // reads what it read the last time a scan of this device came up
-      // empty, no in-flight entry can have turned complete — skip the
-      // whole list. Without this the rescans below are quadratic in the
-      // backlog depth, and they dominated sim-backend wall-clock.
-      const std::uint64_t count = devices_[d]->completions();
-      if (count != Device::kCompletionsUnknown && count == completions_seen_[d]) continue;
-      auto& list = inflight_[d];
-      bool any_complete = false;
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        const JobResult* r = devices_[d]->result(list[i]->device_job);
-        if (r == nullptr || !r->complete) continue;
-        any_complete = true;
-        if (best_dev == devices_.size() || list[i]->id < best_id) {
-          best_dev = d;
-          best_idx = i;
-          best_id = list[i]->id;
-        }
-        // The list is ascending by JobId (appends are monotone; failover
-        // resubmission inserts in sorted position), so the first complete
-        // entry is already this device's minimum — the rest of the list
-        // cannot improve on it. Stopping here makes each lap O(incomplete
-        // prefix) instead of O(backlog), which dominated fast-backend
-        // wall clock at deep in-flight windows.
-        break;
-      }
-      // Only an empty scan freezes the count: a found completion is
-      // finished below (possibly re-entrantly), so this device must be
-      // rescanned on the next lap even at an unchanged counter.
-      if (!any_complete) completions_seen_[d] = count;
-    }
-    if (best_dev == devices_.size()) return;
-    auto& list = inflight_[best_dev];
-    std::shared_ptr<detail::JobState> st = std::move(list[best_idx]);
-    list.erase(list.begin() + static_cast<std::ptrdiff_t>(best_idx));
-    --inflight_count_;
-    const JobResult* r = devices_[st->device]->result(st->device_job);
-    finish_job(*st, *r);
-  }
-}
-
 void Engine::collect_completed(std::size_t device_index) {
   // Runs on the worker that owns `device_index` this round: scan only this
-  // device's in-flight list, funnel finished jobs into the MPSC queue, and
-  // compact the survivors in one pass (no re-entrancy can happen on a
-  // worker, so no erase-and-rescan is needed). Side effects (stats,
-  // callbacks, forget) wait for drain_completed() on the caller's thread.
-  // Same completion-count skip as the serial poll. The per-device element
-  // of completions_seen_ is touched only by this device's owning worker
-  // during the round (and by the caller's thread between rounds), so no
-  // synchronization is needed.
+  // device's in-flight list, move finished jobs to done_[device_index],
+  // and close the gaps in one pass (no re-entrancy can happen on a worker,
+  // so no erase-and-rescan is needed). Side effects (stats, callbacks,
+  // forget) wait for deliver_completed() on the caller's thread, and so
+  // does the result copy: taken here, ahead of the forget() that frees the
+  // device's copy, it raised peak RSS measurably. The per-device elements
+  // of completions_seen_, inflight_ and done_ are touched only by this
+  // device's owning worker during the round (and by the caller's thread
+  // between rounds), so no synchronization is needed.
+  //
+  // Completion-count skip: the device's monotone counter never
+  // under-reports, so at most `count - seen` entries can have turned
+  // complete since the last collect. At zero the whole list is skipped,
+  // and otherwise the scan stops once it has found that many — O(prefix)
+  // per completion when jobs finish roughly in submission order. Without
+  // this the scans are quadratic in the backlog depth, and they dominated
+  // wall-clock on both backends at deep in-flight windows.
   const std::uint64_t count = devices_[device_index]->completions();
-  if (count != Device::kCompletionsUnknown && count == completions_seen_[device_index]) return;
+  std::uint64_t& seen = completions_seen_[device_index];
+  if (count != Device::kCompletionsUnknown && count == seen) return;
+  std::uint64_t budget = count == Device::kCompletionsUnknown || seen == Device::kCompletionsUnknown
+                             ? Device::kCompletionsUnknown
+                             : count - seen;
+  seen = count;
   auto& list = inflight_[device_index];
   std::size_t kept = 0;
-  for (std::size_t i = 0; i < list.size(); ++i) {
+  std::size_t i = 0;
+  for (; i < list.size() && budget > 0; ++i) {
     const JobResult* r = devices_[device_index]->result(list[i]->device_job);
     if (r != nullptr && r->complete) {
-      completed_.push(std::move(list[i]));
+      done_[device_index].push_back(std::move(list[i]));
+      --budget;
     } else {
       if (kept != i) list[kept] = std::move(list[i]);
       ++kept;
     }
   }
-  if (kept == list.size()) completions_seen_[device_index] = count;
-  list.resize(kept);
+  list.erase(list.begin() + static_cast<std::ptrdiff_t>(kept),
+             list.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
-void Engine::drain_completed() {
-  // Everything queued came from the round that just retired, so the pool
-  // is parked and the device state is safely readable. The batch arrives
-  // in worker-race order; sort it into engine-wide submission order so
-  // delivery matches the serial poll exactly, run to run. Completions
-  // then move into finish_queue_ (a member, not a local): a callback may
-  // re-enter the engine (submit, step, Completion::wait on a job that
-  // finished in this very round) and the nested call must be able to
-  // finish the rest of the batch — just as the serial poll leaves
-  // undetached jobs findable. Each job is popped (and leaves the
-  // in-flight count) before its callbacks run, so it fires exactly once
-  // and a callback observing idle()/inflight() sees its still-unfired
-  // siblings counted, as it would serially.
-  std::vector<std::shared_ptr<detail::JobState>> done;
-  completed_.drain(done);
-  std::sort(done.begin(), done.end(),
-            [](const std::shared_ptr<detail::JobState>& a,
-               const std::shared_ptr<detail::JobState>& b) { return a->id < b->id; });
-  for (std::shared_ptr<detail::JobState>& st : done) finish_queue_.push_back(std::move(st));
+void Engine::deliver_completed() {
+  // The round has retired, so the pool is parked and every done_ list is
+  // safely readable. Each list is ascending by JobId (in-flight lists are
+  // kept sorted and compaction preserves order); merge them into
+  // finish_queue_, which stays sorted, so delivery follows engine-wide
+  // submission order whichever device finished first. finish_queue_ is a
+  // member, not a local: a callback may re-enter the engine (submit,
+  // step, Completion::wait on a job that finished in this very round) and
+  // the nested round must be able to finish the rest of the batch — its
+  // own batch merges in ahead of any later-submitted job still queued
+  // here. Each job is popped (and leaves the in-flight count) before its
+  // callbacks run, so it fires exactly once and a callback observing
+  // idle()/inflight() sees its still-unfired siblings counted.
+  const auto by_id = [](const std::shared_ptr<detail::JobState>& a,
+                        const std::shared_ptr<detail::JobState>& b) { return a->id < b->id; };
+  for (auto& batch : done_) {
+    if (batch.empty()) continue;
+    const std::size_t mid = finish_queue_.size();
+    finish_queue_.insert(finish_queue_.end(), std::make_move_iterator(batch.begin()),
+                         std::make_move_iterator(batch.end()));
+    batch.clear();
+    std::inplace_merge(finish_queue_.begin(),
+                       finish_queue_.begin() + static_cast<std::ptrdiff_t>(mid),
+                       finish_queue_.end(), by_id);
+  }
   while (!finish_queue_.empty()) {
     std::shared_ptr<detail::JobState> st = std::move(finish_queue_.front());
     finish_queue_.pop_front();
@@ -533,69 +497,46 @@ void Engine::drain_completed() {
 }
 
 void Engine::run_round(const std::function<void(Device&)>& op) {
-  // A round can complete at most every job currently in flight; sizing the
-  // queue up front means no producer ever blocks against a consumer that
-  // only drains after the barrier.
-  completed_.reserve(inflight_count_);
+  // Device i is pinned to worker i % size (a zero-thread pool runs every
+  // task inline on the caller), so each device stays a single-threaded
+  // clock domain and its done_ list needs no lock.
   pool_->run(devices_.size(), [this, &op](std::size_t d) {
     if (!devices_[d]) return;  // tombstoned slot
     op(*devices_[d]);
     collect_completed(d);
   });
-  drain_completed();
-}
-
-void Engine::collect_now() {
-  // Deliver whatever is already complete without advancing any clock —
-  // recovery uses this to flush the completions a dying device produced
-  // before its kill cycle.
-  if (pool_) {
-    run_round([](Device&) {});
-    return;
-  }
-  poll_completions();
+  deliver_completed();
 }
 
 void Engine::step() { step_quiet(1); }
 
 sim::Cycle Engine::step_quiet(sim::Cycle max_cycles) {
-  if (pool_) {
-    // Worker-pool rounds keep the classic one-step-per-device cadence: a
-    // lockstep burst would need a second barrier per round to agree on the
-    // fleet-min horizon, which costs more than it saves while any chip is
-    // busy. Serial and threaded runs stay bit-identical either way —
-    // quiet fast-forwarding never changes a trajectory, only wall-clock.
+  // The stride is a single real cycle whenever it is known up front: a
+  // one-cycle budget, or a device without the burst seam (its step()
+  // always moves its own clock one cycle). That round is one dispatch.
+  bool burst = max_cycles >= 2;
+  for (std::size_t d = 0; burst && d < devices_.size(); ++d)
+    burst = !devices_[d] || devices_[d]->supports_quiet_burst();
+  if (!burst) {
     run_round([](Device& d) { d.step(); });
     return 1;
   }
   // Phase 1: every controller runs its scheduling round at the current
   // cycle. Devices are independent, so pumping them all before any clock
   // moves is indistinguishable from the old pump-then-tick per device.
-  bool acted = false;
-  for (auto& d : devices_) {
-    if (!d) continue;
-    if (d->supports_quiet_burst())
-      acted |= d->pump_round();
-    else {
-      d->step();  // no burst seam: classic step (advances its own clock)
-      acted = true;
-    }
-  }
-  // Phase 2: agree on one fleet-wide stride. Any action (or any non-burst
-  // device, whose clock already moved) pins the stride to a single real
-  // cycle; otherwise the fleet jumps min(horizon) together, so sibling
-  // clocks never drift and every later submit lands on the same cycle
-  // stamp a per-cycle run would give it.
-  sim::Cycle q = 1;
-  if (!acted && max_cycles >= 2) {
-    q = max_cycles;
-    for (auto& d : devices_)
-      if (d && d->supports_quiet_burst()) q = std::min(q, d->quiet_horizon(max_cycles));
-    if (q < 1) q = 1;
-  }
-  for (auto& d : devices_)
-    if (d && d->supports_quiet_burst()) d->advance_quiet(q);
-  poll_completions();
+  pool_->run(devices_.size(), [this, max_cycles](std::size_t d) {
+    if (devices_[d])
+      horizon_[d] = devices_[d]->pump_round() ? 1 : devices_[d]->quiet_horizon(max_cycles);
+  });
+  // Phase 2: agree on one fleet-wide stride. Any action pins the stride to
+  // a single real cycle; otherwise the fleet jumps min(horizon) together,
+  // so sibling clocks never drift and every later submit lands on the same
+  // cycle stamp a per-cycle run would give it.
+  sim::Cycle q = max_cycles;
+  for (std::size_t d = 0; d < devices_.size(); ++d)
+    if (devices_[d]) q = std::min(q, horizon_[d]);
+  q = std::max<sim::Cycle>(q, 1);
+  run_round([q](Device& d) { d.advance_quiet(q); });
   return q;
 }
 
@@ -615,13 +556,7 @@ void Engine::advance_to(sim::Cycle target) {
     step_quiet(target - max_cycle());
     if (inflight_only_on_failed()) break;
   }
-  if (pool_) {
-    run_round([target](Device& d) { d.advance_to(target); });
-    return;
-  }
-  for (auto& d : devices_)
-    if (d) d->advance_to(target);
-  poll_completions();
+  run_round([target](Device& d) { d.advance_to(target); });
 }
 
 std::size_t Engine::pump(std::size_t max_rounds) {
@@ -688,6 +623,13 @@ const JobResult& Engine::result(JobId id) const {
     throw std::out_of_range("Engine::result: JobId " + std::to_string(id) +
                             " is still in flight; use wait()/step() or peek()");
   return it->second->result;
+}
+
+SimDevice* Engine::sim_device(std::size_t i) {
+  if (!device_alive(i)) return nullptr;
+  Device* d = devices_[i].get();
+  if (auto* faulty = dynamic_cast<FaultyDevice*>(d)) d = faulty->inner();  // see through
+  return dynamic_cast<SimDevice*>(d);
 }
 
 sim::Cycle Engine::max_cycle() const {
@@ -793,10 +735,7 @@ void Engine::inject_fault(std::size_t index, sim::Cycle kill_at_cycle) {
     already->schedule_kill(kill_at_cycle);
     return;
   }
-  auto wrapped = std::make_unique<FaultyDevice>(std::move(devices_[index]), kill_at_cycle);
-  // sim introspection keeps seeing through the wrapper
-  sim_devices_[index] = dynamic_cast<SimDevice*>(wrapped->inner());
-  devices_[index] = std::move(wrapped);
+  devices_[index] = std::make_unique<FaultyDevice>(std::move(devices_[index]), kill_at_cycle);
 }
 
 std::size_t Engine::adopt_device(std::unique_ptr<Device> dev) {
@@ -806,11 +745,9 @@ std::size_t Engine::adopt_device(std::unique_ptr<Device> dev) {
   for (const auto& [id, key] : key_table_) dev->provision_key(id, key);
   dev->advance_to(max_cycle());
 
-  SimDevice* sim = dynamic_cast<SimDevice*>(dev.get());
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (devices_[i]) continue;
     devices_[i] = std::move(dev);
-    sim_devices_[i] = sim;
     // The slot changed occupants: a cached completion count from the old
     // device could alias the new device's count and mask its completions.
     completions_seen_[i] = Device::kCompletionsUnknown;
@@ -818,8 +755,9 @@ std::size_t Engine::adopt_device(std::unique_ptr<Device> dev) {
     return i;
   }
   devices_.push_back(std::move(dev));
-  sim_devices_.push_back(sim);
   inflight_.emplace_back();
+  done_.emplace_back();
+  horizon_.emplace_back();
   completions_seen_.push_back(Device::kCompletionsUnknown);
   draining_.push_back(0);
   return devices_.size() - 1;
@@ -882,8 +820,9 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   }
   if (rep.was_failed)
     // Flush completions the device produced before its kill cycle, so only
-    // genuinely stranded jobs remain on its list.
-    collect_now();
+    // genuinely stranded jobs remain on its list: a round that advances no
+    // clock.
+    run_round([](Device&) {});
   rep.drain_cycles = max_cycle() - drain_start;
   rep.completed_during_drain = completed_jobs_ - completed_before;
 
@@ -925,9 +864,8 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
       ++st->resubmissions;
       st->device_job = devices_[rec->device]->submit(std::move(spec));
       // Keep the destination list ascending by JobId: a migrated job's id
-      // predates everything submitted since, and both the completion polls
-      // (first-complete-is-minimum early exit) and the delivery-order
-      // contract rely on sorted in-flight lists.
+      // predates everything submitted since, and the delivery-order merge
+      // relies on sorted in-flight lists.
       auto& dst = inflight_[rec->device];
       auto pos = std::lower_bound(
           dst.begin(), dst.end(), st->id,
@@ -949,7 +887,6 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
 
   // Tombstone the slot; indices of the survivors are untouched.
   draining_[index] = 0;
-  sim_devices_[index] = nullptr;
   devices_[index].reset();
   return rep;
 }

@@ -12,17 +12,19 @@
 //
 // Stepping is optionally multithreaded (`EngineConfig::num_workers`):
 // devices shard across a worker pool (each device remains a single-threaded
-// clock domain, pinned to one worker), and completions funnel through a
-// bounded MPSC queue drained on the caller's thread — so `Completion`
-// callbacks, `on_done` ordering guarantees and per-channel stats behave
-// exactly as they do serially: completions that fire in the same step are
-// delivered in engine-wide submission order (ascending JobId), whichever
-// worker detected them first. The Engine API itself is NOT thread-safe:
-// all public calls (submit, open_channel, step, ...) must come from one
-// thread; `num_workers` parallelizes the inside of `step()`/`advance_to()`
-// only. Threaded and serial runs are deterministic twins — devices never
-// interact, so per-device state, results and clocks are bit-identical
-// (tests/host/engine_threading_test.cpp pins this).
+// clock domain, pinned to one worker; serial mode is a zero-thread pool that
+// runs the same rounds inline). Each worker moves its devices' finished
+// jobs into per-device lists, which the caller's thread merges in JobId
+// order after the round — so `Completion` callbacks, `on_done` ordering
+// guarantees and per-channel stats are the same in both modes: completions
+// that fire in the same round are delivered in engine-wide submission
+// order (ascending JobId), whichever device finished first. The Engine API
+// itself is NOT thread-safe: all public calls (submit, open_channel,
+// step, ...) must come from one thread; `num_workers` parallelizes the
+// inside of `step()`/`advance_to()` only. Threaded and serial runs are
+// deterministic twins — devices never interact, so per-device state,
+// results and clocks are bit-identical (tests/host/engine_threading_test.cpp
+// pins this).
 //
 // Later scaling work (work stealing across devices, non-sim backends)
 // plugs into this seam without touching clients.
@@ -40,7 +42,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/mpsc_queue.h"
 #include "qos/tenant.h"
 #include "host/channel.h"
 #include "host/completion.h"
@@ -107,9 +108,9 @@ struct EngineConfig {
   std::vector<std::vector<reconfig::CoreImage>> slot_layouts{};
   Placement placement = Placement::kRoundRobin;
   Backend backend = Backend::kSim;
-  /// Worker threads stepping the fleet: 0 = serial (step every device on
-  /// the caller's thread, today's behavior), N >= 1 = shard devices across
-  /// min(N, num_devices) pool threads. Completions still fire on the
+  /// Worker threads stepping the fleet: 0 = serial (a zero-thread pool:
+  /// every device steps on the caller's thread), N >= 1 = shard devices
+  /// across min(N, num_devices) pool threads. Completions still fire on the
   /// caller's thread, in both modes.
   std::size_t num_workers = 0;
   /// Scripted device deaths (fault injection): each listed device is
@@ -213,14 +214,6 @@ class Engine {
   /// With `num_workers` > 0 the devices advance in parallel on the pool;
   /// completions still fire here, on the calling thread, exactly once.
   void step();
-  /// One scheduling round that may fast-forward quiet fleet time: every
-  /// device's controller is pumped at the current cycle, and when none of
-  /// them acted all clocks advance together by the fleet-min quiet horizon
-  /// (capped at `max_cycles`) instead of one cycle. Bit-identical to
-  /// calling step() that many times — wait_all(), advance_to() and
-  /// Completion::wait() drive their loops through this. Returns the cycles
-  /// advanced (>= 1).
-  sim::Cycle step_quiet(sim::Cycle max_cycles);
   /// `n` engine steps (each >= 1 device cycle).
   void run(sim::Cycle n);
   /// Advance every device clock to at least `target` cycles, stepping while
@@ -310,9 +303,10 @@ class Engine {
   std::size_t num_devices() const { return devices_.size(); }
   Device& device(std::size_t i) { return checked_device(i); }
   const Device& device(std::size_t i) const { return checked_device(i); }
-  /// The simulated backend, when device `i` is a SimDevice (nullptr for
-  /// FastDevice fleets, adopted non-sim devices and tombstoned slots).
-  SimDevice* sim_device(std::size_t i) { return i < sim_devices_.size() ? sim_devices_[i] : nullptr; }
+  /// The simulated backend, when device `i` is a SimDevice, seen through a
+  /// FaultyDevice wrapper (nullptr for FastDevice fleets, adopted non-sim
+  /// devices and tombstoned slots).
+  SimDevice* sim_device(std::size_t i);
   /// Furthest-ahead device clock (devices advance independently).
   sim::Cycle max_cycle() const;
   /// Slowest clock among live devices that still have work in flight
@@ -335,7 +329,7 @@ class Engine {
   std::uint64_t reconfigurations_to(reconfig::CoreImage img) const;
   Placement placement() const { return placement_; }
   /// Pool threads stepping the fleet (0 = serial mode).
-  std::size_t num_workers() const { return pool_ ? pool_->size() : 0; }
+  std::size_t num_workers() const { return pool_->size(); }
 
  private:
   friend class Channel;
@@ -374,28 +368,31 @@ class Engine {
   Completion submit(const Channel& ch, JobSpec spec);
   /// Throws the typed drain/removal error when `rec` cannot take work.
   void ensure_submittable(const ChannelRecord& rec) const;
-  /// Deliver already-complete jobs without advancing any clock.
-  void collect_now();
   const ChannelRecord* channel_record(std::uint64_t uid) const;
   void release_channel(std::uint64_t uid);
   void track(std::shared_ptr<detail::JobState> st);
-  void poll_completions();
   /// True when work is in flight but every device holding any of it has
   /// failed: stepping can never finish it (stranded; remove_device()
   /// migrates and resubmits).
   bool inflight_only_on_failed() const;
   void finish_job(detail::JobState& st, const JobResult& result);
   const ChannelStats* channel_stats(std::uint64_t uid) const;
-  /// Threaded mode: run `op` on every device via the worker pool (device i
-  /// pinned to worker i % size), each worker collecting its devices'
-  /// completions into the MPSC queue; then drain and fire them on the
-  /// calling thread.
+  /// The one stepping primitive: run `op` on every live device via the
+  /// worker pool, each worker then moving its devices' finished jobs into
+  /// done_; then merge and deliver them on the calling thread.
   void run_round(const std::function<void(Device&)>& op);
   void collect_completed(std::size_t device_index);
-  void drain_completed();
+  void deliver_completed();
+  /// One round that may fast-forward quiet fleet time: every device's
+  /// controller is pumped at the current cycle, and when none of them
+  /// acted all clocks advance together by the fleet-min quiet horizon
+  /// (capped at `max_cycles`) instead of one cycle. Bit-identical to that
+  /// many step() calls — step(), wait_all(), advance_to() and
+  /// Completion::wait() drive their loops through this. Returns the cycles
+  /// advanced (>= 1).
+  sim::Cycle step_quiet(sim::Cycle max_cycles);
 
   std::vector<std::unique_ptr<Device>> devices_;  // null = tombstoned slot
-  std::vector<SimDevice*> sim_devices_;  // parallel to devices_; null if foreign
   Placement placement_;
 
   // -- dynamic membership state -------------------------------------------------
@@ -431,24 +428,30 @@ class Engine {
   /// its own devices' lists during a round (no cross-thread sharing; the
   /// caller's thread owns every list between rounds).
   std::vector<std::vector<std::shared_ptr<detail::JobState>>> inflight_;
-  /// Device::completions() value last seen by a scan that found nothing,
-  /// per device slot (kCompletionsUnknown = must scan). While the counter
-  /// sits at this value no in-flight entry can have turned complete, so
-  /// the poll/collect scans skip the device in O(1) instead of walking its
-  /// whole list — the scans were quadratic in backlog depth otherwise.
-  /// Reset whenever a slot changes occupant.
+  /// Device::completions() value read by the last collect, per device
+  /// slot (kCompletionsUnknown = must scan). Every visible completion up to
+  /// it has been collected, so while the counter sits at this value the
+  /// collect skips the device in O(1), and otherwise it stops scanning once
+  /// it found as many completions as the counter moved — the scans were
+  /// quadratic in backlog depth otherwise. Reset whenever a slot changes
+  /// occupant.
   std::vector<std::uint64_t> completions_seen_;
   std::size_t inflight_count_ = 0;
   std::uint64_t completed_jobs_ = 0;
   JobId next_job_ = 1;
   std::uint8_t last_rr_ = 0;
 
-  std::unique_ptr<WorkerPool> pool_;  // null = serial stepping
-  BoundedMpscQueue<std::shared_ptr<detail::JobState>> completed_{256};
-  /// Drained completions awaiting finish_job. A member so a callback that
-  /// re-enters the engine can finish jobs from the same round's batch
-  /// (matching serial semantics, where undetached complete jobs stay
-  /// findable by nested polls).
+  /// Jobs a round found finished, per device slot: written only by the
+  /// device's pinned worker during the round, merged by the caller after.
+  std::vector<std::vector<std::shared_ptr<detail::JobState>>> done_;
+  /// Per-slot quiet horizon reported in step_quiet()'s pump phase (1 when
+  /// the controller acted); same ownership rule as done_.
+  std::vector<sim::Cycle> horizon_;
+
+  std::unique_ptr<WorkerPool> pool_;  // zero threads = serial stepping
+  /// Collected completions awaiting finish_job, ascending JobId. A member
+  /// so a callback that re-enters the engine can finish jobs from the same
+  /// round's batch, with a nested round's batch merging in order.
   std::deque<std::shared_ptr<detail::JobState>> finish_queue_;
 };
 

@@ -1,18 +1,20 @@
 // WorkerPool: a fixed set of threads running barrier-separated rounds.
 //
-// The engine's threaded stepping mode dispatches one "round" per
-// `Engine::step()`: every device advances one scheduling round, sharded
-// across the pool (task i runs on worker i % size(), so a given device is
-// always driven by the same worker — each device stays a single-threaded
-// clock domain). `run()` blocks until the whole round retires, giving the
-// caller a happens-before edge over everything the workers touched: after
-// `run()` returns, the caller may freely read or mutate device state with
-// no further synchronization, and no worker touches anything until the
-// next round is dispatched.
+// The engine dispatches every stepping "round" through one of these: each
+// device advances one scheduling round and moves its finished jobs into
+// its own completion list, sharded across the pool (task i runs on worker
+// i % size(), so a given device is always driven by the same worker — each
+// device stays a single-threaded clock domain and its list needs no lock).
+// `run()` blocks until the whole round retires, giving the caller a
+// happens-before edge over everything the workers touched: after `run()`
+// returns, the caller may freely read or mutate device state with no
+// further synchronization, and no worker touches anything until the next
+// round is dispatched. Serial stepping is a zero-thread pool: `run()` then
+// executes every task inline on the caller, in task order.
 //
 // Exceptions thrown by round tasks are captured (first one wins) and
 // rethrown on the caller's thread after the round completes, so a device
-// that throws mid-step fails the `step()` call just as it does serially.
+// that throws mid-step fails the `step()` call in both modes.
 #pragma once
 
 #include <condition_variable>
@@ -53,7 +55,7 @@ class WorkerPool {
   /// One round at a time; must be called from a single caller thread.
   void run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn) {
     if (num_tasks == 0) return;
-    if (threads_.empty()) {  // degenerate pool: run inline
+    if (threads_.empty()) {  // zero-thread (serial) pool: run inline
       for (std::size_t i = 0; i < num_tasks; ++i) fn(i);
       return;
     }

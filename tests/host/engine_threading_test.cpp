@@ -356,5 +356,36 @@ TEST(EngineThreading, CallbackMayWaitOnJobCompletedInTheSameRound) {
   EXPECT_EQ(a.result().complete_cycle, b.result().complete_cycle);  // same round
 }
 
+TEST(EngineThreading, NestedWaitKeepsSubmissionOrderInBothModes) {
+  // Jobs 2 and 4 finish in one round; 2's callback waits on job 3, which
+  // finishes in the nested round while 4 is still queued for delivery.
+  // The nested batch must merge ahead of 4 (ascending JobId), not queue
+  // behind it — in serial AND threaded mode.
+  for (std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    Engine engine({.num_devices = 2,
+                   .device = {.num_cores = 2},
+                   .backend = Backend::kFast,
+                   .num_workers = workers});
+    Rng rng(5);
+    engine.provision_key(1, rng.bytes(16));
+    Channel c0 = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+    Channel c1 = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+    ASSERT_EQ(c0.device_index(), 0u);
+    ASSERT_EQ(c1.device_index(), 1u);
+
+    std::vector<JobId> order;
+    Completion j1 = engine.submit_encrypt(c1, rng.bytes(12), {}, rng.bytes(64));
+    Completion j2 = engine.submit_encrypt(c0, rng.bytes(12), {}, rng.bytes(256));
+    Completion j3 = engine.submit_encrypt(c1, rng.bytes(12), {}, rng.bytes(4096));
+    Completion j4 = engine.submit_encrypt(c0, rng.bytes(12), {}, rng.bytes(256));
+    for (Completion* c : {&j1, &j2, &j3, &j4})
+      c->on_done([&order, id = c->id()](const JobResult&) { order.push_back(id); });
+    j2.on_done([&](const JobResult&) { j3.wait(); });
+    engine.wait_all();
+
+    EXPECT_EQ(order, (std::vector<JobId>{j1.id(), j2.id(), j3.id(), j4.id()})) << workers;
+  }
+}
+
 }  // namespace
 }  // namespace mccp::host
