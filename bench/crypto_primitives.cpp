@@ -8,8 +8,9 @@
 // BENCH_*.json perf-trajectory artifact; `--kernel TIER` forces a crypto
 // kernel tier (portable|auto|aesni|vaes) for the google-benchmark section
 // (all other flags pass through to google-benchmark). A closing table
-// sweeps every tier this host supports and compares GCM seal/open wall
-// throughput, portable vs accelerated, in one run.
+// sweeps every tier this host supports and compares GCM seal/open, CCM
+// seal/open and CBC-MAC wall throughput, portable vs accelerated, in one
+// run.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -17,6 +18,7 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "crypto/aes.h"
+#include "crypto/cbc_mac.h"
 #include "crypto/ccm.h"
 #include "crypto/ctr.h"
 #include "crypto/gcm.h"
@@ -140,12 +142,16 @@ void BM_Whirlpool(benchmark::State& state) {
 }
 BENCHMARK(BM_Whirlpool)->Arg(64)->Arg(2048);
 
-// --- per-kernel-tier GCM comparison ------------------------------------------
+// --- per-kernel-tier AES-mode comparison -------------------------------------
 
-struct TierGcmRate {
+struct TierRates {
   std::string tier;
-  double seal_mb_s = 0;  // wall MB/s, 2 KB payloads, cached GcmKey
-  double open_mb_s = 0;
+  // Wall MB/s, 2 KB payloads, AES-128.
+  double gcm_seal_mb_s = 0;  // cached GcmKey
+  double gcm_open_mb_s = 0;
+  double ccm_seal_mb_s = 0;  // 8-byte tag, 13-byte nonce
+  double ccm_open_mb_s = 0;
+  double cbc_mac_mb_s = 0;
 };
 
 /// Wall throughput of one operation, measured over ~25 ms of repetitions.
@@ -164,30 +170,47 @@ double measure_mb_s(std::size_t bytes_per_op, Fn&& op) {
   return static_cast<double>(ops) * static_cast<double>(bytes_per_op) / elapsed / 1e6;
 }
 
-/// Sweep every kernel tier this host can force and measure GCM seal/open on
-/// 2 KB payloads with a cached per-key GcmKey — the FastDevice hot path.
+/// Sweep every kernel tier this host can force and measure the FastDevice
+/// AES-mode hot paths on 2 KB payloads: GCM seal/open with a cached per-key
+/// GcmKey, CCM seal/open (the one-pass kernel) and the CBC-MAC chain.
 /// Restores the previously dispatched tier afterwards.
-std::vector<TierGcmRate> measure_gcm_by_tier() {
+std::vector<TierRates> measure_by_tier() {
   constexpr std::size_t kPayload = 2048;
   Rng rng(42);
-  GcmKey key(aes_expand_key(rng.bytes(16)));
+  const AesRoundKeys keys = aes_expand_key(rng.bytes(16));
+  GcmKey key(keys);
   Bytes iv = rng.bytes(12);
+  Bytes nonce = rng.bytes(13);
   Bytes aad = rng.bytes(20);
   Bytes pt = rng.bytes(kPayload);
+  const CcmParams ccm{.tag_len = 8, .nonce_len = 13};
   GcmSealed sealed = gcm_seal(key, iv, aad, pt);
+  CcmSealed ccm_sealed = ccm_seal(keys, ccm, nonce, aad, pt);
 
   const std::string previous = active_kernel_name();
-  std::vector<TierGcmRate> rates;
+  std::vector<TierRates> rates;
   for (const std::string& tier : supported_crypto_kernels()) {
     if (tier == "auto") continue;  // would duplicate the strongest tier
     set_crypto_kernel(tier);
-    TierGcmRate r;
+    TierRates r;
     r.tier = tier;
-    r.seal_mb_s = measure_mb_s(kPayload, [&] {
+    r.gcm_seal_mb_s = measure_mb_s(kPayload, [&] {
       benchmark::DoNotOptimize(gcm_seal(key, iv, aad, pt));
     });
-    r.open_mb_s = measure_mb_s(kPayload, [&] {
+    r.gcm_open_mb_s = measure_mb_s(kPayload, [&] {
       benchmark::DoNotOptimize(gcm_open(key, iv, aad, sealed.ciphertext, sealed.tag));
+    });
+    r.ccm_seal_mb_s = measure_mb_s(kPayload, [&] {
+      benchmark::DoNotOptimize(ccm_seal(keys, ccm, nonce, aad, pt));
+    });
+    r.ccm_open_mb_s = measure_mb_s(kPayload, [&] {
+      benchmark::DoNotOptimize(
+          ccm_open(keys, ccm, nonce, aad, ccm_sealed.ciphertext, ccm_sealed.tag));
+    });
+    r.cbc_mac_mb_s = measure_mb_s(kPayload, [&] {
+      CbcMac mac(keys);
+      mac.update_padded(pt);
+      benchmark::DoNotOptimize(mac.mac());
     });
     rates.push_back(std::move(r));
   }
@@ -195,14 +218,16 @@ std::vector<TierGcmRate> measure_gcm_by_tier() {
   return rates;
 }
 
-void print_gcm_tier_table(const std::vector<TierGcmRate>& rates) {
+void print_tier_table(const std::vector<TierRates>& rates) {
   bench::print_header(
-      "GCM seal/open by crypto kernel tier -- 2 KB payloads, AES-128, cached key");
-  std::printf("%-10s %14s %14s %10s\n", "tier", "seal (MB/s)", "open (MB/s)", "vs base");
-  const double base = rates.empty() ? 1.0 : rates.front().seal_mb_s;
+      "AES modes by crypto kernel tier -- wall MB/s, 2 KB payloads, AES-128");
+  std::printf("%-10s %10s %10s %10s %10s %10s %9s\n", "tier", "GCM seal", "GCM open",
+              "CCM seal", "CCM open", "CBC-MAC", "GCM gain");
+  const double base = rates.empty() ? 1.0 : rates.front().gcm_seal_mb_s;
   for (const auto& r : rates)
-    std::printf("%-10s %14.1f %14.1f %9.1fx\n", r.tier.c_str(), r.seal_mb_s, r.open_mb_s,
-                r.seal_mb_s / base);
+    std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %10.1f %8.1fx\n", r.tier.c_str(),
+                r.gcm_seal_mb_s, r.gcm_open_mb_s, r.ccm_seal_mb_s, r.ccm_open_mb_s,
+                r.cbc_mac_mb_s, r.gcm_seal_mb_s / base);
   std::printf("\ndispatched kernel: %s (MCCP_CRYPTO_KERNEL or --kernel to override)\n",
               active_kernel_name());
 }
@@ -226,7 +251,7 @@ class JsonCollector : public benchmark::ConsoleReporter {
     }
   }
 
-  void write(const std::string& path, const std::vector<TierGcmRate>& tiers) const {
+  void write(const std::string& path, const std::vector<TierRates>& tiers) const {
     bench::JsonWriter json;
     json.begin_object()
         .field("bench", "crypto_primitives")
@@ -240,12 +265,15 @@ class JsonCollector : public benchmark::ConsoleReporter {
       if (e.bytes_per_second > 0) json.field("bytes_per_second", e.bytes_per_second);
       json.end_object();
     }
-    json.end_array().begin_array("gcm_by_kernel_tier");
+    json.end_array().begin_array("by_kernel_tier");
     for (const auto& t : tiers) {
       json.begin_object()
           .field("tier", t.tier)
-          .field("seal_mb_s", t.seal_mb_s)
-          .field("open_mb_s", t.open_mb_s)
+          .field("gcm_seal_mb_s", t.gcm_seal_mb_s)
+          .field("gcm_open_mb_s", t.gcm_open_mb_s)
+          .field("ccm_seal_mb_s", t.ccm_seal_mb_s)
+          .field("ccm_open_mb_s", t.ccm_open_mb_s)
+          .field("cbc_mac_mb_s", t.cbc_mac_mb_s)
           .end_object();
     }
     json.end_array().end_object();
@@ -293,8 +321,8 @@ int main(int argc, char** argv) {
   std::printf("crypto kernel tier: %s\n", mccp::crypto::active_kernel_name());
   mccp::crypto::JsonCollector collector;
   benchmark::RunSpecifiedBenchmarks(&collector);
-  auto tiers = mccp::crypto::measure_gcm_by_tier();
-  mccp::crypto::print_gcm_tier_table(tiers);
+  auto tiers = mccp::crypto::measure_by_tier();
+  mccp::crypto::print_tier_table(tiers);
   if (!json_path.empty()) collector.write(json_path, tiers);
   benchmark::Shutdown();
   return 0;

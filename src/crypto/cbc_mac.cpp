@@ -2,15 +2,14 @@
 
 #include <stdexcept>
 
+#include "crypto/kernels.h"
+
 namespace mccp::crypto {
 
 void CbcMac::update_padded(ByteSpan data) {
-  std::size_t i = 0;
-  while (i + 16 <= data.size()) {
-    update(Block128::from_span(data.subspan(i, 16)));
-    i += 16;
-  }
-  if (i < data.size()) update(Block128::from_span(data.subspan(i)));
+  const std::size_t full = data.size() / 16;
+  active_kernels().cbc_mac_blocks(*keys_, x_, data.data(), full);
+  if (16 * full < data.size()) update(Block128::from_span(data.subspan(16 * full)));
 }
 
 Block128 cbc_mac(const AesRoundKeys& keys, ByteSpan data) {

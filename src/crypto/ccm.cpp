@@ -2,8 +2,7 @@
 
 #include <stdexcept>
 
-#include "crypto/cbc_mac.h"
-#include "crypto/ctr.h"
+#include "crypto/kernels.h"
 
 namespace mccp::crypto {
 
@@ -67,14 +66,41 @@ Block128 ccm_ctr_block(const CcmParams& p, ByteSpan nonce, std::uint64_t index) 
 
 namespace {
 
-Block128 ccm_compute_mac(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
-                         ByteSpan aad, ByteSpan plaintext) {
-  CbcMac mac(keys);
-  mac.update(ccm_b0(p, nonce, aad.size(), plaintext.size()));
-  Bytes encoded = ccm_encode_aad(aad);
-  if (!encoded.empty()) mac.update_padded(encoded);
-  if (!plaintext.empty()) mac.update_padded(plaintext);
-  return mac.mac();
+/// The CBC-MAC chain over B0 and the encoded AAD: everything the tag covers
+/// before the payload.
+Block128 ccm_header_mac(const CryptoKernels& k, const AesRoundKeys& keys, const CcmParams& p,
+                        ByteSpan nonce, ByteSpan aad, std::size_t msg_len) {
+  Block128 x{};
+  const Block128 b0 = ccm_b0(p, nonce, aad.size(), msg_len);
+  k.cbc_mac_blocks(keys, x, b0.b.data(), 1);
+  const Bytes encoded = ccm_encode_aad(aad);
+  k.cbc_mac_blocks(keys, x, encoded.data(), encoded.size() / 16);
+  return x;
+}
+
+/// One pass over the payload: the CTR transform from Ctr_1 (inc32 walk,
+/// as ctr_transform) and the CBC-MAC chain over the plaintext, which is
+/// `in` when sealing and `out` when opening. The full blocks go through
+/// the kernel; the zero-padded tail is finished here.
+void ccm_payload(const CryptoKernels& k, const AesRoundKeys& keys, Block128& mac, Block128 ctr,
+                 bool decrypt, ByteSpan in, std::uint8_t* out) {
+  const std::size_t full = in.size() / 16;
+  k.ccm_blocks(keys, mac, ctr, decrypt, in.data(), out, full);
+  const std::size_t done = 16 * full;
+  if (done == in.size()) return;
+  k.ctr_xor(keys, ctr, /*wide_counter=*/true, in.data() + done, out + done, in.size() - done);
+  const Block128 tail = Block128::from_span(decrypt ? ByteSpan(out + done, in.size() - done)
+                                                    : in.subspan(done));
+  k.cbc_mac_blocks(keys, mac, tail.b.data(), 1);
+}
+
+/// T ^ E(K, Ctr_0), truncated to the tag length.
+Bytes ccm_tag(const CryptoKernels& k, const AesRoundKeys& keys, const CcmParams& p,
+              ByteSpan nonce, const Block128& mac) {
+  const Block128 a0_ks = k.aes_encrypt(keys, ccm_ctr_block(p, nonce, 0));
+  Bytes tag(p.tag_len);
+  for (std::size_t i = 0; i < p.tag_len; ++i) tag[i] = mac.b[i] ^ a0_ks.b[i];
+  return tag;
 }
 
 }  // namespace
@@ -84,13 +110,13 @@ CcmSealed ccm_seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
   if (!ccm_params_valid(p)) throw std::invalid_argument("ccm: invalid parameters");
   if (nonce.size() != p.nonce_len) throw std::invalid_argument("ccm: nonce length mismatch");
 
-  Block128 t = ccm_compute_mac(keys, p, nonce, aad, plaintext);
-
+  const CryptoKernels& k = active_kernels();
+  Block128 mac = ccm_header_mac(k, keys, p, nonce, aad, plaintext.size());
   CcmSealed out;
-  out.ciphertext = ctr_transform(keys, ccm_ctr_block(p, nonce, 1), plaintext);
-  Block128 a0_ks = aes_encrypt_block(keys, ccm_ctr_block(p, nonce, 0));
-  out.tag.resize(p.tag_len);
-  for (std::size_t i = 0; i < p.tag_len; ++i) out.tag[i] = t.b[i] ^ a0_ks.b[i];
+  out.ciphertext.resize(plaintext.size());
+  ccm_payload(k, keys, mac, ccm_ctr_block(p, nonce, 1), /*decrypt=*/false, plaintext,
+              out.ciphertext.data());
+  out.tag = ccm_tag(k, keys, p, nonce, mac);
   return out;
 }
 
@@ -100,12 +126,12 @@ std::optional<Bytes> ccm_open(const AesRoundKeys& keys, const CcmParams& p, Byte
   if (nonce.size() != p.nonce_len) throw std::invalid_argument("ccm: nonce length mismatch");
   if (tag.size() != p.tag_len) return std::nullopt;
 
-  Bytes plaintext = ctr_transform(keys, ccm_ctr_block(p, nonce, 1), ciphertext);
-  Block128 t = ccm_compute_mac(keys, p, nonce, aad, plaintext);
-  Block128 a0_ks = aes_encrypt_block(keys, ccm_ctr_block(p, nonce, 0));
-  Bytes expected(p.tag_len);
-  for (std::size_t i = 0; i < p.tag_len; ++i) expected[i] = t.b[i] ^ a0_ks.b[i];
-  if (!ct_equal(expected, tag)) return std::nullopt;
+  const CryptoKernels& k = active_kernels();
+  Block128 mac = ccm_header_mac(k, keys, p, nonce, aad, ciphertext.size());
+  Bytes plaintext(ciphertext.size());
+  ccm_payload(k, keys, mac, ccm_ctr_block(p, nonce, 1), /*decrypt=*/true, ciphertext,
+              plaintext.data());
+  if (!ct_equal(ccm_tag(k, keys, p, nonce, mac), tag)) return std::nullopt;
   return plaintext;
 }
 

@@ -53,6 +53,23 @@ void portable_ctr_xor(const AesRoundKeys& keys, const Block128& ctr0, bool wide_
   }
 }
 
+void portable_cbc_mac_blocks(const AesRoundKeys& keys, Block128& x, const std::uint8_t* data,
+                             std::size_t nblocks) {
+  for (std::size_t i = 0; i < nblocks; ++i)
+    x = aes_encrypt_block_portable(keys, x ^ Block128::from_span(ByteSpan(data + 16 * i, 16)));
+}
+
+void portable_ccm_blocks(const AesRoundKeys& keys, Block128& mac, Block128& ctr, bool decrypt,
+                         const std::uint8_t* in, std::uint8_t* out, std::size_t nblocks) {
+  for (std::size_t i = 0; i < nblocks; ++i) {
+    const Block128 x = Block128::from_span(ByteSpan(in + 16 * i, 16));
+    const Block128 y = x ^ aes_encrypt_block_portable(keys, ctr);
+    ctr = inc32(ctr);
+    std::memcpy(out + 16 * i, y.b.data(), 16);
+    mac = aes_encrypt_block_portable(keys, mac ^ (decrypt ? y : x));
+  }
+}
+
 Block128 portable_ghash_mul(const Gf128Table& table, const Block128& x) { return table.mul(x); }
 
 void portable_ghash_blocks(const Gf128Table& table, Block128& y, const std::uint8_t* data,
@@ -62,8 +79,9 @@ void portable_ghash_blocks(const Gf128Table& table, Block128& y, const std::uint
 }
 
 constexpr CryptoKernels kPortableKernels{
-    "portable",          portable_aes_encrypt, portable_aes_decrypt,
-    portable_ctr_xor,    portable_ghash_mul,   portable_ghash_blocks,
+    "portable",          portable_aes_encrypt,    portable_aes_decrypt,
+    portable_ctr_xor,    portable_cbc_mac_blocks, portable_ccm_blocks,
+    portable_ghash_mul,  portable_ghash_blocks,
 };
 
 // ---- selection --------------------------------------------------------------

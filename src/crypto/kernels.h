@@ -5,8 +5,12 @@
 // x86 hardware with the AES-NI and PCLMULQDQ extensions (optionally VAES +
 // AVX2 for 2x-wide CTR pipelining), a `CryptoKernels` function-pointer set
 // selected once at startup routes the block-level hot paths — single-block
-// AES, multi-block CTR keystream, GHASH multiply — through the hardware
-// instructions instead. Outputs are bit-identical by construction (the
+// AES, multi-block CTR keystream, the CBC-MAC chain, one-pass CCM, GHASH
+// multiply — through the hardware instructions instead. The hardware tiers
+// keep round keys, counters and the MAC chain in registers: counters step
+// with one SIMD lane add per block, and the CCM kernel interleaves the
+// serial CBC-MAC chain with the CTR keystream the way the paper pairs a CTR
+// core with a CBC-MAC core. Outputs are bit-identical by construction (the
 // instructions implement the same field math), and the cross-kernel suite in
 // tests/crypto/kernel_dispatch_test.cpp plus the tier-parametrized KAT and
 // backend-differential suites enforce it.
@@ -49,6 +53,19 @@ struct CryptoKernels {
   /// may alias exactly; `len` need not be block-aligned.
   void (*ctr_xor)(const AesRoundKeys& keys, const Block128& ctr, bool wide_counter,
                   const std::uint8_t* in, std::uint8_t* out, std::size_t len);
+
+  /// CBC-MAC chain over `nblocks` contiguous 16-byte blocks:
+  /// x <- E(K, x ^ B_i) for each block in order. `nblocks` may be 0.
+  void (*cbc_mac_blocks)(const AesRoundKeys& keys, Block128& x, const std::uint8_t* data,
+                         std::size_t nblocks);
+
+  /// One-pass CCM over `nblocks` full payload blocks: out_i = in_i ^ E(K,
+  /// ctr_i) with the inc32 counter walk, and the CBC-MAC chain absorbs the
+  /// plaintext — `in_i` when sealing, `out_i` when opening (`decrypt`).
+  /// Leaves `mac` at the chained value and `ctr` at the next unused
+  /// counter. `in` and `out` may alias exactly.
+  void (*ccm_blocks)(const AesRoundKeys& keys, Block128& mac, Block128& ctr, bool decrypt,
+                     const std::uint8_t* in, std::uint8_t* out, std::size_t nblocks);
 
   /// X * H in GF(2^128) for the table's fixed H — the GHASH absorb step.
   Block128 (*ghash_mul)(const Gf128Table& table, const Block128& x);

@@ -14,8 +14,11 @@
 //    Block128) is byte-for-byte the layout the instructions consume, and
 //    the equivalent-inverse `drk` schedule is precisely AESDEC's expected
 //    key order.
-//  * Counter blocks are still generated with the scalar inc32/inc16
-//    helpers, so the INC core's 16-bit wrap at 0xFFFF is preserved exactly.
+//  * Counters live byte-swapped in one SIMD lane (bytes 12..15 as 32-bit
+//    lane 3 for inc32, bytes 14..15 as 16-bit lane 7 for inc16) and step
+//    with one lane add per block. A lane add wraps modulo 2^32 / 2^16 and
+//    never carries into its neighbour, exactly like inc32/inc16 — so the
+//    INC core's 16-bit wrap at 0xFFFF is preserved bit for bit.
 //  * GHASH uses the reflected-operand carry-less multiply of Intel's GCM
 //    white paper (Gueron & Kounavis): operands are byte-reversed on load,
 //    the 255-bit product is shifted left one bit, then reduced modulo
@@ -35,16 +38,15 @@
 #include <cpuid.h>
 #include <immintrin.h>
 
-#include <cstring>
-
-#include "crypto/ctr.h"
-
 namespace mccp::crypto {
 namespace {
 
 #define MCCP_TARGET_AESNI __attribute__((target("aes,ssse3")))
 #define MCCP_TARGET_CLMUL __attribute__((target("pclmul,ssse3")))
 #define MCCP_TARGET_VAES __attribute__((target("vaes,avx2,aes,ssse3")))
+// Lane loops must unroll fully so the lanes live in registers, not in a
+// stack array (-O2 does not unroll on its own).
+#define MCCP_LANES _Pragma("GCC unroll 8")
 
 // ---- feature detection ------------------------------------------------------
 
@@ -74,27 +76,32 @@ bool cpu_has_vaes() {
 
 // ---- AES block pipeline (AES-NI) -------------------------------------------
 
-MCCP_TARGET_AESNI inline __m128i load_rk(const Block128& rk) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk.b.data()));
+MCCP_TARGET_AESNI inline __m128i load_data(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
+
+MCCP_TARGET_AESNI inline __m128i load_block(const Block128& b) { return load_data(b.b.data()); }
 
 /// Encrypt `n` (1..8) independent blocks in lockstep: one round-key load
 /// feeds every lane, so the AESENC latency of lane 0 hides behind the
 /// issue slots of lanes 1..n-1.
 MCCP_TARGET_AESNI inline void encrypt_lanes(const AesRoundKeys& keys, __m128i* x, int n) {
   const int nr = keys.rounds();
-  __m128i k = load_rk(keys.rk[0]);
+  __m128i k = load_block(keys.rk[0]);
+  MCCP_LANES
   for (int j = 0; j < n; ++j) x[j] = _mm_xor_si128(x[j], k);
   for (int r = 1; r < nr; ++r) {
-    k = load_rk(keys.rk[static_cast<std::size_t>(r)]);
+    k = load_block(keys.rk[static_cast<std::size_t>(r)]);
+    MCCP_LANES
     for (int j = 0; j < n; ++j) x[j] = _mm_aesenc_si128(x[j], k);
   }
-  k = load_rk(keys.rk[static_cast<std::size_t>(nr)]);
+  k = load_block(keys.rk[static_cast<std::size_t>(nr)]);
+  MCCP_LANES
   for (int j = 0; j < n; ++j) x[j] = _mm_aesenclast_si128(x[j], k);
 }
 
 MCCP_TARGET_AESNI Block128 aesni_encrypt(const AesRoundKeys& keys, const Block128& in) {
-  __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in.b.data()));
+  __m128i x = load_block(in);
   encrypt_lanes(keys, &x, 1);
   Block128 out;
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out.b.data()), x);
@@ -106,10 +113,11 @@ MCCP_TARGET_AESNI Block128 aesni_decrypt(const AesRoundKeys& keys, const Block12
   // middle keys, drk[nr] = rk[0]) is exactly what AESDEC's round order
   // expects.
   const int nr = keys.rounds();
-  __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in.b.data()));
-  x = _mm_xor_si128(x, load_rk(keys.drk[0]));
-  for (int r = 1; r < nr; ++r) x = _mm_aesdec_si128(x, load_rk(keys.drk[static_cast<std::size_t>(r)]));
-  x = _mm_aesdeclast_si128(x, load_rk(keys.drk[static_cast<std::size_t>(nr)]));
+  __m128i x = load_block(in);
+  x = _mm_xor_si128(x, load_block(keys.drk[0]));
+  for (int r = 1; r < nr; ++r)
+    x = _mm_aesdec_si128(x, load_block(keys.drk[static_cast<std::size_t>(r)]));
+  x = _mm_aesdeclast_si128(x, load_block(keys.drk[static_cast<std::size_t>(nr)]));
   Block128 out;
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out.b.data()), x);
   return out;
@@ -117,82 +125,240 @@ MCCP_TARGET_AESNI Block128 aesni_decrypt(const AesRoundKeys& keys, const Block12
 
 // ---- CTR keystream ----------------------------------------------------------
 
-/// Fill `cbuf` with `blocks` consecutive counter values using the scalar
-/// increment helpers (so inc16's 0xFFFF wrap is bit-exact) and leave `ctr`
-/// at the next value.
-inline void materialize_counters(Block128& ctr, bool wide_counter, std::uint8_t* cbuf,
-                                 std::size_t blocks) {
+/// The counter field byte-swapped into a little-endian lane. The shuffle is
+/// its own inverse: it maps a counter block to its lane form and back.
+template <bool Wide>
+MCCP_TARGET_AESNI inline __m128i counter_swap() {
+  return Wide ? _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 14, 13, 12)
+              : _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 14);
+}
+
+/// Add `step` (lane form) to the counter lane: inc32 or inc16 `step` times.
+template <bool Wide>
+MCCP_TARGET_AESNI inline __m128i counter_add(__m128i lane, std::uint32_t step) {
+  return Wide ? _mm_add_epi32(lane, _mm_setr_epi32(0, 0, 0, static_cast<int>(step)))
+              : _mm_add_epi16(lane, _mm_setr_epi16(0, 0, 0, 0, 0, 0, 0,
+                                                   static_cast<short>(step)));
+}
+
+MCCP_TARGET_AESNI inline void xor_store(const std::uint8_t* in, std::uint8_t* out, __m128i ks) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), _mm_xor_si128(load_data(in), ks));
+}
+
+template <bool Wide>
+MCCP_TARGET_AESNI void aesni_ctr_xor_impl(const AesRoundKeys& keys, const Block128& ctr0,
+                                          const std::uint8_t* in, std::uint8_t* out,
+                                          std::size_t len) {
+  const __m128i swap = counter_swap<Wide>();
+  __m128i lane = _mm_shuffle_epi8(load_block(ctr0), swap);
+  std::size_t off = 0;
+  // Whole 128-byte batches: a fixed 8-lane pipeline.
+  for (; len - off >= 16 * 8; off += 16 * 8) {
+    __m128i x[8];
+    MCCP_LANES
+    for (int j = 0; j < 8; ++j) {
+      x[j] = _mm_shuffle_epi8(lane, swap);
+      lane = counter_add<Wide>(lane, 1);
+    }
+    encrypt_lanes(keys, x, 8);
+    MCCP_LANES
+    for (int j = 0; j < 8; ++j) xor_store(in + off + 16 * j, out + off + 16 * j, x[j]);
+  }
+  if (off == len) return;
+  // Tail: 1..8 blocks, the last possibly partial.
+  const std::size_t n = len - off;
+  const std::size_t blocks = (n + 15) / 16;
+  __m128i x[8];
   for (std::size_t b = 0; b < blocks; ++b) {
-    std::memcpy(cbuf + 16 * b, ctr.b.data(), 16);
-    ctr = wide_counter ? inc32(ctr) : inc16(ctr, 1);
+    x[b] = _mm_shuffle_epi8(lane, swap);
+    lane = counter_add<Wide>(lane, 1);
+  }
+  encrypt_lanes(keys, x, static_cast<int>(blocks));
+  std::size_t b = 0;
+  for (; 16 * (b + 1) <= n; ++b) xor_store(in + off + 16 * b, out + off + 16 * b, x[b]);
+  if (16 * b < n) {  // partial final block
+    alignas(16) std::uint8_t ks[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(ks), x[b]);
+    for (std::size_t i = 16 * b; i < n; ++i) out[off + i] = in[off + i] ^ ks[i - 16 * b];
   }
 }
 
 MCCP_TARGET_AESNI void aesni_ctr_xor(const AesRoundKeys& keys, const Block128& ctr0,
                                      bool wide_counter, const std::uint8_t* in, std::uint8_t* out,
                                      std::size_t len) {
-  Block128 ctr = ctr0;
-  alignas(16) std::uint8_t cbuf[16 * 8];
-  std::size_t off = 0;
-  while (off < len) {
-    const std::size_t n = len - off;
-    std::size_t blocks = (n + 15) / 16;
-    if (blocks > 8) blocks = 8;
-    materialize_counters(ctr, wide_counter, cbuf, blocks);
-    __m128i x[8];
-    for (std::size_t b = 0; b < blocks; ++b)
-      x[b] = _mm_load_si128(reinterpret_cast<const __m128i*>(cbuf + 16 * b));
-    encrypt_lanes(keys, x, static_cast<int>(blocks));
-    const std::size_t take = n < 16 * blocks ? n : 16 * blocks;
-    std::size_t b = 0;
-    for (; 16 * (b + 1) <= take; ++b) {
-      __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + off + 16 * b));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + off + 16 * b),
-                       _mm_xor_si128(d, x[b]));
-    }
-    if (16 * b < take) {  // partial final block
-      alignas(16) std::uint8_t ks[16];
-      _mm_store_si128(reinterpret_cast<__m128i*>(ks), x[b]);
-      for (std::size_t i = 16 * b; i < take; ++i) out[off + i] = in[off + i] ^ ks[i - 16 * b];
-    }
-    off += take;
-  }
+  if (wide_counter)
+    aesni_ctr_xor_impl<true>(keys, ctr0, in, out, len);
+  else
+    aesni_ctr_xor_impl<false>(keys, ctr0, in, out, len);
 }
 
 MCCP_TARGET_VAES inline __m256i broadcast_rk(const Block128& rk) {
-  return _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk.b.data())));
+  return _mm256_broadcastsi128_si256(load_block(rk));
+}
+
+/// 16 blocks per iteration as 8 YMM registers of 2 counter blocks each;
+/// returns the number of bytes done (a multiple of 256) and advances `ctr`
+/// past them. Every YMM instruction of the tier lives here, and it clears
+/// the upper halves before returning, so the SSE-encoded AES-NI code that
+/// runs next never meets dirty upper state.
+template <bool Wide>
+MCCP_TARGET_VAES std::size_t vaes_ctr_batches(const AesRoundKeys& keys, Block128& ctr,
+                                              const std::uint8_t* in, std::uint8_t* out,
+                                              std::size_t len) {
+  const __m128i swap = counter_swap<Wide>();
+  const __m128i lane0 = _mm_shuffle_epi8(load_block(ctr), swap);
+  const __m256i swap2 = _mm256_broadcastsi128_si256(swap);
+  __m256i lanes = _mm256_inserti128_si256(_mm256_castsi128_si256(lane0),
+                                          counter_add<Wide>(lane0, 1), 1);
+  const __m256i two = Wide ? _mm256_setr_epi32(0, 0, 0, 2, 0, 0, 0, 2)
+                           : _mm256_setr_epi16(0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2);
+  const int nr = keys.rounds();
+  std::size_t off = 0;
+  for (; len - off >= 16 * 16; off += 16 * 16) {
+    __m256i x[8];
+    MCCP_LANES
+    for (int j = 0; j < 8; ++j) {
+      x[j] = _mm256_shuffle_epi8(lanes, swap2);
+      lanes = Wide ? _mm256_add_epi32(lanes, two) : _mm256_add_epi16(lanes, two);
+    }
+    __m256i k = broadcast_rk(keys.rk[0]);
+    MCCP_LANES
+    for (int j = 0; j < 8; ++j) x[j] = _mm256_xor_si256(x[j], k);
+    for (int r = 1; r < nr; ++r) {
+      k = broadcast_rk(keys.rk[static_cast<std::size_t>(r)]);
+      MCCP_LANES
+      for (int j = 0; j < 8; ++j) x[j] = _mm256_aesenc_epi128(x[j], k);
+    }
+    k = broadcast_rk(keys.rk[static_cast<std::size_t>(nr)]);
+    MCCP_LANES
+    for (int j = 0; j < 8; ++j) x[j] = _mm256_aesenclast_epi128(x[j], k);
+    MCCP_LANES
+    for (int j = 0; j < 8; ++j) {
+      __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + off + 32 * j));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + off + 32 * j),
+                          _mm256_xor_si256(d, x[j]));
+    }
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(ctr.b.data()),
+                   _mm_shuffle_epi8(_mm256_castsi256_si128(lanes), swap));
+  _mm256_zeroupper();
+  return off;
 }
 
 MCCP_TARGET_VAES void vaes_ctr_xor(const AesRoundKeys& keys, const Block128& ctr0,
                                    bool wide_counter, const std::uint8_t* in, std::uint8_t* out,
                                    std::size_t len) {
   Block128 ctr = ctr0;
-  alignas(32) std::uint8_t cbuf[16 * 16];
   std::size_t off = 0;
-  // 16 blocks per iteration: 8 YMM lanes of 2 blocks each.
-  while (len - off >= 16 * 16) {
-    materialize_counters(ctr, wide_counter, cbuf, 16);
-    __m256i x[8];
-    for (int j = 0; j < 8; ++j)
-      x[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(cbuf + 32 * j));
-    const int nr = keys.rounds();
-    __m256i k = broadcast_rk(keys.rk[0]);
-    for (int j = 0; j < 8; ++j) x[j] = _mm256_xor_si256(x[j], k);
-    for (int r = 1; r < nr; ++r) {
-      k = broadcast_rk(keys.rk[static_cast<std::size_t>(r)]);
-      for (int j = 0; j < 8; ++j) x[j] = _mm256_aesenc_epi128(x[j], k);
-    }
-    k = broadcast_rk(keys.rk[static_cast<std::size_t>(nr)]);
-    for (int j = 0; j < 8; ++j) x[j] = _mm256_aesenclast_epi128(x[j], k);
-    for (int j = 0; j < 8; ++j) {
-      __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + off + 32 * j));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + off + 32 * j),
-                          _mm256_xor_si256(d, x[j]));
-    }
-    off += 16 * 16;
-  }
+  // Short inputs never touch YMM state: a dirty upper half would slow the
+  // SSE-encoded tail and every small packet after it.
+  if (len >= 16 * 16)
+    off = wide_counter ? vaes_ctr_batches<true>(keys, ctr, in, out, len)
+                       : vaes_ctr_batches<false>(keys, ctr, in, out, len);
   if (off < len) aesni_ctr_xor(keys, ctr, wide_counter, in + off, out + off, len - off);
+}
+
+// ---- CBC-MAC chain and one-pass CCM -----------------------------------------
+
+/// All NR + 1 round keys of one schedule, loaded once per call. NR is a
+/// compile-time constant so the round loops unroll and the keys stay in
+/// XMM registers across the whole chain.
+template <int NR>
+struct RoundKeyRegs {
+  __m128i k[NR + 1];
+
+  MCCP_TARGET_AESNI explicit RoundKeyRegs(const AesRoundKeys& keys) {
+#pragma GCC unroll 15
+    for (int r = 0; r <= NR; ++r) k[r] = load_block(keys.rk[static_cast<std::size_t>(r)]);
+  }
+
+  /// E(K, x ^ rk0) given x ^ rk0: the round-key whitening is left to the
+  /// caller so it can fold it into an XOR that is off the MAC chain.
+  MCCP_TARGET_AESNI __m128i rounds(__m128i x) const {
+#pragma GCC unroll 14
+    for (int r = 1; r < NR; ++r) x = _mm_aesenc_si128(x, k[r]);
+    return _mm_aesenclast_si128(x, k[NR]);
+  }
+
+  /// Encrypt the MAC state `m` and the counter block `c` side by side,
+  /// round for round: the counter's AESENCs fill the latency gaps of the
+  /// serial MAC chain, so the keystream costs almost nothing on top of it.
+  /// Both inputs already carry the rk0 whitening.
+  MCCP_TARGET_AESNI void rounds_pair(__m128i& m, __m128i& c) const {
+#pragma GCC unroll 14
+    for (int r = 1; r < NR; ++r) {
+      m = _mm_aesenc_si128(m, k[r]);
+      c = _mm_aesenc_si128(c, k[r]);
+    }
+    m = _mm_aesenclast_si128(m, k[NR]);
+    c = _mm_aesenclast_si128(c, k[NR]);
+  }
+};
+
+/// Call `fn.template operator()<NR>()` with the schedule's round count as a
+/// compile-time constant.
+template <typename Fn>
+MCCP_TARGET_AESNI inline void with_rounds(const AesRoundKeys& keys, Fn&& fn) {
+  switch (keys.rounds()) {
+    case 10: return fn.template operator()<10>();
+    case 12: return fn.template operator()<12>();
+    default: return fn.template operator()<14>();
+  }
+}
+
+MCCP_TARGET_AESNI void aesni_cbc_mac_blocks(const AesRoundKeys& keys, Block128& x,
+                                            const std::uint8_t* data, std::size_t nblocks) {
+  if (nblocks == 0) return;
+  with_rounds(keys, [&]<int NR>() MCCP_TARGET_AESNI {
+    const RoundKeyRegs<NR> rk(keys);
+    __m128i s = load_block(x);
+    for (std::size_t i = 0; i < nblocks; ++i)
+      // B_i ^ rk0 is off the chain; the chain is one XOR and NR rounds.
+      s = rk.rounds(_mm_xor_si128(s, _mm_xor_si128(load_data(data + 16 * i), rk.k[0])));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(x.b.data()), s);
+  });
+}
+
+MCCP_TARGET_AESNI void aesni_ccm_blocks(const AesRoundKeys& keys, Block128& mac, Block128& ctr,
+                                        bool decrypt, const std::uint8_t* in, std::uint8_t* out,
+                                        std::size_t nblocks) {
+  if (nblocks == 0) return;
+  const __m128i swap = counter_swap<true>();
+  const __m128i lane0 = _mm_shuffle_epi8(load_block(ctr), swap);
+  with_rounds(keys, [&]<int NR>() MCCP_TARGET_AESNI {
+    const RoundKeyRegs<NR> rk(keys);
+    __m128i lane = lane0;
+    __m128i m = load_block(mac);
+    if (!decrypt) {
+      // Seal: the MAC absorbs P_i while E(ctr_i) is computed beside it.
+      for (std::size_t i = 0; i < nblocks; ++i) {
+        const __m128i p = load_data(in + 16 * i);
+        __m128i c = _mm_xor_si128(_mm_shuffle_epi8(lane, swap), rk.k[0]);
+        lane = counter_add<true>(lane, 1);
+        m = _mm_xor_si128(m, _mm_xor_si128(p, rk.k[0]));
+        rk.rounds_pair(m, c);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i), _mm_xor_si128(p, c));
+      }
+    } else {
+      // Open: P_i = C_i ^ E(ctr_i) feeds the MAC, so keystream block i + 1
+      // is computed during MAC block i (one spare keystream block at the
+      // end).
+      __m128i ks = rk.rounds(_mm_xor_si128(_mm_shuffle_epi8(lane, swap), rk.k[0]));
+      lane = counter_add<true>(lane, 1);
+      for (std::size_t i = 0; i < nblocks; ++i) {
+        const __m128i p = _mm_xor_si128(load_data(in + 16 * i), ks);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i), p);
+        ks = _mm_xor_si128(_mm_shuffle_epi8(lane, swap), rk.k[0]);
+        lane = counter_add<true>(lane, 1);
+        m = _mm_xor_si128(m, _mm_xor_si128(p, rk.k[0]));
+        rk.rounds_pair(m, ks);
+      }
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(mac.b.data()), m);
+  });
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(ctr.b.data()),
+      _mm_shuffle_epi8(counter_add<true>(lane0, static_cast<std::uint32_t>(nblocks)), swap));
 }
 
 // ---- GHASH via carry-less multiply -----------------------------------------
@@ -314,13 +480,17 @@ MCCP_TARGET_CLMUL void clmul_ghash_blocks(const Gf128Table& table, Block128& y,
 // ---- kernel tables ----------------------------------------------------------
 
 constexpr CryptoKernels kAesniKernels{
-    "aesni",        aesni_encrypt,   aesni_decrypt,
-    aesni_ctr_xor,  clmul_ghash_mul, clmul_ghash_blocks,
+    "aesni",          aesni_encrypt,        aesni_decrypt,
+    aesni_ctr_xor,    aesni_cbc_mac_blocks, aesni_ccm_blocks,
+    clmul_ghash_mul,  clmul_ghash_blocks,
 };
 
+// The CBC-MAC chain is latency-bound and CCM is bound by that chain, so
+// the VAES tier shares the AES-NI kernels for both.
 constexpr CryptoKernels kVaesKernels{
-    "vaes",        aesni_encrypt,   aesni_decrypt,
-    vaes_ctr_xor,  clmul_ghash_mul, clmul_ghash_blocks,
+    "vaes",           aesni_encrypt,        aesni_decrypt,
+    vaes_ctr_xor,     aesni_cbc_mac_blocks, aesni_ccm_blocks,
+    clmul_ghash_mul,  clmul_ghash_blocks,
 };
 
 }  // namespace

@@ -99,14 +99,19 @@ static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) > 255 * 64)
 ///    never would;
 ///  * a Whirlpool payload over kMaxWhirlpoolPayload: its block count wraps
 ///    in the instruction word and the simulator cannot format the job,
-///    while the fast path would return a digest.
+///    while the fast path would return a digest;
+///  * a CCM submit whose nonce length differs from the channel's
+///    registered nonce_len: the formatting function (and crypto::ccm_seal
+///    on the fast path) throws on it.
 /// Backends call this at the submit seam and fail the job immediately
-/// (complete, !auth_ok) instead. Other modes don't need the check: CTR/CBC
-/// formatting is length-agnostic at this seam and CCM nonce lengths are
-/// validated at OPEN.
+/// (complete, !auth_ok) instead. AES-mode payload shapes only the
+/// simulated FIFOs cannot carry (not whole blocks, over 255 blocks) are
+/// not refused here: FastDevice serves them, and SimDevice refuses them
+/// itself.
 inline bool refused_at_submit(const JobSpec& spec) {
   switch (spec.channel.mode) {
     case ChannelMode::kGcm:
+    case ChannelMode::kCcm:
       return spec.iv_or_nonce.size() != spec.channel.nonce_len;
     case ChannelMode::kWhirlpool:
       return spec.payload.size() > kMaxWhirlpoolPayload;

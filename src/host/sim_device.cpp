@@ -86,13 +86,36 @@ std::pair<std::uint8_t, std::uint8_t> block_fields(const ChannelInfo& ch, std::s
   return {0, 0};
 }
 
+/// AES-mode packets the stream formatters (core/stream_format.cpp) reject:
+/// a payload that is not whole 16-byte blocks or exceeds the instruction's
+/// 255-block count, an empty CBC-MAC message, a GCM tag outside 4..16
+/// bytes. FastDevice serves them (its documented extension); the simulated
+/// controller cannot format them, so they are refused here at submit
+/// instead of throwing out of pump() once a core accepts them.
+bool unformattable(const JobSpec& spec) {
+  const std::size_t n = spec.payload.size();
+  const bool blockwise = n % 16 == 0 && n / 16 <= 255;
+  switch (spec.channel.mode) {
+    case ChannelMode::kGcm: {
+      const std::size_t tag_len = spec.decrypt ? spec.tag.size() : spec.channel.tag_len;
+      return !blockwise || tag_len < 4 || tag_len > 16;
+    }
+    case ChannelMode::kCcm:
+    case ChannelMode::kCtr: return !blockwise;
+    case ChannelMode::kCbcMac: return !blockwise || n == 0;
+    case ChannelMode::kWhirlpool: return false;  // refused_at_submit's limit
+  }
+  return false;
+}
+
 }  // namespace
 
 DeviceJobId SimDevice::submit(JobSpec spec) {
-  if (refused_at_submit(spec)) {
+  if (refused_at_submit(spec) || unformattable(spec)) {
     // Fail fast at the seam: accepted, this packet would deadlock the
-    // core (a GCM IV shorter or longer than the registered nonce_len) or
-    // wrap the instruction's block count (an oversize Whirlpool message).
+    // core (a GCM IV shorter or longer than the registered nonce_len),
+    // wrap the instruction's block count (an oversize Whirlpool message)
+    // or make the stream formatter throw.
     DeviceJobId id = next_job_++;
     JobResult& res = results_[id];
     res.submit_cycle = sim_.now();

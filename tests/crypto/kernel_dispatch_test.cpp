@@ -1,8 +1,9 @@
 // Kernel-dispatch layer: tier detection/override plumbing, and the core
 // contract — every hardware tier is bit-identical to the portable
 // T-table/Shoup reference across AES block ops, CTR keystreams (both
-// counter widths, including the 0xFFFF inc16 wrap), GHASH, GCM, CCM and
-// CBC-MAC, over all key sizes and non-block-aligned tails.
+// counter widths, including the inc16 and inc32 wraps inside a batch),
+// GHASH, GCM, CCM (one-pass kernel, every tail length, tampered inputs)
+// and the CBC-MAC chain, over all key sizes and non-block-aligned tails.
 #include "crypto/kernels.h"
 
 #include <gtest/gtest.h>
@@ -44,6 +45,13 @@ std::vector<std::string> hardware_tiers() {
   std::vector<std::string> tiers;
   for (const std::string& t : supported_crypto_kernels())
     if (t != "auto" && t != "portable") tiers.push_back(t);
+  return tiers;
+}
+
+/// Every concrete tier, the portable reference included.
+std::vector<std::string> concrete_tiers() {
+  std::vector<std::string> tiers{"portable"};
+  for (const std::string& t : hardware_tiers()) tiers.push_back(t);
   return tiers;
 }
 
@@ -137,25 +145,85 @@ TEST(KernelDispatch, CtrKeystreamBitIdentity) {
   }
 }
 
+/// The first `len` keystream bytes from `ctr` (CTR over zeros).
+Bytes keystream(const AesRoundKeys& keys, const Block128& ctr, bool wide, std::size_t len) {
+  Bytes zeros(len, 0);
+  return wide ? ctr_transform(keys, ctr, zeros) : ctr_transform_inc16(keys, ctr, zeros);
+}
+
 TEST(KernelDispatch, CtrInc16WrapBitIdentity) {
-  // Start the 16-bit counter close enough to 0xFFFF that a 2 KB keystream
-  // wraps it — the INC-core semantics the hardware tiers must reproduce by
-  // materializing counters scalar-side.
+  // Start the 16-bit counter close enough to 0xFFFF that the keystream
+  // wraps it — the INC-core semantics the hardware tiers must reproduce
+  // with their in-register 16-bit lane add. Starts 0xFFF1, 0xFFF8 and
+  // 0xFFFF put the wrap at every position of a 16-block VAES batch and an
+  // 8-block AES-NI batch, and at the first block; the lengths cover one
+  // whole batch, many, and a partial tail.
   Rng rng(103);
-  auto keys = aes_expand_key(rng.bytes(16));
-  Bytes data = rng.bytes(2048);
-  for (unsigned start : {0xFFFEu, 0xFFFFu, 0xFF80u}) {
-    Block128 ctr = rng.block();
-    ctr.b[14] = static_cast<std::uint8_t>(start >> 8);
-    ctr.b[15] = static_cast<std::uint8_t>(start & 0xFF);
-    Bytes want;
-    {
-      ScopedKernel k("portable");
-      want = ctr_transform_inc16(keys, ctr, data);
+  for (std::size_t key_len : {16u, 24u, 32u}) {
+    auto keys = aes_expand_key(rng.bytes(key_len));
+    for (unsigned start : {0xFFFEu, 0xFFFFu, 0xFF80u, 0xFFF1u, 0xFFF8u}) {
+      Block128 ctr = rng.block();
+      ctr.b[14] = static_cast<std::uint8_t>(start >> 8);
+      ctr.b[15] = static_cast<std::uint8_t>(start & 0xFF);
+      for (std::size_t len : {256u, 2048u, 4096u, 4096u + 5u}) {
+        Bytes data = rng.bytes(len);
+        Bytes want;
+        {
+          ScopedKernel k("portable");
+          want = ctr_transform_inc16(keys, ctr, data);
+          // The reference itself: the block after 0xFFFF uses 0x0000 and
+          // leaves bytes 0..13 alone.
+          Block128 wrapped = ctr;
+          wrapped.b[14] = wrapped.b[15] = 0;
+          const std::size_t at = 16 * (0x10000u - start);
+          Bytes ks = keystream(keys, ctr, /*wide=*/false, at + 16);
+          ASSERT_EQ(Bytes(ks.begin() + static_cast<std::ptrdiff_t>(at), ks.end()),
+                    aes_encrypt_block(keys, wrapped).to_bytes());
+        }
+        for (const auto& tier : hardware_tiers()) {
+          ScopedKernel k(tier);
+          ASSERT_EQ(ctr_transform_inc16(keys, ctr, data), want)
+              << tier << " key=" << key_len << " start=" << start << " len=" << len;
+        }
+      }
     }
-    for (const auto& tier : hardware_tiers()) {
-      ScopedKernel k(tier);
-      ASSERT_EQ(ctr_transform_inc16(keys, ctr, data), want) << tier << " start=" << start;
+  }
+}
+
+TEST(KernelDispatch, CtrInc32WrapDoesNotCarryIntoByte11) {
+  // inc32 wraps bytes 12..15 from 0xFFFFFFFF to 0 and must leave byte 11
+  // (and everything before it) untouched, on every tier, wherever the wrap
+  // falls in a batch.
+  Rng rng(110);
+  for (std::size_t key_len : {16u, 24u, 32u}) {
+    auto keys = aes_expand_key(rng.bytes(key_len));
+    for (std::uint32_t start : {0xFFFFFFF1u, 0xFFFFFFF8u, 0xFFFFFFFFu}) {
+      Block128 ctr = rng.block();
+      ctr.b[11] = 0x7F;
+      ctr.set_word(3, start);
+      Block128 wrapped = ctr;
+      wrapped.set_word(3, 0);
+      const std::size_t at = 16 * static_cast<std::size_t>(0x100000000ull - start);
+      for (std::size_t len : {256u, 4096u, 4096u + 5u}) {
+        Bytes data = rng.bytes(len);
+        Bytes want;
+        {
+          ScopedKernel k("portable");
+          want = ctr_transform(keys, ctr, data);
+          Bytes ks = keystream(keys, ctr, /*wide=*/true, at + 16);
+          ASSERT_EQ(Bytes(ks.begin() + static_cast<std::ptrdiff_t>(at), ks.end()),
+                    aes_encrypt_block(keys, wrapped).to_bytes());
+        }
+        for (const auto& tier : hardware_tiers()) {
+          ScopedKernel k(tier);
+          ASSERT_EQ(ctr_transform(keys, ctr, data), want)
+              << tier << " start=" << start << " len=" << len;
+          Bytes ks = keystream(keys, ctr, /*wide=*/true, at + 16);
+          ASSERT_EQ(Bytes(ks.begin() + static_cast<std::ptrdiff_t>(at), ks.end()),
+                    aes_encrypt_block(keys, wrapped).to_bytes())
+              << tier << " start=" << start;
+        }
+      }
     }
   }
 }
@@ -213,35 +281,10 @@ TEST(KernelDispatch, GcmSealOpenBitIdentity) {
   }
 }
 
-TEST(KernelDispatch, CcmSealOpenBitIdentity) {
-  Rng rng(106);
-  CcmParams p{.tag_len = 8, .nonce_len = 13};
-  for (std::size_t key_len : {16u, 24u, 32u}) {
-    auto keys = aes_expand_key(rng.bytes(key_len));
-    for (std::size_t len : {0u, 1u, 17u, 255u, 2048u}) {
-      Bytes nonce = rng.bytes(13);
-      Bytes aad = rng.bytes(len % 40);
-      Bytes pt = rng.bytes(len);
-      CcmSealed want;
-      {
-        ScopedKernel k("portable");
-        want = ccm_seal(keys, p, nonce, aad, pt);
-      }
-      for (const auto& tier : hardware_tiers()) {
-        ScopedKernel k(tier);
-        CcmSealed got = ccm_seal(keys, p, nonce, aad, pt);
-        ASSERT_EQ(got.ciphertext, want.ciphertext)
-            << tier << " key=" << key_len << " len=" << len;
-        ASSERT_EQ(got.tag, want.tag) << tier << " key=" << key_len << " len=" << len;
-        auto opened = ccm_open(keys, p, nonce, aad, want.ciphertext, want.tag);
-        ASSERT_TRUE(opened.has_value()) << tier;
-        ASSERT_EQ(*opened, pt) << tier;
-      }
-    }
-  }
-}
-
 TEST(KernelDispatch, CbcMacBitIdentity) {
+  // The one-shot MAC over aligned data, and CbcMac::update_padded — full
+  // blocks through cbc_mac_blocks, the tail padded — over unaligned
+  // lengths with several updates chained.
   Rng rng(107);
   for (std::size_t key_len : {16u, 24u, 32u}) {
     auto keys = aes_expand_key(rng.bytes(key_len));
@@ -255,6 +298,148 @@ TEST(KernelDispatch, CbcMacBitIdentity) {
       for (const auto& tier : hardware_tiers()) {
         ScopedKernel k(tier);
         ASSERT_EQ(cbc_mac(keys, data), want) << tier << " blocks=" << blocks;
+      }
+    }
+    for (std::size_t len : kLens) {
+      Bytes a = rng.bytes(len), b = rng.bytes(len / 3 + 16);
+      Block128 want;
+      {
+        ScopedKernel k("portable");
+        CbcMac m(keys);
+        m.update_padded(a);
+        m.update_padded(b);
+        want = m.mac();
+      }
+      for (const auto& tier : hardware_tiers()) {
+        ScopedKernel k(tier);
+        CbcMac m(keys);
+        m.update_padded(a);
+        m.update_padded(b);
+        ASSERT_EQ(m.mac(), want) << tier << " key=" << key_len << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, CcmSealOpenBitIdentity) {
+  // Every payload length 0..600 (each tail length, the one-pass kernel's
+  // block loop at every count up to 37) plus 4 KiB and 16 KiB, against
+  // AAD lengths around the 2-byte encoding and block boundaries, all key
+  // sizes, with the tag/nonce lengths at their limits. Each tier must
+  // match the portable seal, open it, and refuse a tampered tag or
+  // ciphertext.
+  Rng rng(106);
+  const CcmParams params[] = {{.tag_len = 4, .nonce_len = 7},
+                              {.tag_len = 16, .nonce_len = 13},
+                              {.tag_len = 4, .nonce_len = 13},
+                              {.tag_len = 16, .nonce_len = 7},
+                              {.tag_len = 8, .nonce_len = 13}};
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 600; ++len) lens.push_back(len);
+  lens.push_back(4096);
+  lens.push_back(16384);
+  std::size_t case_no = 0;
+  for (std::size_t key_len : {16u, 24u, 32u}) {
+    auto keys = aes_expand_key(rng.bytes(key_len));
+    for (std::size_t len : lens) {
+      for (std::size_t aad_len : {0u, 1u, 14u, 15u, 16u, 300u}) {
+        const CcmParams& p = params[case_no++ % std::size(params)];
+        Bytes nonce = rng.bytes(p.nonce_len);
+        Bytes aad = rng.bytes(aad_len);
+        Bytes pt = rng.bytes(len);
+        CcmSealed want;
+        {
+          ScopedKernel k("portable");
+          want = ccm_seal(keys, p, nonce, aad, pt);
+        }
+        Bytes bad_tag = want.tag;
+        bad_tag[case_no % bad_tag.size()] ^= 0x01;
+        Bytes bad_ct = want.ciphertext;
+        if (!bad_ct.empty()) bad_ct[case_no % bad_ct.size()] ^= 0x80;
+        for (const auto& tier : concrete_tiers()) {
+          ScopedKernel k(tier);
+          CcmSealed got = ccm_seal(keys, p, nonce, aad, pt);
+          ASSERT_EQ(got.ciphertext, want.ciphertext)
+              << tier << " key=" << key_len << " len=" << len << " aad=" << aad_len;
+          ASSERT_EQ(got.tag, want.tag)
+              << tier << " key=" << key_len << " len=" << len << " aad=" << aad_len;
+          auto opened = ccm_open(keys, p, nonce, aad, want.ciphertext, want.tag);
+          ASSERT_TRUE(opened.has_value()) << tier << " len=" << len << " aad=" << aad_len;
+          ASSERT_EQ(*opened, pt) << tier << " len=" << len;
+          ASSERT_FALSE(ccm_open(keys, p, nonce, aad, want.ciphertext, bad_tag).has_value())
+              << tier << " len=" << len;
+          if (!bad_ct.empty()) {
+            ASSERT_FALSE(ccm_open(keys, p, nonce, aad, bad_ct, want.tag).has_value())
+                << tier << " len=" << len;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, CbcMacBlocksKernelDirect) {
+  // The kernel entry itself: x <- E(x ^ B_i) from an arbitrary starting x,
+  // for block counts 0 (x unchanged) through several batches.
+  Rng rng(113);
+  for (std::size_t key_len : {16u, 24u, 32u}) {
+    auto keys = aes_expand_key(rng.bytes(key_len));
+    for (std::size_t nblocks : {0u, 1u, 2u, 3u, 8u, 9u, 17u, 255u}) {
+      Bytes data = rng.bytes(16 * nblocks);
+      const Block128 x0 = rng.block();
+      Block128 want = x0;
+      for (std::size_t i = 0; i < nblocks; ++i)
+        want = aes_encrypt_block_portable(
+            keys, want ^ Block128::from_span(ByteSpan(data.data() + 16 * i, 16)));
+      for (const auto& tier : concrete_tiers()) {
+        ScopedKernel k(tier);
+        Block128 x = x0;
+        active_kernels().cbc_mac_blocks(keys, x, data.data(), nblocks);
+        ASSERT_EQ(x, want) << tier << " key=" << key_len << " nblocks=" << nblocks;
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, CcmBlocksKernelDirect) {
+  // The one-pass entry: both directions, in place and out of place, with
+  // the inc32 walk crossing a 32-bit wrap; it must leave `ctr` at the next
+  // unused counter and chain the MAC over the plaintext.
+  Rng rng(114);
+  for (std::size_t key_len : {16u, 24u, 32u}) {
+    auto keys = aes_expand_key(rng.bytes(key_len));
+    for (std::size_t nblocks : {0u, 1u, 2u, 7u, 8u, 9u, 40u}) {
+      Bytes pt = rng.bytes(16 * nblocks);
+      const Block128 mac0 = rng.block();
+      Block128 ctr0 = rng.block();
+      ctr0.set_word(3, 0xFFFFFFFCu);
+      Bytes want_ct(pt.size());
+      Block128 want_mac = mac0, want_ctr = ctr0;
+      for (std::size_t i = 0; i < nblocks; ++i) {
+        const Block128 p = Block128::from_span(ByteSpan(pt.data() + 16 * i, 16));
+        const Block128 c = p ^ aes_encrypt_block_portable(keys, want_ctr);
+        std::copy(c.b.begin(), c.b.end(), want_ct.begin() + static_cast<std::ptrdiff_t>(16 * i));
+        want_ctr = inc32(want_ctr);
+        want_mac = aes_encrypt_block_portable(keys, want_mac ^ p);
+      }
+      for (const auto& tier : concrete_tiers()) {
+        ScopedKernel k(tier);
+        Block128 mac = mac0, ctr = ctr0;
+        Bytes ct(pt.size());
+        active_kernels().ccm_blocks(keys, mac, ctr, /*decrypt=*/false, pt.data(), ct.data(),
+                                    nblocks);
+        ASSERT_EQ(ct, want_ct) << tier << " nblocks=" << nblocks;
+        ASSERT_EQ(mac, want_mac) << tier << " nblocks=" << nblocks;
+        ASSERT_EQ(ctr, want_ctr) << tier << " nblocks=" << nblocks;
+
+        Bytes buf = want_ct;  // open in place
+        mac = mac0;
+        ctr = ctr0;
+        active_kernels().ccm_blocks(keys, mac, ctr, /*decrypt=*/true, buf.data(), buf.data(),
+                                    nblocks);
+        ASSERT_EQ(buf, pt) << tier << " nblocks=" << nblocks;
+        ASSERT_EQ(mac, want_mac) << tier << " nblocks=" << nblocks;
+        ASSERT_EQ(ctr, want_ctr) << tier << " nblocks=" << nblocks;
       }
     }
   }

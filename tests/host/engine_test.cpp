@@ -12,6 +12,7 @@
 #include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/ccm.h"
+#include "crypto/ctr.h"
 #include "crypto/gcm.h"
 #include "crypto/whirlpool.h"
 #include "host/engine.h"
@@ -522,6 +523,128 @@ TEST(Engine, OversizeWhirlpoolPayloadRefusedAtSubmitOnBothBackends) {
     EXPECT_EQ(wp.stats().failed, 2u);
   }
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+TEST(Engine, UnformattablePayloadsRefusedAtSimSubmitAndServedByFast) {
+  // AES-mode payloads the stream formatter rejects (not whole 16-byte
+  // blocks, over 255 blocks, an empty CBC-MAC message) used to be accepted
+  // by SimDevice and throw std::invalid_argument out of its pump, inside
+  // Completion::wait. SimDevice now refuses them at submit (complete,
+  // !auth_ok, never accepted), through the single and the batched path;
+  // FastDevice keeps serving them.
+  Rng rng(83);
+  const Bytes key = rng.bytes(16);
+  const auto keys = crypto::aes_expand_key(key);
+  struct Case {
+    ChannelMode mode;
+    std::size_t iv_len;
+    std::size_t payload_len;
+  };
+  const Case cases[] = {
+      {ChannelMode::kCtr, 16, 17},           // not whole blocks
+      {ChannelMode::kCtr, 16, 256 * 16},     // 256 blocks
+      {ChannelMode::kGcm, 12, 100},          // not whole blocks
+      {ChannelMode::kGcm, 12, 256 * 16},     // 256 blocks
+      {ChannelMode::kCcm, 13, 33},           // not whole blocks
+      {ChannelMode::kCcm, 13, 256 * 16 + 16},
+      {ChannelMode::kCbcMac, 0, 40},         // not whole blocks
+      {ChannelMode::kCbcMac, 0, 0},          // empty message
+  };
+  for (Backend backend : {Backend::kSim, Backend::kFast}) {
+    Engine engine({.num_devices = 1, .device = {.num_cores = 2}, .backend = backend});
+    engine.provision_key(1, key);
+    for (const Case& c : cases) {
+      Channel ch = engine.open_channel(c.mode, 1, 16, c.iv_len == 0 ? 13 : c.iv_len);
+      ASSERT_TRUE(ch.valid());
+      const Bytes iv = rng.bytes(c.iv_len);
+      const Bytes pt = rng.bytes(c.payload_len);
+      const std::string where = std::string(backend == Backend::kSim ? "sim" : "fast") +
+                                " mode=" + std::to_string(static_cast<int>(c.mode)) +
+                                " len=" + std::to_string(c.payload_len);
+
+      Completion single = engine.submit_encrypt(ch, iv, {}, pt);
+      JobResult r;
+      ASSERT_NO_THROW(r = single.wait(/*max_cycles=*/10'000'000)) << where;
+      EXPECT_TRUE(r.complete) << where;
+
+      std::vector<JobSpec> batch(2);
+      batch[0].iv_or_nonce = iv;
+      batch[0].payload = pt;
+      batch[1].iv_or_nonce = iv;
+      batch[1].payload = rng.bytes(64);  // servable on both backends
+      std::vector<Completion> jobs = engine.submit_batch(ch, std::move(batch));
+      ASSERT_EQ(jobs.size(), 2u);
+      ASSERT_NO_THROW(engine.wait_all()) << where;
+      EXPECT_TRUE(jobs[1].result().auth_ok) << where;
+
+      if (backend == Backend::kSim) {
+        EXPECT_FALSE(r.auth_ok) << where;
+        EXPECT_TRUE(r.payload.empty() && r.tag.empty()) << where;
+        EXPECT_EQ(r.accept_cycle, 0u) << where;  // rejected at the seam
+        EXPECT_FALSE(jobs[0].result().auth_ok) << where;
+        EXPECT_EQ(ch.stats().failed, 2u) << where;
+      } else {
+        // The fast path serves the shape, with the software reference's bits.
+        ASSERT_TRUE(r.auth_ok) << where;
+        if (c.mode == ChannelMode::kCtr) {
+          EXPECT_EQ(r.payload, crypto::ctr_transform_inc16(keys, Block128::from_span(iv), pt));
+        } else if (c.mode == ChannelMode::kGcm) {
+          EXPECT_EQ(r.payload, crypto::gcm_seal(keys, iv, {}, pt).ciphertext) << where;
+        } else if (c.mode == ChannelMode::kCcm) {
+          auto ref = crypto::ccm_seal(keys, {.tag_len = 16, .nonce_len = 13}, iv, {}, pt);
+          EXPECT_EQ(r.payload, ref.ciphertext) << where;
+          EXPECT_EQ(r.tag, ref.tag) << where;
+        }
+        EXPECT_TRUE(jobs[0].result().auth_ok) << where;
+        EXPECT_EQ(ch.stats().failed, 0u) << where;
+      }
+      EXPECT_EQ(ch.stats().completed, 3u) << where;
+    }
+  }
+}
+
+TEST(Engine, GcmTagLengthTheFormatterRejectsRefusedAtSimSubmit) {
+  // The GCM formatter takes tags of 4..16 bytes only: the channel's tag_len
+  // when sealing (OPEN accepts 1..16 for GCM) and the submitted tag's
+  // length when opening. SimDevice refuses the rest at submit.
+  Engine engine({.num_devices = 1, .device = {.num_cores = 2}, .backend = Backend::kSim});
+  Rng rng(87);
+  engine.provision_key(1, rng.bytes(16));
+  Channel short_tag = engine.open_channel(ChannelMode::kGcm, 1, /*tag_len=*/2, 12);
+  Channel full_tag = engine.open_channel(ChannelMode::kGcm, 1, /*tag_len=*/16, 12);
+  ASSERT_TRUE(short_tag.valid() && full_tag.valid());
+  std::vector<Completion> jobs;
+  jobs.push_back(engine.submit_encrypt(short_tag, rng.bytes(12), {}, rng.bytes(64)));
+  jobs.push_back(engine.submit_decrypt(full_tag, rng.bytes(12), {}, rng.bytes(64), rng.bytes(3)));
+  jobs.push_back(engine.submit_decrypt(full_tag, rng.bytes(12), {}, rng.bytes(64), rng.bytes(17)));
+  for (Completion& job : jobs) {
+    JobResult r;
+    ASSERT_NO_THROW(r = job.wait(/*max_cycles=*/10'000));
+    EXPECT_TRUE(r.complete);
+    EXPECT_FALSE(r.auth_ok);
+    EXPECT_EQ(r.accept_cycle, 0u);
+  }
+}
+
+TEST(Engine, CcmNonceLengthMismatchFailsFastOnBothBackends) {
+  // A CCM nonce whose length differs from the channel's registered
+  // nonce_len cannot be formatted (nor sealed by crypto::ccm_seal): both
+  // backends refuse it at the seam instead of throwing out of a step.
+  for (Backend backend : {Backend::kSim, Backend::kFast}) {
+    Engine engine({.num_devices = 1, .device = {.num_cores = 2}, .backend = backend});
+    Rng rng(85);
+    engine.provision_key(1, rng.bytes(16));
+    Channel ch = engine.open_channel(ChannelMode::kCcm, 1, 8, /*nonce_len=*/13);
+    ASSERT_TRUE(ch.valid());
+    Completion wrong = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(64));
+    JobResult r;
+    ASSERT_NO_THROW(r = wrong.wait(/*max_cycles=*/10'000)) << static_cast<int>(backend);
+    EXPECT_TRUE(r.complete);
+    EXPECT_FALSE(r.auth_ok);
+    EXPECT_EQ(r.accept_cycle, 0u);
+    Completion good = engine.submit_encrypt(ch, rng.bytes(13), {}, rng.bytes(64));
+    EXPECT_TRUE(good.wait().auth_ok) << static_cast<int>(backend);
+  }
 }
 
 TEST(Engine, AdvanceToSkipsQuietGapsOnBothBackends) {
