@@ -5,27 +5,27 @@
 //   3. QoS priorities (paper SVIII extension): urgent-stream latency under
 //      bulk load, FIFO vs priority dispatch.
 #include "bench_common.h"
-#include "radio/radio.h"
 
 namespace mccp::bench {
 namespace {
 
 double small_packet_throughput(bool key_cache) {
-  radio::Radio radio({.num_cores = 4, .key_cache_enabled = key_cache});
+  host::Engine engine(
+      host::EngineConfig{.device = {.num_cores = 4, .key_cache_enabled = key_cache}});
   Rng rng(1);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(radio::ChannelMode::kGcm, 1, 16, 12).value();
+  engine.provision_key(1, rng.bytes(16));
+  host::Channel ch = engine.open_channel(top::ChannelMode::kGcm, 1, 16, 12);
   const std::size_t kPackets = 40, kBytes = 256;
-  sim::Cycle start = radio.sim().now();
+  sim::Cycle start = engine.max_cycle();
   for (std::size_t i = 0; i < kPackets; ++i)
-    radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(kBytes));
-  radio.run_until_idle();
-  return mbps_from_cycles(kPackets * kBytes * 8, radio.sim().now() - start);
+    engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(kBytes));
+  engine.wait_all();
+  return mbps_from_cycles(kPackets * kBytes * 8, engine.max_cycle() - start);
 }
 
 double throughput_with_control_latency(int latency) {
   auto m = measure_platform({.num_cores = 4, .control_latency_cycles = latency},
-                            radio::ChannelMode::kGcm, 16, 2048, 16, 16, 12);
+                            top::ChannelMode::kGcm, 16, 2048, 16, 16, 12);
   return m.aggregate_mbps;
 }
 
@@ -34,28 +34,27 @@ struct QosResult {
   double bulk_us;
 };
 QosResult qos_run(bool prioritized) {
-  radio::Radio radio({.num_cores = 4});
+  host::Engine engine(host::EngineConfig{.device = {.num_cores = 4}});
   Rng rng(3);
-  radio.provision_key(1, rng.bytes(16));
-  auto bulk_ch = radio.open_channel(radio::ChannelMode::kGcm, 1, 16, 12).value();
-  auto voice_ch = radio.open_channel(radio::ChannelMode::kCtr, 1).value();
+  engine.provision_key(1, rng.bytes(16));
+  host::Channel bulk_ch = engine.open_channel(top::ChannelMode::kGcm, 1, 16, 12);
+  host::Channel voice_ch = engine.open_channel(top::ChannelMode::kCtr, 1);
 
-  std::vector<radio::JobId> bulk, voice;
+  std::vector<host::Completion> bulk, voice;
   for (int i = 0; i < 24; ++i)
-    bulk.push_back(radio.submit_encrypt(bulk_ch, rng.bytes(12), {}, rng.bytes(2048), 200));
+    bulk.push_back(engine.submit_encrypt(bulk_ch, rng.bytes(12), {}, rng.bytes(2048), 200));
   for (int i = 0; i < 8; ++i) {
     Bytes ctr = rng.bytes(16);
     ctr[14] = ctr[15] = 0;
-    voice.push_back(radio.submit_encrypt(voice_ch, ctr, {}, rng.bytes(160),
-                                         prioritized ? 0u : 200u));
+    voice.push_back(engine.submit_encrypt(voice_ch, ctr, {}, rng.bytes(160),
+                                          prioritized ? 0u : 200u));
   }
-  radio.run_until_idle();
-  auto mean_latency = [&](const std::vector<radio::JobId>& ids) {
+  engine.wait_all();
+  auto mean_latency = [](const std::vector<host::Completion>& jobs) {
     double total = 0;
-    for (auto id : ids)
-      total += static_cast<double>(radio.result(id).complete_cycle -
-                                   radio.result(id).submit_cycle);
-    return total / static_cast<double>(ids.size()) / kMHz;
+    for (const host::Completion& job : jobs)
+      total += static_cast<double>(job.result().complete_cycle - job.result().submit_cycle);
+    return total / static_cast<double>(jobs.size()) / kMHz;
   };
   return {mean_latency(voice), mean_latency(bulk)};
 }

@@ -28,7 +28,6 @@
 #include "crypto/ccm.h"
 #include "crypto/kernels.h"
 #include "host/engine.h"
-#include "radio/traffic.h"
 #include "sim/simulation.h"
 #include "workload/runner.h"
 

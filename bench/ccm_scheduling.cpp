@@ -17,11 +17,11 @@ void run() {
   print_header("CCM task mapping: 4x1 cores vs 2x2 cores (AES-128-CCM, 2 KB packets)");
 
   auto single = measure_platform({.num_cores = 4, .ccm_mapping = top::CcmMapping::kSingleCore},
-                                 radio::ChannelMode::kCcm, 16, 2048, 20);
+                                 top::ChannelMode::kCcm, 16, 2048, 20);
   auto paired = measure_platform({.num_cores = 4, .ccm_mapping = top::CcmMapping::kPairPreferred},
-                                 radio::ChannelMode::kCcm, 16, 2048, 20);
+                                 top::ChannelMode::kCcm, 16, 2048, 20);
   auto adaptive = measure_platform({.num_cores = 4, .ccm_mapping = top::CcmMapping::kAdaptive},
-                                   radio::ChannelMode::kCcm, 16, 2048, 20);
+                                   top::ChannelMode::kCcm, 16, 2048, 20);
 
   std::printf("%-22s %-18s %-24s\n", "mapping", "aggregate Mbps", "mean packet latency (us)");
   std::printf("%-22s %-18.1f %-24.1f\n", "4x1 (one core/pkt)", single.aggregate_mbps,

@@ -20,7 +20,7 @@ void run() {
               "efficiency", "busy rejects");
 
   for (std::size_t n = 1; n <= 8; ++n) {
-    auto m = measure_platform({.num_cores = n}, radio::ChannelMode::kGcm, 16, 2048,
+    auto m = measure_platform({.num_cores = n}, top::ChannelMode::kGcm, 16, 2048,
                               /*packets=*/6 * n, 16, 12);
     double ideal = static_cast<double>(n) * single.packet2kb_mbps;
     std::printf("%-7zu %-16.1f %-16.1f %-12.3f %-12u\n", n, m.aggregate_mbps, ideal,

@@ -23,9 +23,9 @@ void run() {
   double pipe_ccm = baseline::pipelined_ccm_mbps(pipe);
   double mono_gcm = baseline::mono_core_mbps(mono);
 
-  auto mccp_gcm = measure_platform({.num_cores = 4}, radio::ChannelMode::kGcm, 16, 2048, 16,
+  auto mccp_gcm = measure_platform({.num_cores = 4}, top::ChannelMode::kGcm, 16, 2048, 16,
                                    16, 12);
-  auto mccp_ccm = measure_platform({.num_cores = 4}, radio::ChannelMode::kCcm, 16, 2048, 16);
+  auto mccp_ccm = measure_platform({.num_cores = 4}, top::ChannelMode::kCcm, 16, 2048, 16);
 
   // 50/50 GCM/CCM byte mix (two concurrent standards on one radio).
   double pipe_mix = baseline::mixed_traffic_mbps(0.5, pipe_gcm, pipe_ccm);

@@ -29,7 +29,7 @@ BENCHMARK(BM_SingleCoreGcm2KB);
 
 void BM_FourCorePlatformGcm(benchmark::State& state) {
   for (auto _ : state) {
-    auto m = measure_platform({.num_cores = 4}, radio::ChannelMode::kGcm, 16, 2048, 8, 16, 12);
+    auto m = measure_platform({.num_cores = 4}, top::ChannelMode::kGcm, 16, 2048, 8, 16, 12);
     benchmark::DoNotOptimize(m);
     state.counters["sim_cycles"] += static_cast<double>(m.makespan_cycles);
   }

@@ -47,15 +47,15 @@ void run() {
 
     // 4x1: four independent single-core packets (theoretical = 4x), measured
     // on the saturated platform.
-    auto gcm4 = measure_platform({.num_cores = 4}, radio::ChannelMode::kGcm, kl, 2048, 16,
+    auto gcm4 = measure_platform({.num_cores = 4}, top::ChannelMode::kGcm, kl, 2048, 16,
                                  16, 12);
     auto ccm4 = measure_platform({.num_cores = 4, .ccm_mapping = top::CcmMapping::kSingleCore},
-                                 radio::ChannelMode::kCcm, kl, 2048, 16);
+                                 top::ChannelMode::kCcm, kl, 2048, 16);
     // 2 cores: one split-CCM pair; 2x2: two pairs on four cores.
     auto ccm2 = measure_platform({.num_cores = 2, .ccm_mapping = top::CcmMapping::kPairPreferred},
-                                 radio::ChannelMode::kCcm, kl, 2048, 12);
+                                 top::ChannelMode::kCcm, kl, 2048, 12);
     auto ccm22 = measure_platform({.num_cores = 4, .ccm_mapping = top::CcmMapping::kPairPreferred},
-                                  radio::ChannelMode::kCcm, kl, 2048, 16);
+                                  top::ChannelMode::kCcm, kl, 2048, 16);
 
     // The split-CCM pair is bottlenecked by the CBC-MAC half: T_CBC.
     double ccm2_theory = 128.0 * kMHz / cbc.loop_cycles_per_block;

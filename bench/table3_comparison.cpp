@@ -35,9 +35,9 @@ void run() {
 
   // Our measured row: best-case 4-core aggregates on 2 KB packets.
   auto impl = baseline::mccp_implementation();
-  auto gcm4 = measure_platform({.num_cores = 4}, radio::ChannelMode::kGcm, 16, 2048, 16, 16, 12);
+  auto gcm4 = measure_platform({.num_cores = 4}, top::ChannelMode::kGcm, 16, 2048, 16, 16, 12);
   auto ccm4 = measure_platform({.num_cores = 4, .ccm_mapping = top::CcmMapping::kSingleCore},
-                               radio::ChannelMode::kCcm, 16, 2048, 16);
+                               top::ChannelMode::kCcm, 16, 2048, 16);
   char alg[64];
   std::snprintf(alg, sizeof(alg), "GCM/CCM");
   char mbpmhz[64];

@@ -1,6 +1,7 @@
 #include "core/stream_format.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "crypto/gcm.h"
 #include "crypto/whirlpool.h"
@@ -14,8 +15,17 @@ void require_aligned(ByteSpan payload, const char* what) {
     throw std::invalid_argument(std::string(what) +
                                 ": payload must be a multiple of 16 bytes "
                                 "(hardware blockwise datapath; see DESIGN.md)");
-  if (payload.size() / 16 > 255)
-    throw std::invalid_argument(std::string(what) + ": payload exceeds 255 blocks");
+  if (payload.size() / 16 > kMaxInstructionBlocks)
+    throw std::invalid_argument(std::string(what) + ": payload exceeds " +
+                                std::to_string(kMaxInstructionBlocks) + " blocks");
+}
+
+/// The 8-bit header-block field of a task.
+std::uint8_t header_field(std::size_t blocks, const char* what) {
+  if (blocks > kMaxInstructionBlocks)
+    throw std::invalid_argument(std::string(what) + ": AAD exceeds " +
+                                std::to_string(kMaxInstructionBlocks) + " header blocks");
+  return static_cast<std::uint8_t>(blocks);
 }
 
 Block128 gcm_j0_from_iv96(ByteSpan iv) {
@@ -72,7 +82,7 @@ CoreJob format_gcm(bool encrypt, ByteSpan iv, ByteSpan aad, ByteSpan payload,
 
   CoreJob job;
   job.params.alg = encrypt ? AlgId::kGcmEncrypt : AlgId::kGcmDecrypt;
-  job.params.aad_blocks = static_cast<std::uint8_t>(blocks_of(aad.size()));
+  job.params.aad_blocks = header_field(blocks_of(aad.size()), "gcm");
   job.params.data_blocks = static_cast<std::uint8_t>(payload.size() / 16);
   job.params.tag_mask = tag_mask_for_len(static_cast<unsigned>(tag_len));
 
@@ -87,7 +97,7 @@ CoreJob format_gcm(bool encrypt, ByteSpan iv, ByteSpan aad, ByteSpan payload,
     store_be64(ivlen.b.data() + 8, static_cast<std::uint64_t>(iv.size()) * 8);
     append_block(job.stream, ivlen);
     std::size_t n = blocks_of(iv.size()) + 1;
-    if (n > 255) throw std::invalid_argument("gcm: IV too long");
+    if (n > kMaxInstructionBlocks) throw std::invalid_argument("gcm: IV too long");
     job.params.iv_blocks = static_cast<std::uint8_t>(n);
   }
   append_padded(job.stream, aad);
@@ -123,7 +133,7 @@ CoreJob format_ccm1(bool encrypt, const crypto::CcmParams& p, ByteSpan nonce, By
 
   CoreJob job;
   job.params.alg = encrypt ? AlgId::kCcm1Encrypt : AlgId::kCcm1Decrypt;
-  job.params.aad_blocks = static_cast<std::uint8_t>(enc_aad.size() / 16);
+  job.params.aad_blocks = header_field(enc_aad.size() / 16, "ccm");
   job.params.data_blocks = static_cast<std::uint8_t>(payload.size() / 16);
   job.params.tag_mask = tag_mask_for_len(static_cast<unsigned>(p.tag_len));
 
@@ -168,7 +178,7 @@ CcmSplitJobs format_ccm2_encrypt(const crypto::CcmParams& p, ByteSpan nonce, Byt
   jobs.ctr.expected_output_words = plaintext.size() / 4 + 4;
 
   jobs.mac.params.alg = AlgId::kCcmMacEncrypt;
-  jobs.mac.params.aad_blocks = static_cast<std::uint8_t>(enc_aad.size() / 16);
+  jobs.mac.params.aad_blocks = header_field(enc_aad.size() / 16, "ccm2");
   jobs.mac.params.data_blocks = static_cast<std::uint8_t>(plaintext.size() / 16);
   append_block(jobs.mac.stream, crypto::ccm_b0(p, nonce, aad.size(), plaintext.size()));
   append_padded(jobs.mac.stream, enc_aad);
@@ -193,7 +203,7 @@ CcmSplitJobs format_ccm2_decrypt(const crypto::CcmParams& p, ByteSpan nonce, Byt
   jobs.ctr.hold_output_until_done = true;
 
   jobs.mac.params.alg = AlgId::kCcmMacDecrypt;
-  jobs.mac.params.aad_blocks = static_cast<std::uint8_t>(enc_aad.size() / 16);
+  jobs.mac.params.aad_blocks = header_field(enc_aad.size() / 16, "ccm2");
   jobs.mac.params.data_blocks = static_cast<std::uint8_t>(ciphertext.size() / 16);
   jobs.mac.params.tag_mask = tag_mask_for_len(static_cast<unsigned>(p.tag_len));
   append_block(jobs.mac.stream, crypto::ccm_b0(p, nonce, aad.size(), ciphertext.size()));
@@ -229,8 +239,9 @@ CoreJob format_cbcmac_generate(ByteSpan message, std::size_t tag_len) {
 }
 
 CoreJob format_whirlpool_hash(ByteSpan message) {
-  if (crypto::whirlpool_padded_len(message.size()) / 64 > 255)
-    throw std::invalid_argument("whirlpool: message exceeds 255 blocks");
+  if (crypto::whirlpool_padded_len(message.size()) / 64 > kMaxInstructionBlocks)
+    throw std::invalid_argument("whirlpool: message exceeds " +
+                                std::to_string(kMaxInstructionBlocks) + " blocks");
   Bytes padded = crypto::whirlpool_pad(message);
   CoreJob job;
   job.params.alg = AlgId::kWhirlpoolHash;

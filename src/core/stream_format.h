@@ -9,7 +9,8 @@
 // These helpers are that formatting function: they build the exact 32-bit
 // word streams the firmware expects (layouts documented in firmware.cpp)
 // and parse core output back into bytes. The communication controller in
-// src/radio is the production user; core-level tests use them directly.
+// host::SimDevice is the production user; core-level tests use them
+// directly.
 //
 // Constraint inherited from the 128-bit blockwise datapath: payloads must
 // be multiples of 16 bytes (see DESIGN.md); AAD and tag lengths are free.
@@ -25,6 +26,12 @@
 namespace mccp::core {
 
 using WordStream = std::vector<std::uint32_t>;
+
+/// Largest block count a task field can carry: the header, data and IV
+/// block counts travel in 8-bit fields (CoreTaskParams and the
+/// ENCRYPT/DECRYPT instruction word). The formatters throw past it rather
+/// than let a count wrap.
+inline constexpr std::size_t kMaxInstructionBlocks = 255;
 
 /// Append a 128-bit block as four big-endian 32-bit words.
 void append_block(WordStream& ws, const Block128& b);

@@ -1,10 +1,10 @@
 // Completion: the async handle `Engine::submit_*` returns.
 //
-// Replaces the Radio facade's global `run_until_idle()` rendezvous with
-// per-job completion: poll with `done()`, block with `wait()` (which
-// advances the engine), or register `on_done` callbacks — each registered
-// callback fires exactly once, from inside `Engine::step()` when the
-// device reports the job complete (or immediately if it already has).
+// Per-job completion instead of a global "run until idle" rendezvous:
+// poll with `done()`, block with `wait()` (which advances the engine), or
+// register `on_done` callbacks — each registered callback fires exactly
+// once, from inside `Engine::step()` when the device reports the job
+// complete (or immediately if it already has).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ struct JobState {
   JobId id = 0;
   std::size_t device = 0;
   DeviceJobId device_job = 0;
-  std::uint64_t channel_uid = 0;  // 0 = raw submit (no stats channel)
+  std::uint64_t channel_uid = 0;  // the submitting channel's record
   bool done = false;
   JobResult result;  // final copy once done
   /// Retained copy of the submitted spec (only when the engine runs with

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "core/stream_format.h"
 #include "crypto/whirlpool.h"
 #include "mccp/control.h"
 #include "mccp/key_store.h"
@@ -46,8 +47,7 @@ namespace mccp::host {
 using top::ChannelMode;
 
 /// Descriptor of an open channel on one device. Plain data — the RAII
-/// `host::Channel` wraps one of these; the legacy `radio::ChannelHandle` is
-/// an alias for it.
+/// `host::Channel` wraps one of these.
 struct ChannelInfo {
   std::uint8_t id = 0;
   ChannelMode mode{};
@@ -87,10 +87,12 @@ struct JobSpec {
 /// Largest Whirlpool message the hardware can hash in one job: the
 /// instruction word carries the padded block count in one byte, so the
 /// message plus its 0x80 byte and 32-byte length field may span at most
-/// 255 64-byte blocks.
-inline constexpr std::size_t kMaxWhirlpoolPayload = 255 * 64 - 33;
-static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload) == 255 * 64);
-static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) > 255 * 64);
+/// core::kMaxInstructionBlocks 64-byte blocks.
+inline constexpr std::size_t kMaxWhirlpoolPayload = core::kMaxInstructionBlocks * 64 - 33;
+static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload) ==
+              core::kMaxInstructionBlocks * 64);
+static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) >
+              core::kMaxInstructionBlocks * 64);
 
 /// Packets no backend can serve; accepted, the two backends would diverge:
 ///  * a GCM submit whose IV length differs from the channel's registered
@@ -104,10 +106,11 @@ static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) > 255 * 64)
 ///    registered nonce_len: the formatting function (and crypto::ccm_seal
 ///    on the fast path) throws on it.
 /// Backends call this at the submit seam and fail the job immediately
-/// (complete, !auth_ok) instead. AES-mode payload shapes only the
-/// simulated FIFOs cannot carry (not whole blocks, over 255 blocks) are
-/// not refused here: FastDevice serves them, and SimDevice refuses them
-/// itself.
+/// (complete, !auth_ok) instead. AES-mode shapes only the simulated FIFOs
+/// cannot carry (payloads not whole blocks or over
+/// core::kMaxInstructionBlocks blocks, AAD over that many header blocks)
+/// are not refused here: FastDevice serves them, and SimDevice refuses
+/// them itself.
 inline bool refused_at_submit(const JobSpec& spec) {
   switch (spec.channel.mode) {
     case ChannelMode::kGcm:

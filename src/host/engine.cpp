@@ -362,25 +362,6 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::span<const 
   return submit_batch(ch, std::vector<JobSpec>(specs.begin(), specs.end()));
 }
 
-Completion Engine::submit_raw(std::size_t device_index, const ChannelInfo& channel,
-                              JobSpec spec) {
-  if (!device_alive(device_index))
-    throw std::out_of_range("Engine::submit_raw: no device " + std::to_string(device_index));
-  if (draining_[device_index] && !removal_in_progress_)
-    throw DeviceDrainingError("Engine::submit_raw: device " + devices_[device_index]->name() +
-                              " (slot " + std::to_string(device_index) +
-                              ") is draining and accepts no new work");
-  spec.channel = channel;
-  auto st = std::make_shared<detail::JobState>();
-  st->id = next_job_++;
-  st->device = device_index;
-  if (retain_specs_) st->spec = std::make_unique<JobSpec>(spec);
-  st->device_job = devices_[device_index]->submit(std::move(spec));
-  jobs_[st->id] = st;
-  track(st);
-  return Completion(this, st);
-}
-
 void Engine::finish_job(detail::JobState& st, const JobResult& result) {
   // `result` may alias the device's own bookkeeping, so copy first and
   // only forget() once nothing reads through the reference anymore.
@@ -388,27 +369,24 @@ void Engine::finish_job(detail::JobState& st, const JobResult& result) {
   st.done = true;
   ++completed_jobs_;
 
-  if (st.channel_uid != 0) {
-    auto it = channels_.find(st.channel_uid);
-    if (it != channels_.end()) {
-      // Tenant in-flight is released before callbacks fire, so a callback
-      // that resubmits (decrypt round-trip) replaces this job's slot
-      // instead of stacking on top of it.
-      tenants_.on_complete(it->second.tenant);
-      ChannelStats& s = it->second.stats;
-      ++s.completed;
-      if (!result.auth_ok) ++s.failed;
-      s.rejections += result.rejections;
-      // A job rejected unrecoverably (e.g. its channel was closed while it
-      // queued) completes with accept_cycle still 0: it has no retry or
-      // service latency to account.
-      if (result.accept_cycle >= result.submit_cycle && result.accept_cycle > 0) {
-        s.retry_latency_cycles += result.accept_cycle - result.submit_cycle;
-        s.service_latency_cycles += result.complete_cycle - result.accept_cycle;
-      }
-      s.last_complete_cycle = std::max(s.last_complete_cycle, result.complete_cycle);
-    }
+  // Every job belongs to a channel record (records outlive their handles).
+  ChannelRecord& rec = channels_.at(st.channel_uid);
+  // Tenant in-flight is released before callbacks fire, so a callback that
+  // resubmits (decrypt round-trip) replaces this job's slot instead of
+  // stacking on top of it.
+  tenants_.on_complete(rec.tenant);
+  ChannelStats& s = rec.stats;
+  ++s.completed;
+  if (!result.auth_ok) ++s.failed;
+  s.rejections += result.rejections;
+  // A job rejected unrecoverably (e.g. its channel was closed while it
+  // queued) completes with accept_cycle still 0: it has no retry or
+  // service latency to account.
+  if (result.accept_cycle >= result.submit_cycle && result.accept_cycle > 0) {
+    s.retry_latency_cycles += result.accept_cycle - result.submit_cycle;
+    s.service_latency_cycles += result.complete_cycle - result.accept_cycle;
   }
+  s.last_complete_cycle = std::max(s.last_complete_cycle, result.complete_cycle);
   st.spec.reset();  // retained only while recovery might need it
   if (devices_[st.device]) devices_[st.device]->forget(st.device_job);
 
@@ -855,18 +833,17 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   inflight_[index].clear();
   std::vector<std::shared_ptr<detail::JobState>> lost;
   for (std::shared_ptr<detail::JobState>& st : stranded) {
-    auto cit = st->channel_uid != 0 ? channels_.find(st->channel_uid) : channels_.end();
-    ChannelRecord* rec = cit != channels_.end() ? &cit->second : nullptr;
-    if (st->spec && rec != nullptr && rec->open && !rec->orphaned) {
+    const ChannelRecord& rec = channels_.at(st->channel_uid);
+    if (st->spec && rec.open && !rec.orphaned) {
       JobSpec spec = *st->spec;  // keep the retained copy: devices can fail twice
-      spec.channel = rec->info;
-      st->device = rec->device;
+      spec.channel = rec.info;
+      st->device = rec.device;
       ++st->resubmissions;
-      st->device_job = devices_[rec->device]->submit(std::move(spec));
+      st->device_job = devices_[rec.device]->submit(std::move(spec));
       // Keep the destination list ascending by JobId: a migrated job's id
       // predates everything submitted since, and the delivery-order merge
       // relies on sorted in-flight lists.
-      auto& dst = inflight_[rec->device];
+      auto& dst = inflight_[rec.device];
       auto pos = std::lower_bound(
           dst.begin(), dst.end(), st->id,
           [](const std::shared_ptr<detail::JobState>& a, JobId id) { return a->id < id; });

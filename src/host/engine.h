@@ -6,7 +6,7 @@
 // channels across them with a pluggable placement policy, multiplexes any
 // number of in-flight jobs, and exposes an asynchronous submit API:
 // `submit_*()` returns a `Completion` token (callbacks + poll/wait) instead
-// of the old blocking `run_until_idle()` rendezvous. RAII `host::Channel`
+// of a blocking run-until-idle rendezvous. RAII `host::Channel`
 // handles auto-CLOSE their device channel slot and carry per-channel
 // statistics.
 //
@@ -205,10 +205,6 @@ class Engine {
   std::vector<Completion> submit_batch(const Channel& ch, std::vector<JobSpec> specs);
   /// Copying overload for callers that keep the specs.
   std::vector<Completion> submit_batch(const Channel& ch, std::span<const JobSpec> specs);
-  /// Low-level submit against a raw channel descriptor on a specific
-  /// device; no RAII handle or channel stats involved. This is the
-  /// compatibility path the `radio::Radio` shim uses.
-  Completion submit_raw(std::size_t device_index, const ChannelInfo& channel, JobSpec spec);
 
   /// Advance every device one scheduling round and fire completions.
   /// With `num_workers` > 0 the devices advance in parallel on the pool;

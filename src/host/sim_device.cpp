@@ -63,21 +63,27 @@ bool SimDevice::close_channel(std::uint8_t channel_id) {
 
 namespace {
 
+/// Formatted header (AAD) blocks of a packet, per the formatters'
+/// conventions: GCM pads the AAD to whole blocks, CCM prefixes its length
+/// encoding first.
+std::size_t header_blocks(ChannelMode mode, std::size_t aad_len) {
+  switch (mode) {
+    case ChannelMode::kGcm: return core::blocks_of(aad_len);
+    case ChannelMode::kCcm: return crypto::ccm_encode_aad(Bytes(aad_len, 0)).size() / 16;
+    default: return 0;
+  }
+}
+
 // Instruction header/data fields per mode (the firmware conventions of
 // stream_format.cpp).
 std::pair<std::uint8_t, std::uint8_t> block_fields(const ChannelInfo& ch, std::size_t aad_len,
                                                    std::size_t payload_len) {
+  const auto header = static_cast<std::uint8_t>(header_blocks(ch.mode, aad_len));
   switch (ch.mode) {
     case ChannelMode::kGcm:
-      return {static_cast<std::uint8_t>(core::blocks_of(aad_len)),
-              static_cast<std::uint8_t>(payload_len / 16)};
-    case ChannelMode::kCcm: {
-      Bytes enc = crypto::ccm_encode_aad(Bytes(aad_len, 0));
-      return {static_cast<std::uint8_t>(enc.size() / 16),
-              static_cast<std::uint8_t>(payload_len / 16)};
-    }
+    case ChannelMode::kCcm:
     case ChannelMode::kCtr:
-      return {0, static_cast<std::uint8_t>(payload_len / 16)};
+      return {header, static_cast<std::uint8_t>(payload_len / 16)};
     case ChannelMode::kCbcMac:
       return {0, static_cast<std::uint8_t>(payload_len / 16 - 1)};
     case ChannelMode::kWhirlpool:
@@ -88,21 +94,24 @@ std::pair<std::uint8_t, std::uint8_t> block_fields(const ChannelInfo& ch, std::s
 
 /// AES-mode packets the stream formatters (core/stream_format.cpp) reject:
 /// a payload that is not whole 16-byte blocks or exceeds the instruction's
-/// 255-block count, an empty CBC-MAC message, a GCM tag outside 4..16
-/// bytes. FastDevice serves them (its documented extension); the simulated
+/// block count, AAD that formats to more header blocks than that count
+/// carries, an empty CBC-MAC message, a GCM tag outside 4..16 bytes.
+/// FastDevice serves them (its documented extension); the simulated
 /// controller cannot format them, so they are refused here at submit
 /// instead of throwing out of pump() once a core accepts them.
 bool unformattable(const JobSpec& spec) {
   const std::size_t n = spec.payload.size();
-  const bool blockwise = n % 16 == 0 && n / 16 <= 255;
+  const bool fits = n % 16 == 0 && n / 16 <= core::kMaxInstructionBlocks &&
+                    header_blocks(spec.channel.mode, spec.aad.size()) <=
+                        core::kMaxInstructionBlocks;
   switch (spec.channel.mode) {
     case ChannelMode::kGcm: {
       const std::size_t tag_len = spec.decrypt ? spec.tag.size() : spec.channel.tag_len;
-      return !blockwise || tag_len < 4 || tag_len > 16;
+      return !fits || tag_len < 4 || tag_len > 16;
     }
     case ChannelMode::kCcm:
-    case ChannelMode::kCtr: return !blockwise;
-    case ChannelMode::kCbcMac: return !blockwise || n == 0;
+    case ChannelMode::kCtr: return !fits;
+    case ChannelMode::kCbcMac: return !fits || n == 0;
     case ChannelMode::kWhirlpool: return false;  // refused_at_submit's limit
   }
   return false;

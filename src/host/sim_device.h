@@ -3,9 +3,8 @@
 // Owns one `top::Mccp` (plus its Key Memory and clock domain) and plays the
 // communication controller's data-plane role for it: formats packet streams
 // (SVI.B), drives the 4-step control protocol, pumps the crossbar, and
-// reacts to the Data Available interrupt. This is the machinery that used
-// to live inside `radio::Radio`; it moved behind the Device seam so the
-// multi-device `host::Engine` can own any number of these.
+// reacts to the Data Available interrupt. It sits behind the Device seam so
+// the multi-device `host::Engine` can own any number of these.
 #pragma once
 
 #include <cstdint>

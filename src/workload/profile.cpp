@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/stream_format.h"
+
 namespace mccp::workload {
 
 SizeDist SizeDist::fixed(std::size_t n) {
@@ -82,14 +84,14 @@ std::string SizeDist::describe() const {
 std::size_t normalize_payload(std::size_t sampled) {
   std::size_t blocks = (sampled + 15) / 16;
   if (blocks < 1) blocks = 1;
-  if (blocks > 255) blocks = 255;
+  if (blocks > core::kMaxInstructionBlocks) blocks = core::kMaxInstructionBlocks;
   return blocks * 16;
 }
 
 std::size_t normalize_aad(std::size_t sampled) {
-  // 255 formatted 16-byte header blocks; stay a block under to leave room
-  // for CCM's length-encoding prefix.
-  constexpr std::size_t kMax = 254 * 16;
+  // kMaxInstructionBlocks formatted 16-byte header blocks; stay a block
+  // under to leave room for CCM's length-encoding prefix.
+  constexpr std::size_t kMax = (core::kMaxInstructionBlocks - 1) * 16;
   return sampled > kMax ? kMax : sampled;
 }
 

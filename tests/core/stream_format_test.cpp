@@ -65,6 +65,27 @@ TEST(StreamFormat, GcmRejectsBadInput) {
   EXPECT_THROW(format_gcm_encrypt(iv12, {}, Bytes(15)), std::invalid_argument);  // ragged payload
   EXPECT_THROW(format_gcm_encrypt(iv12, {}, Bytes(16), 3), std::invalid_argument);
   EXPECT_THROW(format_gcm_encrypt(iv12, {}, Bytes(256 * 16)), std::invalid_argument);
+  // AAD up to the header field's block count, and not a byte past it.
+  const std::size_t max_aad = kMaxInstructionBlocks * 16;
+  EXPECT_EQ(format_gcm_encrypt(iv12, Bytes(max_aad), Bytes(16)).params.aad_blocks,
+            kMaxInstructionBlocks);
+  EXPECT_THROW(format_gcm_encrypt(iv12, Bytes(max_aad + 1), Bytes(16)), std::invalid_argument);
+  EXPECT_THROW(format_gcm_decrypt(iv12, Bytes(max_aad + 1), Bytes(16), Bytes(16)),
+               std::invalid_argument);
+}
+
+TEST(StreamFormat, CcmRejectsAadPastTheHeaderField) {
+  // CCM's 2-byte length prefix counts toward the header blocks.
+  crypto::CcmParams p{.tag_len = 8, .nonce_len = 13};
+  const Bytes nonce(13), pt(16), tag(8);
+  const Bytes fits(kMaxInstructionBlocks * 16 - 2), over(kMaxInstructionBlocks * 16 - 1);
+  EXPECT_EQ(format_ccm1_encrypt(p, nonce, fits, pt).params.aad_blocks, kMaxInstructionBlocks);
+  EXPECT_EQ(format_ccm2_encrypt(p, nonce, fits, pt).mac.params.aad_blocks,
+            kMaxInstructionBlocks);
+  EXPECT_THROW(format_ccm1_encrypt(p, nonce, over, pt), std::invalid_argument);
+  EXPECT_THROW(format_ccm1_decrypt(p, nonce, over, pt, tag), std::invalid_argument);
+  EXPECT_THROW(format_ccm2_encrypt(p, nonce, over, pt), std::invalid_argument);
+  EXPECT_THROW(format_ccm2_decrypt(p, nonce, over, pt, tag), std::invalid_argument);
 }
 
 TEST(StreamFormat, Ccm1LayoutStartsWithCtr1ThenB0) {

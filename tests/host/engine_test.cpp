@@ -626,6 +626,62 @@ TEST(Engine, GcmTagLengthTheFormatterRejectsRefusedAtSimSubmit) {
   }
 }
 
+// Seals `oversize_aad` bytes of AAD (more formatted header blocks than the
+// instruction's 8-bit header field carries) and `largest_aad` bytes (exactly
+// core::kMaxInstructionBlocks blocks) on both backends. An oversize count
+// would wrap in the instruction word and SimDevice would seal with the
+// wrong ciphertext and tag, so it must refuse the job at submit; FastDevice
+// keeps serving it with the software reference's bits.
+void check_aad_header_limit(ChannelMode mode, std::size_t largest_aad,
+                            std::size_t oversize_aad) {
+  Rng rng(89);
+  const Bytes key = rng.bytes(16);
+  const auto keys = crypto::aes_expand_key(key);
+  const unsigned iv_len = mode == ChannelMode::kGcm ? 12 : 13;
+  for (Backend backend : {Backend::kSim, Backend::kFast}) {
+    Engine engine({.num_devices = 1, .device = {.num_cores = 2}, .backend = backend});
+    engine.provision_key(1, key);
+    Channel ch = engine.open_channel(mode, 1, 16, iv_len);
+    ASSERT_TRUE(ch.valid());
+    for (std::size_t aad_len : {largest_aad, oversize_aad}) {
+      const std::string where = std::string(backend == Backend::kSim ? "sim" : "fast") +
+                                " aad=" + std::to_string(aad_len);
+      const Bytes iv = rng.bytes(iv_len), aad = rng.bytes(aad_len), pt = rng.bytes(64);
+      JobResult r;
+      ASSERT_NO_THROW(r = engine.submit_encrypt(ch, iv, aad, pt).wait(/*max_cycles=*/10'000'000))
+          << where;
+      ASSERT_TRUE(r.complete) << where;
+      if (backend == Backend::kSim && aad_len == oversize_aad) {
+        EXPECT_FALSE(r.auth_ok) << where;
+        EXPECT_EQ(r.accept_cycle, 0u) << where;  // rejected at the seam
+        continue;
+      }
+      ASSERT_TRUE(r.auth_ok) << where;
+      if (mode == ChannelMode::kGcm) {
+        auto ref = crypto::gcm_seal(keys, iv, aad, pt);
+        EXPECT_EQ(to_hex(r.payload), to_hex(ref.ciphertext)) << where;
+        EXPECT_EQ(to_hex(r.tag), to_hex(ref.tag)) << where;
+      } else {
+        auto ref = crypto::ccm_seal(keys, {.tag_len = 16, .nonce_len = 13}, iv, aad, pt);
+        EXPECT_EQ(to_hex(r.payload), to_hex(ref.ciphertext)) << where;
+        EXPECT_EQ(to_hex(r.tag), to_hex(ref.tag)) << where;
+      }
+    }
+  }
+}
+
+TEST(Engine, GcmAadPastTheHeaderFieldRefusedAtSimSubmit) {
+  // 4112 bytes pad to 257 header blocks (the count would wrap to 1); 4080
+  // bytes are exactly 255.
+  check_aad_header_limit(ChannelMode::kGcm, 4080, 4112);
+}
+
+TEST(Engine, CcmAadPastTheHeaderFieldRefusedAtSimSubmit) {
+  // CCM prefixes a 2-byte length: 4112 bytes format to 258 header blocks
+  // (the count would wrap to 2); 4078 bytes are exactly 255.
+  check_aad_header_limit(ChannelMode::kCcm, 4078, 4112);
+}
+
 TEST(Engine, CcmNonceLengthMismatchFailsFastOnBothBackends) {
   // A CCM nonce whose length differs from the channel's registered
   // nonce_len cannot be formatted (nor sealed by crypto::ccm_seal): both

@@ -5,47 +5,53 @@
 #include "baseline/pipelined_model.h"
 #include "common/rng.h"
 #include "crypto/ccm.h"
-#include "radio/radio.h"
+#include "host/engine.h"
+#include "support/one_device.h"
 
-namespace mccp {
+namespace mccp::host {
 namespace {
 
+using mccp::testing::one_device;
+
 TEST(AdaptiveMapping, UsesPairWhenCoresArePlentiful) {
-  radio::Radio radio({.num_cores = 4, .ccm_mapping = top::CcmMapping::kAdaptive});
+  Engine engine = one_device({.num_cores = 4, .ccm_mapping = top::CcmMapping::kAdaptive});
   Rng rng(1);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(radio::ChannelMode::kCcm, 1, 8, 13).value();
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kCcm, 1, 8, 13);
+  ASSERT_TRUE(ch.valid());
   // Single packet on an idle processor: adaptive must choose the pair.
-  auto id = radio.submit_encrypt(ch, rng.bytes(13), {}, rng.bytes(2048));
-  radio.run(3000);  // past acceptance
+  Completion job = engine.submit_encrypt(ch, rng.bytes(13), {}, rng.bytes(2048));
+  engine.run(3000);  // past acceptance
+  top::Mccp& mccp = engine.sim_device(0)->mccp();
   bool split_seen = false;
   for (std::uint8_t req = 0; req < 64; ++req)
-    if (const auto* info = radio.mccp().request_info(req))
+    if (const auto* info = mccp.request_info(req))
       if (info->split_ccm) split_seen = true;
   EXPECT_TRUE(split_seen);
-  radio.run_until_idle();
-  EXPECT_TRUE(radio.result(id).complete);
-  EXPECT_TRUE(radio.result(id).auth_ok);
+  engine.wait_all();
+  EXPECT_TRUE(job.result().complete);
+  EXPECT_TRUE(job.result().auth_ok);
 }
 
 TEST(AdaptiveMapping, FallsBackToSingleUnderSaturation) {
-  radio::Radio radio({.num_cores = 4, .ccm_mapping = top::CcmMapping::kAdaptive});
+  Engine engine = one_device({.num_cores = 4, .ccm_mapping = top::CcmMapping::kAdaptive});
   Rng rng(2);
   Bytes key = rng.bytes(16);
-  radio.provision_key(1, key);
-  auto ch = radio.open_channel(radio::ChannelMode::kCcm, 1, 8, 13).value();
-  std::vector<radio::JobId> ids;
+  engine.provision_key(1, key);
+  Channel ch = engine.open_channel(ChannelMode::kCcm, 1, 8, 13);
+  ASSERT_TRUE(ch.valid());
+  std::vector<Completion> jobs;
   for (int i = 0; i < 12; ++i)
-    ids.push_back(radio.submit_encrypt(ch, rng.bytes(13), {}, rng.bytes(1024)));
-  radio.run_until_idle();
+    jobs.push_back(engine.submit_encrypt(ch, rng.bytes(13), {}, rng.bytes(1024)));
+  engine.wait_all();
   // All complete and correct regardless of the mapping each packet got.
-  for (auto id : ids) {
-    ASSERT_TRUE(radio.result(id).complete);
-    EXPECT_TRUE(radio.result(id).auth_ok);
+  for (const Completion& job : jobs) {
+    ASSERT_TRUE(job.result().complete);
+    EXPECT_TRUE(job.result().auth_ok);
   }
   // Saturation forces some single-core mappings: with pure pairing only two
   // packets fit at once; twelve packets complete noticeably faster here.
-  EXPECT_EQ(radio.mccp().idle_core_count(), 4u);
+  EXPECT_EQ(engine.sim_device(0)->mccp().idle_core_count(), 4u);
 }
 
 TEST(AdaptiveMapping, ResultsIdenticalAcrossPolicies) {
@@ -57,12 +63,11 @@ TEST(AdaptiveMapping, ResultsIdenticalAcrossPolicies) {
   int i = 0;
   for (auto mapping : {top::CcmMapping::kSingleCore, top::CcmMapping::kPairPreferred,
                        top::CcmMapping::kAdaptive}) {
-    radio::Radio radio({.num_cores = 4, .ccm_mapping = mapping});
-    radio.provision_key(1, key);
-    auto ch = radio.open_channel(radio::ChannelMode::kCcm, 1, 8, 13).value();
-    auto id = radio.submit_encrypt(ch, nonce, aad, pt);
-    radio.run_until_idle();
-    tags[i++] = radio.result(id).tag;
+    Engine engine = one_device({.num_cores = 4, .ccm_mapping = mapping});
+    engine.provision_key(1, key);
+    Channel ch = engine.open_channel(ChannelMode::kCcm, 1, 8, 13);
+    ASSERT_TRUE(ch.valid());
+    tags[i++] = engine.submit_encrypt(ch, nonce, aad, pt).wait().tag;
   }
   EXPECT_EQ(tags[0], tags[1]);
   EXPECT_EQ(tags[1], tags[2]);
@@ -106,28 +111,23 @@ TEST(Ccm2Property, RandomShapesThroughThePlatform) {
     Bytes aad = rng.bytes(rng.next_below(30));
     Bytes pt = rng.bytes(16 * (1 + rng.next_below(20)));
 
-    radio::Radio radio({.num_cores = 2, .ccm_mapping = top::CcmMapping::kPairPreferred});
-    radio.provision_key(1, key);
-    auto ch = radio
-                  .open_channel(radio::ChannelMode::kCcm, 1,
-                                static_cast<unsigned>(p.tag_len),
-                                static_cast<unsigned>(p.nonce_len))
-                  .value();
-    auto id = radio.submit_encrypt(ch, nonce, aad, pt);
-    radio.run_until_idle();
-    const auto& r = radio.result(id);
+    Engine engine = one_device({.num_cores = 2, .ccm_mapping = top::CcmMapping::kPairPreferred});
+    engine.provision_key(1, key);
+    Channel ch = engine.open_channel(ChannelMode::kCcm, 1, static_cast<unsigned>(p.tag_len),
+                                     static_cast<unsigned>(p.nonce_len));
+    ASSERT_TRUE(ch.valid()) << "seed " << seed;
+    const JobResult& r = engine.submit_encrypt(ch, nonce, aad, pt).wait();
     ASSERT_TRUE(r.complete) << "seed " << seed;
     auto ref = crypto::ccm_seal(crypto::aes_expand_key(key), p, nonce, aad, pt);
     EXPECT_EQ(r.payload, ref.ciphertext) << "seed " << seed;
     EXPECT_EQ(r.tag, ref.tag) << "seed " << seed << " nonce " << p.nonce_len << " tag "
                               << p.tag_len;
     // And the split decrypt path verifies it.
-    auto did = radio.submit_decrypt(ch, nonce, aad, ref.ciphertext, ref.tag);
-    radio.run_until_idle();
-    EXPECT_TRUE(radio.result(did).auth_ok) << "seed " << seed;
-    EXPECT_EQ(radio.result(did).payload, pt) << "seed " << seed;
+    const JobResult& d = engine.submit_decrypt(ch, nonce, aad, ref.ciphertext, ref.tag).wait();
+    EXPECT_TRUE(d.auth_ok) << "seed " << seed;
+    EXPECT_EQ(d.payload, pt) << "seed " << seed;
   }
 }
 
 }  // namespace
-}  // namespace mccp
+}  // namespace mccp::host

@@ -13,14 +13,13 @@
 #include "crypto/ctr.h"
 #include "crypto/gcm.h"
 #include "host/engine.h"
-#include "radio/traffic.h"
+#include "support/one_device.h"
+#include "workload/jobgen.h"
 
 namespace mccp::host {
 namespace {
 
-Engine one_device(const top::MccpConfig& cfg) {
-  return Engine(EngineConfig{.num_devices = 1, .device = cfg});
-}
+using mccp::testing::one_device;
 
 TEST(EndToEnd, GcmEncryptDecryptThroughPlatform) {
   Engine engine = one_device({.num_cores = 4});
@@ -226,26 +225,43 @@ TEST(EndToEnd, BusyRejectionsAreRetriedTransparently) {
 }
 
 TEST(EndToEnd, TrafficMixRunsToCompletion) {
+  // Three SDR standards at once (WiFi CCMP, satcom GCM, CTR voice), packets
+  // drawn round-robin from one workload stream per class.
   Engine engine = one_device({.num_cores = 4, .ccm_mapping = top::CcmMapping::kSingleCore});
   Rng rng(9);
-  std::vector<radio::ChannelProfile> profiles = {
-      radio::wifi_ccmp_profile(), radio::satcom_gcm_profile(), radio::voice_ctr_profile()};
+  using workload::SizeDist;
+  std::vector<workload::ClassSpec> classes = {
+      {.profile = {.name = "wifi-ccmp", .mode = ChannelMode::kCcm, .tag_len = 8,
+                   .payload = SizeDist::fixed(2048), .aad = SizeDist::fixed(22)},
+       .packets = 4},
+      {.profile = {.name = "satcom-gcm", .mode = ChannelMode::kGcm, .key_len = 32,
+                   .nonce_len = 12, .payload = SizeDist::fixed(2048),
+                   .aad = SizeDist::fixed(20)},
+       .packets = 4},
+      {.profile = {.name = "voice-ctr", .mode = ChannelMode::kCtr,
+                   .payload = SizeDist::fixed(160)},
+       .packets = 4},
+  };
   std::vector<Channel> channels;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    engine.provision_key(static_cast<top::KeyId>(i + 1), rng.bytes(profiles[i].key_len));
-    Channel ch = engine.open_channel(profiles[i].mode, static_cast<top::KeyId>(i + 1),
-                                     profiles[i].tag_len, profiles[i].nonce_len);
-    ASSERT_TRUE(ch.valid()) << profiles[i].name;
+  std::vector<workload::ClassJobStream> streams;
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const workload::ChannelClass& c = classes[i].profile;
+    engine.provision_key(static_cast<top::KeyId>(i + 1), rng.bytes(c.key_len));
+    Channel ch =
+        engine.open_channel(c.mode, static_cast<top::KeyId>(i + 1), c.tag_len, c.nonce_len);
+    ASSERT_TRUE(ch.valid()) << c.name;
     channels.push_back(std::move(ch));
+    streams.emplace_back(classes[i], 4242, i, 0);
   }
-  auto packets = radio::generate_mix(profiles, 12, 4242);
-  std::size_t completed = 0;
-  for (const auto& pkt : packets)
-    engine
-        .submit_encrypt(channels[pkt.profile_index], pkt.iv_or_nonce, pkt.aad, pkt.payload)
+  std::size_t submitted = 0, completed = 0;
+  for (; submitted < 12; ++submitted) {
+    const std::size_t i = submitted % classes.size();
+    workload::GeneratedJob pkt = streams[i].take();
+    engine.submit_encrypt(channels[i], pkt.job.iv_or_nonce, pkt.job.aad, pkt.job.payload)
         .on_done([&completed](const JobResult& r) { completed += r.complete ? 1 : 0; });
+  }
   engine.wait_all();
-  EXPECT_EQ(completed, packets.size());
+  EXPECT_EQ(completed, submitted);
 }
 
 }  // namespace

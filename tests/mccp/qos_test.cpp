@@ -4,79 +4,80 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "radio/radio.h"
+#include "host/engine.h"
+#include "support/one_device.h"
 
-namespace mccp::radio {
+namespace mccp::host {
 namespace {
+
+using mccp::testing::one_device;
 
 TEST(Qos, HighPriorityPacketOvertakesBulkQueue) {
   // One core, a queue of bulk packets, then an urgent packet: with
   // priorities the urgent one is dispatched before the remaining bulk.
-  Radio radio({.num_cores = 1});
+  Engine engine = one_device({.num_cores = 1});
   Rng rng(1);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(ch.has_value());
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(ch.valid());
 
-  std::vector<JobId> bulk;
+  std::vector<Completion> bulk;
   for (int i = 0; i < 5; ++i)
-    bulk.push_back(radio.submit_encrypt(*ch, rng.bytes(12), {}, rng.bytes(2048),
-                                        /*priority=*/200));
-  JobId urgent = radio.submit_encrypt(*ch, rng.bytes(12), {}, rng.bytes(160),
-                                      /*priority=*/0);
-  radio.run_until_idle();
+    bulk.push_back(engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(2048),
+                                         /*priority=*/200));
+  Completion urgent = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(160),
+                                            /*priority=*/0);
+  engine.wait_all();
 
   // The urgent packet must complete before at least the last three bulk
   // packets (it can't preempt the one already running).
   std::size_t bulk_after_urgent = 0;
-  for (JobId b : bulk)
-    if (radio.result(b).complete_cycle > radio.result(urgent).complete_cycle)
-      ++bulk_after_urgent;
+  for (const Completion& b : bulk)
+    if (b.result().complete_cycle > urgent.result().complete_cycle) ++bulk_after_urgent;
   EXPECT_GE(bulk_after_urgent, 3u);
 }
 
 TEST(Qos, EqualPrioritiesKeepArrivalOrder) {
   // Paper SIII.C default: "incoming packets are processed in their order of
   // arrival".
-  Radio radio({.num_cores = 1});
+  Engine engine = one_device({.num_cores = 1});
   Rng rng(2);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(ch.has_value());
-  std::vector<JobId> jobs;
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(ch.valid());
+  std::vector<Completion> jobs;
   for (int i = 0; i < 4; ++i)
-    jobs.push_back(radio.submit_encrypt(*ch, rng.bytes(12), {}, rng.bytes(512)));
-  radio.run_until_idle();
+    jobs.push_back(engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(512)));
+  engine.wait_all();
   for (std::size_t i = 1; i < jobs.size(); ++i)
-    EXPECT_GT(radio.result(jobs[i]).complete_cycle, radio.result(jobs[i - 1]).complete_cycle);
+    EXPECT_GT(jobs[i].result().complete_cycle, jobs[i - 1].result().complete_cycle);
 }
 
 TEST(Qos, PriorityReducesUrgentLatencyUnderLoad) {
   auto urgent_latency = [](bool use_priority) {
-    Radio radio({.num_cores = 2});
+    Engine engine = one_device({.num_cores = 2});
     Rng rng(3);
-    radio.provision_key(1, rng.bytes(16));
-    auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12).value();
+    engine.provision_key(1, rng.bytes(16));
+    Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
     for (int i = 0; i < 8; ++i)
-      radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(2048), 200);
-    JobId urgent = radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(160),
-                                        use_priority ? 0u : 200u);
-    radio.run_until_idle();
-    return radio.result(urgent).complete_cycle - radio.result(urgent).submit_cycle;
+      engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(2048), 200);
+    Completion urgent = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(160),
+                                              use_priority ? 0u : 200u);
+    engine.wait_all();
+    return urgent.result().complete_cycle - urgent.result().submit_cycle;
   };
   EXPECT_LT(urgent_latency(true) * 2, urgent_latency(false));
 }
 
 TEST(Ablation, DisablingKeyCacheForcesReloads) {
   auto loads = [](bool cache) {
-    Radio radio({.num_cores = 2, .key_cache_enabled = cache});
+    Engine engine = one_device({.num_cores = 2, .key_cache_enabled = cache});
     Rng rng(4);
-    radio.provision_key(1, rng.bytes(16));
-    auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12).value();
-    for (int i = 0; i < 6; ++i)
-      radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(256));
-    radio.run_until_idle();
-    return radio.mccp().key_scheduler().loads_performed();
+    engine.provision_key(1, rng.bytes(16));
+    Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+    for (int i = 0; i < 6; ++i) engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(256));
+    engine.wait_all();
+    return engine.sim_device(0)->mccp().key_scheduler().loads_performed();
   };
   EXPECT_EQ(loads(false), 6u);  // every request expands the key again
   EXPECT_LE(loads(true), 2u);   // one load per core, then cache hits
@@ -84,16 +85,16 @@ TEST(Ablation, DisablingKeyCacheForcesReloads) {
 
 TEST(Ablation, ControlLatencyKnobStretchesInstructionTime) {
   for (int latency : {8, 80}) {
-    Radio radio({.num_cores = 1, .control_latency_cycles = latency});
-    radio.provision_key(1, Bytes(16, 1));
-    sim::Cycle before = radio.sim().now();
-    auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-    ASSERT_TRUE(ch.has_value());
-    sim::Cycle spent = radio.sim().now() - before;
+    Engine engine = one_device({.num_cores = 1, .control_latency_cycles = latency});
+    engine.provision_key(1, Bytes(16, 1));
+    sim::Cycle before = engine.max_cycle();
+    Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+    ASSERT_TRUE(ch.valid());
+    sim::Cycle spent = engine.max_cycle() - before;
     EXPECT_GE(spent, static_cast<sim::Cycle>(latency));
     EXPECT_LT(spent, static_cast<sim::Cycle>(latency) + 10);
   }
 }
 
 }  // namespace
-}  // namespace mccp::radio
+}  // namespace mccp::host

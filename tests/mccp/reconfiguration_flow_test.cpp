@@ -7,13 +7,15 @@
 #include "common/rng.h"
 #include "crypto/gcm.h"
 #include "crypto/whirlpool.h"
-#include "radio/radio.h"
+#include "host/engine.h"
+#include "support/one_device.h"
 
-namespace mccp::radio {
+namespace mccp::host {
 namespace {
 
 using reconfig::BitstreamStore;
 using reconfig::CoreImage;
+using mccp::testing::one_device;
 
 TEST(ReconfigFlow, WhirlpoolChannelNeedsAReconfiguredCore) {
   // All cores host the AES image. With auto_reconfig off, a hash request
@@ -22,47 +24,46 @@ TEST(ReconfigFlow, WhirlpoolChannelNeedsAReconfiguredCore) {
   // faithful Table IV timescale the request is still pending millions of
   // cycles later.
   {
-    Radio radio({.num_cores = 4, .auto_reconfig = false});
-    auto ch = radio.open_channel(ChannelMode::kWhirlpool, /*key (ignored)=*/0);
-    ASSERT_TRUE(ch.has_value());
-    JobId job = radio.submit_encrypt(*ch, {}, {}, Bytes(100, 0xAB));
-    radio.run_until_idle();
-    EXPECT_TRUE(radio.result(job).complete);
-    EXPECT_FALSE(radio.result(job).auth_ok);
-    EXPECT_EQ(radio.mccp().reconfigurations_done(), 0u);
+    Engine engine = one_device({.num_cores = 4, .auto_reconfig = false});
+    Channel ch = engine.open_channel(ChannelMode::kWhirlpool, /*key (ignored)=*/0);
+    ASSERT_TRUE(ch.valid());
+    Completion job = engine.submit_encrypt(ch, {}, {}, Bytes(100, 0xAB));
+    engine.wait_all();
+    EXPECT_TRUE(job.result().complete);
+    EXPECT_FALSE(job.result().auth_ok);
+    EXPECT_EQ(engine.sim_device(0)->mccp().reconfigurations_done(), 0u);
   }
   {
-    Radio radio({.num_cores = 4});
-    auto ch = radio.open_channel(ChannelMode::kWhirlpool, 0);
-    ASSERT_TRUE(ch.has_value());
-    JobId job = radio.submit_encrypt(*ch, {}, {}, Bytes(100, 0xAB));
-    EXPECT_THROW(radio.run_until_idle(500'000), std::runtime_error);
-    EXPECT_FALSE(radio.result(job).complete);
-    EXPECT_EQ(radio.mccp().reconfigurations_done(), 1u);  // swap scheduled, in flight
-    EXPECT_TRUE(radio.mccp().core_reconfiguring(3));
+    Engine engine = one_device({.num_cores = 4});
+    Channel ch = engine.open_channel(ChannelMode::kWhirlpool, 0);
+    ASSERT_TRUE(ch.valid());
+    Completion job = engine.submit_encrypt(ch, {}, {}, Bytes(100, 0xAB));
+    EXPECT_THROW(engine.wait_all(500'000), std::runtime_error);
+    EXPECT_FALSE(job.done());
+    top::Mccp& mccp = engine.sim_device(0)->mccp();
+    EXPECT_EQ(mccp.reconfigurations_done(), 1u);  // swap scheduled, in flight
+    EXPECT_TRUE(mccp.core_reconfiguring(3));
   }
 }
 
 TEST(ReconfigFlow, HashAfterReconfigurationMatchesReference) {
-  Radio radio({.num_cores = 4});
+  Engine engine = one_device({.num_cores = 4});
+  top::Mccp& mccp = engine.sim_device(0)->mccp();
   Rng rng(1);
 
   // Swap core 3 to the Whirlpool image from the RAM bitstream cache.
-  auto cycles = radio.mccp().begin_core_reconfiguration(3, CoreImage::kWhirlpool,
-                                                        BitstreamStore::kRam);
+  auto cycles = mccp.begin_core_reconfiguration(3, CoreImage::kWhirlpool, BitstreamStore::kRam);
   ASSERT_TRUE(cycles.has_value());
-  EXPECT_TRUE(radio.mccp().core_reconfiguring(3));
-  radio.run(*cycles + 2);
-  EXPECT_FALSE(radio.mccp().core_reconfiguring(3));
-  EXPECT_EQ(radio.mccp().core_image(3), CoreImage::kWhirlpool);
+  EXPECT_TRUE(mccp.core_reconfiguring(3));
+  engine.run(*cycles + 2);
+  EXPECT_FALSE(mccp.core_reconfiguring(3));
+  EXPECT_EQ(mccp.core_image(3), CoreImage::kWhirlpool);
 
-  auto ch = radio.open_channel(ChannelMode::kWhirlpool, 0);
-  ASSERT_TRUE(ch.has_value());
+  Channel ch = engine.open_channel(ChannelMode::kWhirlpool, 0);
+  ASSERT_TRUE(ch.valid());
   for (std::size_t n : {0u, 1u, 31u, 32u, 33u, 64u, 200u, 1000u}) {
     Bytes msg = rng.bytes(n);
-    JobId job = radio.submit_encrypt(*ch, {}, {}, msg);
-    radio.run_until_idle();
-    const JobResult& r = radio.result(job);
+    const JobResult& r = engine.submit_encrypt(ch, {}, {}, msg).wait();
     ASSERT_TRUE(r.complete);
     auto ref = crypto::whirlpool(msg);
     EXPECT_EQ(to_hex(r.payload), to_hex(ByteSpan(ref.data(), ref.size()))) << "len " << n;
@@ -72,95 +73,96 @@ TEST(ReconfigFlow, HashAfterReconfigurationMatchesReference) {
 TEST(ReconfigFlow, OtherCoresKeepEncryptingDuringSwap) {
   // "the reconfiguration of one part of the FPGA does not prevent others
   // parts to work" (SVII.B).
-  Radio radio({.num_cores = 4});
+  Engine engine = one_device({.num_cores = 4});
+  top::Mccp& mccp = engine.sim_device(0)->mccp();
   Rng rng(2);
   Bytes key = rng.bytes(16);
-  radio.provision_key(1, key);
-  auto gcm = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(gcm.has_value());
+  engine.provision_key(1, key);
+  Channel gcm = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(gcm.valid());
 
-  auto cycles = radio.mccp().begin_core_reconfiguration(0, CoreImage::kWhirlpool,
-                                                        BitstreamStore::kRam);
+  auto cycles = mccp.begin_core_reconfiguration(0, CoreImage::kWhirlpool, BitstreamStore::kRam);
   ASSERT_TRUE(cycles.has_value());
 
   // During the multi-millisecond swap, packets flow through cores 1..3.
-  std::vector<JobId> jobs;
+  std::vector<Completion> jobs;
   for (int i = 0; i < 6; ++i)
-    jobs.push_back(radio.submit_encrypt(*gcm, rng.bytes(12), {}, rng.bytes(512)));
-  radio.run_until_idle();
-  for (JobId id : jobs) {
-    ASSERT_TRUE(radio.result(id).complete);
-    EXPECT_TRUE(radio.result(id).auth_ok);
+    jobs.push_back(engine.submit_encrypt(gcm, rng.bytes(12), {}, rng.bytes(512)));
+  engine.wait_all();
+  for (const Completion& job : jobs) {
+    ASSERT_TRUE(job.result().complete);
+    EXPECT_TRUE(job.result().auth_ok);
   }
-  EXPECT_TRUE(radio.mccp().core_reconfiguring(0));  // swap still in flight
+  EXPECT_TRUE(mccp.core_reconfiguring(0));  // swap still in flight
 }
 
 TEST(ReconfigFlow, ReconfiguringCoreIsNotSchedulable) {
-  Radio radio({.num_cores = 1});
+  Engine engine = one_device({.num_cores = 1});
+  top::Mccp& mccp = engine.sim_device(0)->mccp();
   Rng rng(3);
-  radio.provision_key(1, rng.bytes(16));
-  auto gcm = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(gcm.has_value());
-  ASSERT_TRUE(radio.mccp()
-                  .begin_core_reconfiguration(0, CoreImage::kWhirlpool, BitstreamStore::kRam)
-                  .has_value());
+  engine.provision_key(1, rng.bytes(16));
+  Channel gcm = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(gcm.valid());
+  ASSERT_TRUE(
+      mccp.begin_core_reconfiguration(0, CoreImage::kWhirlpool, BitstreamStore::kRam).has_value());
   // The only core is reserved by the bitstream transfer (and its AES image
   // is going away): the request waits, and the scheduler cannot start a
   // counter-swap while the slot is mid-transfer.
-  JobId job = radio.submit_encrypt(*gcm, rng.bytes(12), {}, rng.bytes(64));
-  radio.run(50'000);
-  EXPECT_FALSE(radio.result(job).complete);
-  EXPECT_EQ(radio.mccp().reconfigurations_done(), 1u);
-  EXPECT_TRUE(radio.mccp().core_reconfiguring(0));
+  Completion job = engine.submit_encrypt(gcm, rng.bytes(12), {}, rng.bytes(64));
+  engine.run(50'000);
+  EXPECT_FALSE(job.done());
+  EXPECT_EQ(mccp.reconfigurations_done(), 1u);
+  EXPECT_TRUE(mccp.core_reconfiguring(0));
 }
 
 TEST(ReconfigFlow, BusyCoreCannotBeReconfigured) {
-  Radio radio({.num_cores = 1});
+  Engine engine = one_device({.num_cores = 1});
+  top::Mccp& mccp = engine.sim_device(0)->mccp();
   Rng rng(4);
-  radio.provision_key(1, rng.bytes(16));
-  auto gcm = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(gcm.has_value());
-  JobId job = radio.submit_encrypt(*gcm, rng.bytes(12), {}, rng.bytes(2048));
-  radio.run(2000);  // core now busy with the packet
-  EXPECT_FALSE(radio.mccp()
-                   .begin_core_reconfiguration(0, CoreImage::kWhirlpool, BitstreamStore::kRam)
-                   .has_value());
-  radio.run_until_idle();
-  EXPECT_TRUE(radio.result(job).complete);
+  engine.provision_key(1, rng.bytes(16));
+  Channel gcm = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(gcm.valid());
+  Completion job = engine.submit_encrypt(gcm, rng.bytes(12), {}, rng.bytes(2048));
+  engine.run(2000);  // core now busy with the packet
+  EXPECT_FALSE(
+      mccp.begin_core_reconfiguration(0, CoreImage::kWhirlpool, BitstreamStore::kRam).has_value());
+  engine.wait_all();
+  EXPECT_TRUE(job.result().complete);
 }
 
 TEST(ReconfigFlow, RoundTripAesWhirlpoolAes) {
-  Radio radio({.num_cores = 2});
+  Engine engine = one_device({.num_cores = 2});
+  top::Mccp& mccp = engine.sim_device(0)->mccp();
   Rng rng(5);
   Bytes key = rng.bytes(16);
-  radio.provision_key(1, key);
+  engine.provision_key(1, key);
 
   auto swap = [&](std::size_t idx, CoreImage img) {
-    auto c = radio.mccp().begin_core_reconfiguration(idx, img, BitstreamStore::kRam);
+    auto c = mccp.begin_core_reconfiguration(idx, img, BitstreamStore::kRam);
     ASSERT_TRUE(c.has_value());
-    radio.run(*c + 2);
+    engine.run(*c + 2);
   };
   swap(1, CoreImage::kWhirlpool);
-  auto wp_ch = radio.open_channel(ChannelMode::kWhirlpool, 0);
-  ASSERT_TRUE(wp_ch.has_value());
+  Channel wp_ch = engine.open_channel(ChannelMode::kWhirlpool, 0);
+  ASSERT_TRUE(wp_ch.valid());
   Bytes msg = rng.bytes(123);
-  JobId h = radio.submit_encrypt(*wp_ch, {}, {}, msg);
-  radio.run_until_idle();
+  Completion h = engine.submit_encrypt(wp_ch, {}, {}, msg);
+  engine.wait_all();
   auto ref = crypto::whirlpool(msg);
-  EXPECT_EQ(to_hex(radio.result(h).payload), to_hex(ByteSpan(ref.data(), ref.size())));
+  EXPECT_EQ(to_hex(h.result().payload), to_hex(ByteSpan(ref.data(), ref.size())));
 
   swap(1, CoreImage::kAesEncryptWithKs);
-  auto gcm = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(gcm.has_value());
+  Channel gcm = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(gcm.valid());
   Bytes iv = rng.bytes(12), pt = rng.bytes(128);
-  JobId e1 = radio.submit_encrypt(*gcm, iv, {}, pt);
-  JobId e2 = radio.submit_encrypt(*gcm, iv, {}, pt);  // forces use of core 1 too
-  radio.run_until_idle();
+  Completion e1 = engine.submit_encrypt(gcm, iv, {}, pt);
+  Completion e2 = engine.submit_encrypt(gcm, iv, {}, pt);  // forces use of core 1 too
+  engine.wait_all();
   auto keys = crypto::aes_expand_key(key);
   auto gref = crypto::gcm_seal(keys, iv, {}, pt);
-  EXPECT_EQ(to_hex(radio.result(e1).tag), to_hex(gref.tag));
-  EXPECT_EQ(to_hex(radio.result(e2).tag), to_hex(gref.tag));
+  EXPECT_EQ(to_hex(e1.result().tag), to_hex(gref.tag));
+  EXPECT_EQ(to_hex(e2.result().tag), to_hex(gref.tag));
 }
 
 }  // namespace
-}  // namespace mccp::radio
+}  // namespace mccp::host

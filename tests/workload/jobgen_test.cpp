@@ -42,5 +42,24 @@ TEST(JobGen, TakeShapeDrawsLikeTake) {
   }
 }
 
+TEST(JobGen, CtrCountersAreIncSafe) {
+  // A CTR initial counter leaves its low 16 bits clear, so the hardware
+  // INC core never wraps mid-packet.
+  ScenarioSpec spec = parse_scenario_text(R"({
+    "seed": 7,
+    "classes": [{"class": "voip", "packets": 20}]
+  })");
+  ASSERT_EQ(spec.classes[0].profile.mode, ChannelMode::kCtr);
+  ClassJobStream stream(spec.classes[0], spec.seed, 0, 0);
+  std::size_t taken = 0;
+  for (; !stream.exhausted(); ++taken) {
+    const GeneratedJob job = stream.take();
+    ASSERT_EQ(job.job.iv_or_nonce.size(), 16u);
+    EXPECT_EQ(job.job.iv_or_nonce[14], 0);
+    EXPECT_EQ(job.job.iv_or_nonce[15], 0);
+  }
+  EXPECT_EQ(taken, 20u);
+}
+
 }  // namespace
 }  // namespace mccp::workload
