@@ -5,6 +5,13 @@
 // register `on_done` callbacks — each registered callback fires exactly
 // once, from inside `Engine::step()` when the device reports the job
 // complete (or immediately if it already has).
+//
+// The handle is the only way back to a job's result: the Engine keeps a
+// job's state while it is in flight and drops it on delivery, so from then
+// on it lives exactly as long as some Completion holds it. `wait()` on a
+// temporary handle therefore returns the result by value —
+// `const JobResult& r = engine.submit_encrypt(...).wait();` binds a
+// lifetime-extended copy instead of a reference into freed state.
 #pragma once
 
 #include <cstdint>
@@ -48,16 +55,20 @@ class Completion {
   JobId id() const { return state_ ? state_->id : 0; }
   bool done() const { return state_ && state_->done; }
 
-  /// Final result; throws std::logic_error while still in flight.
-  const JobResult& result() const;
+  /// Final result; throws std::logic_error while still in flight. A
+  /// temporary handle has no result to lend: wait() it instead.
+  const JobResult& result() const&;
+  const JobResult& result() const&& = delete;
 
   /// Register a callback; fires exactly once — immediately if the job is
   /// already done, otherwise from Engine::step() on completion.
   void on_done(std::function<void(const JobResult&)> fn);
 
   /// Advance the engine until this job completes (or throw after
-  /// max_cycles of device time).
-  const JobResult& wait(sim::Cycle max_cycles = 100'000'000);
+  /// max_cycles of device time). The reference lives as long as the
+  /// handle; a temporary handle returns the result by value instead.
+  const JobResult& wait(sim::Cycle max_cycles = 100'000'000) &;
+  JobResult wait(sim::Cycle max_cycles = 100'000'000) &&;
 
  private:
   friend class Engine;

@@ -17,7 +17,7 @@ constexpr sim::Cycle kQuietStride = 1 << 20;
 
 // ---- Completion -------------------------------------------------------------
 
-const JobResult& Completion::result() const {
+const JobResult& Completion::result() const& {
   if (!state_) throw std::logic_error("Completion::result: invalid (default) completion");
   if (!state_->done)
     throw std::logic_error("Completion::result: job " + std::to_string(state_->id) +
@@ -34,7 +34,7 @@ void Completion::on_done(std::function<void(const JobResult&)> fn) {
   state_->callbacks.push_back(std::move(fn));
 }
 
-const JobResult& Completion::wait(sim::Cycle max_cycles) {
+const JobResult& Completion::wait(sim::Cycle max_cycles) & {
   if (!state_ || engine_ == nullptr)
     throw std::logic_error("Completion::wait: invalid (default) completion");
   sim::Cycle start = engine_->max_cycle();
@@ -46,6 +46,10 @@ const JobResult& Completion::wait(sim::Cycle max_cycles) {
   }
   return state_->result;
 }
+
+// `*this` is an lvalue in here, so this copies out of the & overload's
+// result before the temporary handle releases the state.
+JobResult Completion::wait(sim::Cycle max_cycles) && { return wait(max_cycles); }
 
 // ---- ChannelStats / Channel -------------------------------------------------
 
@@ -113,7 +117,6 @@ Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
   devices_created_ = devices_.size();
   build_config_ = config;
   config_built_ = true;
-  retain_specs_ = config.retain_specs || !config.faults.empty();
   for (const qos::TenantConfig& t : config.tenants) tenants_.register_tenant(t);
   for (const DeviceFault& f : config.faults) inject_fault(f.device, f.kill_at_cycle);
   pool_ = std::make_unique<WorkerPool>(std::min(config.num_workers, devices_.size()));
@@ -279,11 +282,10 @@ Completion Engine::submit(const Channel& ch, JobSpec spec) {
   ++rec.stats.submitted;
   rec.stats.payload_bytes += spec.payload.size();
 
-  if (retain_specs_) st->spec = std::make_unique<JobSpec>(spec);
+  if (retain_job_specs_) st->spec = std::make_unique<JobSpec>(spec);
   st->device_job = devices_[st->device]->submit(std::move(spec));
-  jobs_[st->id] = st;
   track(st);
-  return Completion(this, st);
+  return Completion(this, std::move(st));
 }
 
 void Engine::track(std::shared_ptr<detail::JobState> st) {
@@ -340,7 +342,7 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
 
   // Spec retention copies the burst before the device consumes it.
   std::vector<JobSpec> retained;
-  if (retain_specs_) retained = specs;
+  if (retain_job_specs_) retained = specs;
 
   std::vector<DeviceJobId> device_jobs = dev.submit_batch(specs);
   inflight_[device_index].reserve(inflight_[device_index].size() + device_jobs.size());
@@ -350,8 +352,7 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
     st->device = device_index;
     st->channel_uid = ch.uid_;
     st->device_job = device_jobs[i];
-    if (retain_specs_) st->spec = std::make_unique<JobSpec>(std::move(retained[i]));
-    jobs_[st->id] = st;
+    if (retain_job_specs_) st->spec = std::make_unique<JobSpec>(std::move(retained[i]));
     track(st);
     completions.push_back(Completion(this, std::move(st)));
   }
@@ -573,36 +574,6 @@ bool Engine::inflight_only_on_failed() const {
   return true;
 }
 
-Engine::ResultStatus Engine::status(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return ResultStatus::kUnknown;
-  return it->second->done ? ResultStatus::kComplete : ResultStatus::kPending;
-}
-
-const JobResult* Engine::find_result(JobId id) const {
-  auto it = jobs_.find(id);
-  return it != jobs_.end() && it->second->done ? &it->second->result : nullptr;
-}
-
-const JobResult* Engine::peek(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return nullptr;
-  if (it->second->done) return &it->second->result;
-  if (!devices_[it->second->device]) return nullptr;
-  return devices_[it->second->device]->result(it->second->device_job);
-}
-
-const JobResult& Engine::result(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
-    throw std::out_of_range("Engine::result: unknown JobId " + std::to_string(id) +
-                            " (never issued by this engine)");
-  if (!it->second->done)
-    throw std::out_of_range("Engine::result: JobId " + std::to_string(id) +
-                            " is still in flight; use wait()/step() or peek()");
-  return it->second->result;
-}
-
 SimDevice* Engine::sim_device(std::size_t i) {
   if (!device_alive(i)) return nullptr;
   Device* d = devices_[i].get();
@@ -708,7 +679,7 @@ bool Engine::draining(std::size_t index) const {
 void Engine::inject_fault(std::size_t index, sim::Cycle kill_at_cycle) {
   if (!device_alive(index))
     throw std::out_of_range("Engine::inject_fault: no device at slot " + std::to_string(index));
-  retain_specs_ = true;  // stranded jobs must be recoverable
+  retain_job_specs_ = true;  // stranded jobs must be recoverable
   if (auto* already = dynamic_cast<FaultyDevice*>(devices_[index].get())) {
     already->schedule_kill(kill_at_cycle);
     return;

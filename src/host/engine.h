@@ -10,6 +10,11 @@
 // handles auto-CLOSE their device channel slot and carry per-channel
 // statistics.
 //
+// The Engine keeps no finished jobs. A job's state lives while it is in
+// flight (the per-device in-flight and delivery lists own it) or while a
+// `Completion` handle holds it, and no longer: there is no by-id result
+// lookup, and a temporary handle's `wait()` returns its result by value.
+//
 // Stepping is optionally multithreaded (`EngineConfig::num_workers`):
 // devices shard across a worker pool (each device remains a single-threaded
 // clock domain, pinned to one worker; serial mode is a zero-thread pool that
@@ -114,14 +119,10 @@ struct EngineConfig {
   /// caller's thread, in both modes.
   std::size_t num_workers = 0;
   /// Scripted device deaths (fault injection): each listed device is
-  /// wrapped in a FaultyDevice at construction. A non-empty list implies
-  /// `retain_specs`, so stranded jobs can be resubmitted on recovery.
+  /// wrapped in a FaultyDevice at construction. A non-empty list turns on
+  /// spec retention, as inject_fault() does, so stranded jobs can be
+  /// resubmitted on recovery.
   std::vector<DeviceFault> faults{};
-  /// Keep a copy of every submitted JobSpec until its job completes, so
-  /// `remove_device()` can resubmit work stranded on a failed device.
-  /// Costs one spec copy per submit; implied by `faults` and by
-  /// `inject_fault()`.
-  bool retain_specs = false;
   /// Multi-tenant QoS: tenants registered at construction (dense 1-based
   /// ids in declaration order). Channels opened with a tenant id are
   /// metered against the tenant's rate bucket and in-flight quota at every
@@ -226,18 +227,6 @@ class Engine {
   /// Step until every submitted job completed (or throw after max_cycles
   /// of device time).
   void wait_all(sim::Cycle max_cycles = 100'000'000);
-
-  // -- results ------------------------------------------------------------------
-  enum class ResultStatus { kComplete, kPending, kUnknown };
-  ResultStatus status(JobId id) const;
-  /// Final result, or nullptr while pending / unknown (never throws).
-  const JobResult* find_result(JobId id) const;
-  /// Live view: final result once done, the in-flight partial before that;
-  /// nullptr if the id was never issued.
-  const JobResult* peek(JobId id) const;
-  /// Final result; throws std::out_of_range with a distinct, descriptive
-  /// message for unknown vs still-pending ids (never a bare map::at).
-  const JobResult& result(JobId id) const;
 
   // -- dynamic membership -------------------------------------------------------
   // Device slots are stable for the engine's lifetime: removing a device
@@ -402,7 +391,10 @@ class Engine {
   EngineConfig build_config_{};
   bool config_built_ = false;
   std::size_t devices_created_ = 0;  // monotonic, for unique device names
-  bool retain_specs_ = false;
+  /// Keep each job's spec until it completes, so remove_device() can
+  /// resubmit work stranded on a failed device. Set by inject_fault()
+  /// (and so by a non-empty EngineConfig::faults).
+  bool retain_job_specs_ = false;
   /// Inside remove_device(): its own drain must keep accepting the
   /// re-entrant submits completion callbacks issue (decrypt round-trips),
   /// so the draining-device typed error is suspended for the scope.
@@ -419,7 +411,6 @@ class Engine {
   /// the AES-mode channels are following (and vice versa).
   std::size_t rr_next_[2] = {0, 0};  // indexed by reconfig::CoreImage
 
-  std::map<JobId, std::shared_ptr<detail::JobState>> jobs_;
   /// In-flight jobs sharded by device, so each worker scans and trims only
   /// its own devices' lists during a round (no cross-thread sharing; the
   /// caller's thread owns every list between rounds).

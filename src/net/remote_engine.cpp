@@ -52,7 +52,7 @@ void RemoteChannel::close() {
 
 // -- RemoteCompletion -----------------------------------------------------------
 
-const host::JobResult& RemoteCompletion::result() const {
+const host::JobResult& RemoteCompletion::result() const& {
   if (!done()) throw std::logic_error("RemoteCompletion::result: job still in flight");
   return state_->result;
 }
@@ -66,7 +66,7 @@ void RemoteCompletion::on_done(std::function<void(const host::JobResult&)> fn) {
   state_->callbacks.push_back(std::move(fn));
 }
 
-const host::JobResult& RemoteCompletion::wait(int timeout_ms) {
+const host::JobResult& RemoteCompletion::wait(int timeout_ms) & {
   if (!state_) throw std::logic_error("RemoteCompletion::wait: invalid completion");
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   while (!state_->done) {
@@ -76,6 +76,8 @@ const host::JobResult& RemoteCompletion::wait(int timeout_ms) {
   }
   return state_->result;
 }
+
+host::JobResult RemoteCompletion::wait(int timeout_ms) && { return wait(timeout_ms); }
 
 // -- RemoteEngine ---------------------------------------------------------------
 

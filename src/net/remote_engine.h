@@ -66,15 +66,20 @@ class RemoteCompletion {
   std::uint64_t id() const { return state_ ? state_->job_id : 0; }
   bool done() const { return state_ && state_->done; }
 
-  /// Final result; throws std::logic_error while still in flight.
-  const host::JobResult& result() const;
+  /// Final result; throws std::logic_error while still in flight. As on
+  /// host::Completion, a temporary handle has no result to lend.
+  const host::JobResult& result() const&;
+  const host::JobResult& result() const&& = delete;
 
   /// Fires exactly once — immediately if already done, otherwise from
   /// RemoteEngine::poll() when the COMPLETION frame arrives.
   void on_done(std::function<void(const host::JobResult&)> fn);
 
   /// Pump the connection until this job completes (throws on timeout).
-  const host::JobResult& wait(int timeout_ms = 60'000);
+  /// The handle is the job state's last owner once the COMPLETION frame
+  /// has fired, so a temporary returns the result by value.
+  const host::JobResult& wait(int timeout_ms = 60'000) &;
+  host::JobResult wait(int timeout_ms = 60'000) &&;
 
  private:
   friend class RemoteEngine;

@@ -1,13 +1,18 @@
 // host::Engine — the asynchronous multi-device driver: channel sharding
 // across devices, RAII channel-slot reclamation, exactly-once completion
-// callbacks, result-lookup ergonomics, placement policies, and mixed
-// GCM/CCM traffic across a heterogeneous fleet, all checked against the
-// golden software references.
+// callbacks, completion-handle ergonomics and job lifetime, placement
+// policies, and mixed GCM/CCM traffic across a heterogeneous fleet, all
+// checked against the golden software references.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "common/hex.h"
 #include "common/rng.h"
@@ -191,45 +196,107 @@ TEST(Engine, JobQueuedOnClosedChannelFailsWithoutPoisoningStats) {
   EXPECT_EQ(s.mean_retry_latency_cycles(), 0.0);
 }
 
-TEST(Engine, ResultLookupHasClearErrors) {
+TEST(Engine, CompletionResultHasClearErrors) {
   Engine engine({.num_devices = 1, .device = {.num_cores = 1}});
   Rng rng(4);
-  engine.provision_key(1, rng.bytes(16));
+  Bytes key = rng.bytes(16);
+  engine.provision_key(1, key);
   Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
 
-  EXPECT_EQ(engine.status(999), Engine::ResultStatus::kUnknown);
-  EXPECT_EQ(engine.find_result(999), nullptr);
-  EXPECT_THROW(
-      {
-        try {
-          engine.result(999);
-        } catch (const std::out_of_range& e) {
-          EXPECT_NE(std::string(e.what()).find("unknown JobId"), std::string::npos);
-          throw;
-        }
-      },
-      std::out_of_range);
+  // A default handle names no job: every accessor says so.
+  Completion none;
+  EXPECT_FALSE(none.valid());
+  const auto expect_invalid = [](auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::logic_error";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid (default) completion"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_invalid([&] { (void)none.result(); });
+  expect_invalid([&] { (void)none.wait(); });
+  expect_invalid([&] { none.on_done([](const JobResult&) {}); });
 
   Completion job = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(64));
-  EXPECT_EQ(engine.status(job.id()), Engine::ResultStatus::kPending);
-  EXPECT_EQ(engine.find_result(job.id()), nullptr);
+  EXPECT_FALSE(job.done());
   EXPECT_THROW(
       {
         try {
-          engine.result(job.id());
-        } catch (const std::out_of_range& e) {
+          (void)job.result();
+        } catch (const std::logic_error& e) {
           EXPECT_NE(std::string(e.what()).find("still in flight"), std::string::npos);
           throw;
         }
       },
-      std::out_of_range);
-  EXPECT_THROW(job.result(), std::logic_error);  // completion mirrors it
-  EXPECT_NE(engine.peek(job.id()), nullptr);     // partial is visible
+      std::logic_error);
 
   job.wait();
-  EXPECT_EQ(engine.status(job.id()), Engine::ResultStatus::kComplete);
-  ASSERT_NE(engine.find_result(job.id()), nullptr);
-  EXPECT_TRUE(engine.result(job.id()).complete);
+  EXPECT_TRUE(job.done());
+  EXPECT_TRUE(job.result().complete);
+
+  // wait() on a temporary: the handle is the job state's only owner once
+  // delivered, so the bound result must be the handle's own copy and
+  // survive further traffic through the engine.
+  const Bytes iv = rng.bytes(12);
+  const Bytes pt = rng.bytes(512);
+  const JobResult& r = engine.submit_encrypt(ch, iv, {}, pt).wait();
+  for (int i = 0; i < 8; ++i) engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(512));
+  engine.wait_all();
+  const auto ref = crypto::gcm_seal(crypto::aes_expand_key(key), iv, {}, pt);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(to_hex(r.payload), to_hex(ref.ciphertext));
+  EXPECT_EQ(to_hex(r.tag), to_hex(ref.tag));
+}
+
+// Bytes the allocator has handed out and not had back (arena chunks plus
+// mmapped blocks), or nullopt where it cannot be read meaningfully: under
+// ASan/TSan, freed memory sits in the sanitizer's quarantine instead.
+std::optional<std::size_t> live_heap_bytes() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || !defined(__GLIBC__)
+  return std::nullopt;
+#else
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#endif
+}
+
+TEST(Engine, FinishedJobsAreNotRetained) {
+  // A delivered job whose handles are gone must leave nothing behind: run
+  // 50k 2 KB seals through on_done with the handles dropped at submit, and
+  // the live heap stays flat after warm-up. An engine that kept every
+  // finished job (payload, tag and state) grew by ~100 MB here.
+  constexpr int kJobs = 50'000;
+  constexpr int kWarmup = 5'000;
+  constexpr int kWindow = 64;
+  Engine engine({.num_devices = 1, .device = {.num_cores = 4}, .backend = Backend::kFast});
+  Rng rng(16);
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(ch.valid());
+  const Bytes iv = rng.bytes(12);
+  const Bytes pt = rng.bytes(2048);
+
+  int completed = 0;
+  std::optional<std::size_t> base;
+  for (int i = 1; i <= kJobs; ++i) {
+    engine.submit_encrypt(ch, iv, {}, pt).on_done([&completed](const JobResult& r) {
+      if (r.complete && r.auth_ok && r.payload.size() == 2048) ++completed;
+    });
+    if (i % kWindow == 0) engine.wait_all();
+    if (i == kWarmup) base = live_heap_bytes();
+  }
+  engine.wait_all();
+  EXPECT_EQ(completed, kJobs);
+  EXPECT_EQ(ch.stats().completed, static_cast<std::uint64_t>(kJobs));
+
+  const std::optional<std::size_t> end = live_heap_bytes();
+  if (!base || !end) GTEST_SKIP() << "live heap not measurable under this runtime";
+  const std::size_t growth = *end > *base ? *end - *base : 0;
+  EXPECT_LT(growth, std::size_t{4} << 20)
+      << "live heap grew " << growth << " bytes over " << kJobs - kWarmup
+      << " finished jobs";
 }
 
 TEST(Engine, LeastLoadedPlacementBalancesUnevenFleet) {

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "crypto/gcm.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/remote_engine.h"
@@ -570,6 +571,30 @@ TEST(NetServer, RemoteEngineMirrorsInProcessResults) {
   EXPECT_EQ(local_job.result().payload, remote_job.result().payload);
   EXPECT_EQ(local_job.result().tag, remote_job.result().tag);
   EXPECT_TRUE(remote_job.result().auth_ok);
+}
+
+TEST(NetServer, RemoteCompletionWaitOnTemporaryReturnsOwnedResult) {
+  // Once its COMPLETION frame has fired, the client drops its share of the
+  // job's state, so a temporary handle is the last owner: wait() on it must
+  // hand back a result that outlives the handle, not a reference into the
+  // freed state (ASan reports the read below otherwise).
+  const Bytes key(16, 0x24);
+  const Bytes iv(12, 0x5A);
+  const Bytes aad = {9, 8, 7};
+  const Bytes plaintext(300, 0xC3);
+
+  TestServer server(fast_fleet(2));
+  ClientConfig cc;
+  cc.port = server->port();
+  RemoteEngine remote(cc);
+  remote.provision_key(1, key);
+  RemoteChannel ch = remote.open_channel(top::ChannelMode::kGcm, 1, 16, 12);
+  const host::JobResult& r = remote.submit_encrypt(ch, iv, aad, plaintext).wait();
+
+  const auto ref = crypto::gcm_seal(crypto::aes_expand_key(key), iv, aad, plaintext);
+  EXPECT_TRUE(r.auth_ok);
+  EXPECT_EQ(r.payload, ref.ciphertext);
+  EXPECT_EQ(r.tag, ref.tag);
 }
 
 TEST(NetServer, HalfClosedClientStillReceivesItsCompletions) {
