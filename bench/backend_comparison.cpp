@@ -14,12 +14,10 @@
 //   --kernel K    force a crypto kernel tier (portable|auto|aesni|vaes);
 //                 the dispatched tier is reported in the JSON artifacts
 //   --json PATH   also emit a machine-readable BENCH_*.json artifact
-//   --append-trajectory FILE
-//                 append one perf-trajectory record per backend (sim and
-//                 fast head-to-head) for tools/check_trajectory.py
+//                 (CI pins its head-to-head figures and wall budgets with
+//                 tools/ci_assert.py)
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 
 #include "bench_common.h"
 
@@ -71,38 +69,7 @@ RunStats run_workload(host::Backend backend, std::size_t num_devices, std::size_
   return s;
 }
 
-// Perf-trajectory record for one head-to-head run, in the same compact
-// schema scenario_runner appends (check_trajectory.py groups on
-// scenario/transport/backend/threads/devices/window). The cycle-accurate
-// backend's wall_ms line is the one the CI speedup floor watches.
-std::string trajectory_record(const char* backend, std::size_t packets, const RunStats& s) {
-  const std::time_t now = std::time(nullptr);
-  char stamp[32] = "";
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr)
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-  JsonWriter json;
-  json.begin_object()
-      .field("utc", stamp)
-      .field("scenario", "backend_comparison")
-      .field("transport", "inproc")
-      .field("backend", backend)
-      .field("devices", std::size_t{1})
-      .field("cores_per_device", std::size_t{4})
-      .field("threads", std::size_t{0})
-      .field("window", std::size_t{0})
-      .field("offered", packets)
-      .field("completed", packets)
-      .field("makespan_cycles", s.makespan_cycles)
-      .field("modeled_throughput_mbps", s.modeled_mbps)
-      .field("mean_latency_cycles", s.mean_latency_cycles)
-      .field("wall_ms", s.wall_ms)
-      .field("kernel", crypto::active_kernel_name())
-      .end_object();
-  return json.str();
-}
-
-void run(std::size_t packets, const char* json_path, const char* trajectory_path) {
+void run(std::size_t packets, const char* json_path) {
   constexpr std::size_t kPayload = 2048;
 
   print_header("Backend head-to-head -- " + std::to_string(packets) +
@@ -172,15 +139,6 @@ void run(std::size_t packets, const char* json_path, const char* trajectory_path
     json.end_array().end_object();
     if (json.write_file(json_path)) std::printf("\nwrote %s\n", json_path);
   }
-
-  if (trajectory_path != nullptr) {
-    bool ok = workload::append_trajectory(trajectory_path, trajectory_record("sim", packets, sim));
-    ok = workload::append_trajectory(trajectory_path, trajectory_record("fast", packets, fast)) && ok;
-    if (ok)
-      std::printf("appended sim+fast head-to-head records to %s\n", trajectory_path);
-    else
-      std::fprintf(stderr, "backend_comparison: could not append to %s\n", trajectory_path);
-  }
 }
 
 }  // namespace
@@ -193,7 +151,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   mccp::bench::apply_kernel_flag(argc, argv);
-  mccp::bench::run(packets, mccp::bench::arg_value(argc, argv, "--json"),
-                   mccp::bench::arg_value(argc, argv, "--append-trajectory"));
+  mccp::bench::run(packets, mccp::bench::arg_value(argc, argv, "--json"));
   return 0;
 }

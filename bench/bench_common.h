@@ -12,6 +12,8 @@
 // case of the general multi-device `measure_engine`.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -160,9 +162,10 @@ inline PlatformMeasurement measure_platform(const top::MccpConfig& cfg,
 
 // --- machine-readable output (--json) -------------------------------------------
 
-/// Streaming JSON writer for the per-PR perf-trajectory artifacts
-/// (`BENCH_*.json`); lives in common/json_writer.h so library code (the
-/// workload scenario runner) can emit the same artifacts.
+/// Streaming JSON writer for the benches' `--json` report artifacts
+/// (`BENCH_*.json`, checked in CI by tools/ci_assert.py); lives in
+/// common/json_writer.h so library code (the workload scenario runner) can
+/// emit the same artifacts.
 using mccp::JsonWriter;
 
 /// `--flag value` lookup for the bench executables; returns nullptr when
@@ -173,9 +176,38 @@ inline const char* arg_value(int argc, char** argv, const char* flag) {
   return nullptr;
 }
 
-inline std::size_t arg_size(int argc, char** argv, const char* flag, std::size_t fallback) {
+/// A numeric flag value that does not parse in full: one diagnostic line
+/// naming the program and the flag, then exit status 2.
+[[noreturn]] inline void reject_flag_value(char** argv, const char* flag, const char* v,
+                                           const char* expected) {
+  const char* prog = std::strrchr(argv[0], '/');
+  std::fprintf(stderr, "%s: %s \"%s\": expected %s\n", prog != nullptr ? prog + 1 : argv[0],
+               flag, v, expected);
+  std::exit(2);
+}
+
+/// Strict unsigned `--flag N`: digits only (no sign, no blanks, no trailing
+/// characters, not empty) and in range, else reject_flag_value.
+inline std::uint64_t arg_size(int argc, char** argv, const char* flag, std::uint64_t fallback) {
   const char* v = arg_value(argc, argv, flag);
-  return v != nullptr ? static_cast<std::size_t>(std::strtoull(v, nullptr, 10)) : fallback;
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' || errno == ERANGE)
+    reject_flag_value(argv, flag, v, "a non-negative integer");
+  return n;
+}
+
+/// Strict floating-point `--flag F`: the whole value must parse; range
+/// checks are the caller's.
+inline double arg_double(int argc, char** argv, const char* flag, double fallback) {
+  const char* v = arg_value(argc, argv, flag);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0') reject_flag_value(argv, flag, v, "a number");
+  return x;
 }
 
 /// Shared `--kernel portable|auto|aesni|vaes` flag: forces a crypto kernel

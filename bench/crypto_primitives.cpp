@@ -5,8 +5,8 @@
 // benches instead.
 //
 // `--json PATH` additionally records the runs as a machine-readable
-// BENCH_*.json perf-trajectory artifact; `--kernel TIER` forces a crypto
-// kernel tier (portable|auto|aesni|vaes) for the google-benchmark section
+// BENCH_*.json report; `--kernel TIER` forces a crypto kernel tier
+// (portable|auto|aesni|vaes) for the google-benchmark section
 // (all other flags pass through to google-benchmark). A closing table
 // sweeps every tier this host supports and compares GCM seal/open, CCM
 // seal/open and CBC-MAC wall throughput, portable vs accelerated, in one
@@ -233,8 +233,8 @@ void print_tier_table(const std::vector<TierRates>& rates) {
 }
 
 // Collects finished runs so `--json` can record them through the shared
-// JsonWriter (our perf-trajectory format, independent of google-benchmark's
-// own --benchmark_out). Wraps the console reporter so it can act as the
+// JsonWriter (the benches' BENCH_*.json format, independent of
+// google-benchmark's own --benchmark_out). Wraps the console reporter so it can act as the
 // display reporter.
 class JsonCollector : public benchmark::ConsoleReporter {
  public:

@@ -14,13 +14,13 @@
 //   --connect H:P     use an already-running server (default: self-host)
 //   --clients N       concurrent client connections (default 8)
 //   --backend NAME    override the spec's backend (self-hosted fleet only)
-//   --scale F         multiply every class's packet count by F
+//   --scale F         multiply every class's packet count by F (rounded
+//                     to nearest, at least 1; F finite and > 0)
 //   --window N        override the spec's in-flight window
 //   --seed N          override the spec's seed
 //   --json PATH       write the report (default BENCH_net_swarm_<name>.json)
-//   --append-trajectory FILE
-//                     append one compact JSONL perf record to FILE
-#include <cmath>
+//
+// Numeric flags must parse in full; anything else exits 2.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -42,7 +42,7 @@ int run(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: net_swarm --scenario PATH [--connect HOST:PORT] [--clients N]\n"
                  "                 [--backend sim|fast] [--scale F] [--window N] [--seed N]\n"
-                 "                 [--json PATH] [--append-trajectory FILE]\n");
+                 "                 [--json PATH]\n");
     return 2;
   }
 
@@ -54,17 +54,9 @@ int run(int argc, char** argv) {
         "scenario_runner's inproc transport can execute");
   if (const char* backend = arg_value(argc, argv, "--backend"))
     spec.backend = mccp::workload::backend_from_name(backend);
-  if (const char* scale_str = arg_value(argc, argv, "--scale")) {
-    double scale = std::strtod(scale_str, nullptr);
-    if (!(scale > 0.0)) throw std::runtime_error("net_swarm: --scale must be > 0");
-    for (auto& cs : spec.classes)
-      if (cs.packets != 0)
-        cs.packets = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(std::llround(static_cast<double>(cs.packets) * scale)));
-  }
+  mccp::workload::scale_packets(spec, arg_double(argc, argv, "--scale", 1.0));
   spec.window = arg_size(argc, argv, "--window", spec.window);
-  if (const char* seed = arg_value(argc, argv, "--seed"))
-    spec.seed = std::strtoull(seed, nullptr, 10);
+  spec.seed = arg_size(argc, argv, "--seed", spec.seed);
 
   mccp::net::SwarmConfig net;
   net.connections = arg_size(argc, argv, "--clients", net.connections);
@@ -97,14 +89,6 @@ int run(int argc, char** argv) {
   if (!json_path.empty()) {
     if (!JsonWriter::write_text_file(json_path, mccp::workload::report_json(report))) return 1;
     std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (const char* traj = arg_value(argc, argv, "--append-trajectory")) {
-    if (!mccp::workload::append_trajectory(traj, mccp::workload::trajectory_line(report, "net"))) {
-      std::fprintf(stderr, "net_swarm: cannot append to %s\n", traj);
-      return 1;
-    }
-    std::printf("appended trajectory record to %s\n", traj);
   }
   return 0;
 }

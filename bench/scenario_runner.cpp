@@ -4,11 +4,12 @@
 // Loads a JSON scenario spec (shipped presets under scenarios/), drives
 // the fleet closed-loop on the chosen backend, prints a per-class table,
 // and optionally emits the full report (log-bucketed latency percentiles,
-// queue-depth-over-time series) as a BENCH_*.json perf-trajectory
-// artifact. Two transports run the same spec: the in-process
-// workload::ScenarioRunner, or a client swarm replaying the scenario
-// against the networked crypto-offload service (net::SwarmRunner) — with
-// blocking admission the per-class completion counts come out identical.
+// queue-depth-over-time series) as a BENCH_*.json report artifact, which
+// CI checks with tools/ci_assert.py. Two transports run the same spec: the
+// in-process workload::ScenarioRunner, or a client swarm replaying the
+// scenario against the networked crypto-offload service (net::SwarmRunner)
+// — with blocking admission the per-class completion counts come out
+// identical.
 //
 // Flags:
 //   --scenario PATH   scenario spec to run (required)
@@ -18,23 +19,21 @@
 //                     (default: self-host a loopback server for the run)
 //   --clients N       net transport: concurrent client connections (8)
 //   --backend NAME    override the spec's backend: sim | fast
-//   --scale F         multiply every class's packet count by F (e.g. 0.05
-//                     to shrink a fleet-scale scenario for the
-//                     cycle-accurate simulator)
+//   --scale F         multiply every class's packet count by F, rounding
+//                     to nearest, at least 1 (e.g. 0.05 to shrink a
+//                     fleet-scale scenario for the cycle-accurate
+//                     simulator); F must be finite and > 0
 //   --window N        override the spec's in-flight window
 //   --seed N          override the spec's seed
 //   --threads N       override the spec's engine worker threads (0 = step
 //                     the fleet serially on this thread)
 //   --kernel K        force a crypto kernel tier (portable|auto|aesni|
 //                     vaes); the dispatched tier lands in the report JSON
-//                     and trajectory records
 //   --json PATH       write the report artifact (with --json and no PATH
 //                     that looks like a file, BENCH_scenario_<name>.json)
-//   --append-trajectory FILE
-//                     append one compact JSONL record (UTC stamp, wall
-//                     clock, modeled throughput, p99) to FILE — the
-//                     across-PRs perf trajectory (BENCH_trajectory.jsonl)
-#include <cmath>
+//
+// Numeric flags must parse in full (no sign, no trailing characters):
+// anything else prints one diagnostic line and exits 2.
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -57,24 +56,16 @@ int run(int argc, char** argv) {
                  "                       [--connect HOST:PORT] [--clients N]\n"
                  "                       [--backend sim|fast] [--scale F] [--window N]\n"
                  "                       [--seed N] [--threads N] [--kernel TIER]\n"
-                 "                       [--json PATH] [--append-trajectory FILE]\n");
+                 "                       [--json PATH]\n");
     return 2;
   }
 
   mccp::workload::ScenarioSpec spec = mccp::workload::load_scenario(scenario_path);
   if (const char* backend = arg_value(argc, argv, "--backend"))
     spec.backend = mccp::workload::backend_from_name(backend);
-  if (const char* scale_str = arg_value(argc, argv, "--scale")) {
-    double scale = std::strtod(scale_str, nullptr);
-    if (!(scale > 0.0)) throw std::runtime_error("scenario_runner: --scale must be > 0");
-    for (auto& cs : spec.classes)
-      if (cs.packets != 0)
-        cs.packets = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(std::llround(static_cast<double>(cs.packets) * scale)));
-  }
+  mccp::workload::scale_packets(spec, arg_double(argc, argv, "--scale", 1.0));
   spec.window = arg_size(argc, argv, "--window", spec.window);
-  if (const char* seed = arg_value(argc, argv, "--seed"))
-    spec.seed = std::strtoull(seed, nullptr, 10);
+  spec.seed = arg_size(argc, argv, "--seed", spec.seed);
   spec.threads = arg_size(argc, argv, "--threads", spec.threads);
   apply_kernel_flag(argc, argv);
 
@@ -130,15 +121,6 @@ int run(int argc, char** argv) {
   if (!json_path.empty()) {
     if (!JsonWriter::write_text_file(json_path, mccp::workload::report_json(report))) return 1;
     std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (const char* traj = arg_value(argc, argv, "--append-trajectory")) {
-    if (!mccp::workload::append_trajectory(traj,
-                                           mccp::workload::trajectory_line(report, transport))) {
-      std::fprintf(stderr, "scenario_runner: cannot append to %s\n", traj);
-      return 1;
-    }
-    std::printf("appended trajectory record to %s\n", traj);
   }
   return 0;
 }

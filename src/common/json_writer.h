@@ -1,7 +1,8 @@
 // Minimal streaming JSON writer for machine-readable artifacts (the
-// per-PR `BENCH_*.json` perf-trajectory files and the scenario runner's
-// reports). Handles string escaping and comma placement; nesting is the
-// caller's responsibility (begin/end calls must balance).
+// benches' `BENCH_*.json` reports, which CI checks with tools/ci_assert.py,
+// and the scenario runner's reports). Handles string escaping and comma
+// placement; nesting is the caller's responsibility (begin/end calls must
+// balance).
 //
 // Grew up in bench/bench_common.h; promoted to src/common/ when the
 // workload layer started emitting the same artifacts from library code.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <ctime>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -465,6 +463,16 @@ void histogram_json(JsonWriter& json, const std::string& key, const LogHistogram
 }  // namespace
 
 std::string report_json(const ScenarioReport& report) {
+  LogHistogram latency;
+  std::uint64_t payload_bytes = 0;
+  for (const ClassReport& c : report.classes) {
+    latency.merge(c.latency);
+    payload_bytes += c.payload_bytes;
+  }
+  const double modeled_mbps =
+      report.makespan_cycles > 0 ? sim::throughput_mbps(payload_bytes * 8, report.makespan_cycles)
+                                 : 0.0;
+
   JsonWriter json;
   json.begin_object()
       .field("bench", "scenario_runner")
@@ -478,6 +486,7 @@ std::string report_json(const ScenarioReport& report) {
       .field("makespan_cycles", report.makespan_cycles)
       .field("makespan_ms_at_190mhz",
              static_cast<double>(report.makespan_cycles) / 190e3)
+      .field("modeled_mbps", modeled_mbps)
       .field("wall_ms", report.wall_ms)
       .field("peak_inflight", report.peak_inflight)
       .field("reconfigurations", report.reconfigurations)
@@ -492,6 +501,7 @@ std::string report_json(const ScenarioReport& report) {
       .field("resubmitted_jobs", report.resubmitted_jobs)
       .field("lost_jobs", report.lost_jobs)
       .field("final_devices", report.final_devices);
+  histogram_json(json, "latency_cycles", latency);
   json.begin_array("recovery");
   for (const RecoveryEvent& ev : report.recovery) {
     json.begin_object()
@@ -558,52 +568,6 @@ std::string report_json(const ScenarioReport& report) {
   json.end_array();
   json.end_object();
   return json.str();
-}
-
-std::string trajectory_line(const ScenarioReport& report, const std::string& transport) {
-  // All-classes latency for the headline p99.
-  LogHistogram latency;
-  std::uint64_t payload_bytes = 0;
-  for (const ClassReport& c : report.classes) {
-    latency.merge(c.latency);
-    payload_bytes += c.payload_bytes;
-  }
-  const double modeled_mbps =
-      report.makespan_cycles > 0 ? sim::throughput_mbps(payload_bytes * 8, report.makespan_cycles)
-                                 : 0.0;
-
-  const std::time_t now = std::time(nullptr);
-  char stamp[32] = "";
-  std::tm tm_utc{};
-  if (gmtime_r(&now, &tm_utc) != nullptr)
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
-
-  JsonWriter json;
-  json.begin_object()
-      .field("utc", stamp)
-      .field("scenario", report.scenario)
-      .field("transport", transport)
-      .field("backend", report.backend)
-      .field("devices", report.devices)
-      .field("cores_per_device", report.cores_per_device)
-      .field("threads", report.threads)
-      .field("window", report.window)
-      .field("offered", report.total_offered())
-      .field("completed", report.total_completed())
-      .field("makespan_cycles", report.makespan_cycles)
-      .field("modeled_throughput_mbps", modeled_mbps)
-      .field("p99_latency_cycles", latency.quantile(0.99))
-      .field("wall_ms", report.wall_ms)
-      .field("kernel", crypto::active_kernel_name())
-      .end_object();
-  return json.str();
-}
-
-bool append_trajectory(const std::string& path, const std::string& line) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) return false;
-  out << line << '\n';
-  return static_cast<bool>(out);
 }
 
 }  // namespace mccp::workload

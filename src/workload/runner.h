@@ -207,14 +207,10 @@ class ScenarioRunner {
 void build_tenant_reports(const ScenarioSpec& spec, ScenarioReport& report);
 
 /// The report as a `BENCH_*.json`-style artifact (common/json_writer.h).
+/// Besides the per-class and per-tenant sections it carries the run's
+/// headline figures: modeled aggregate throughput at 190 MHz
+/// ("modeled_mbps") and the all-classes latency distribution
+/// ("latency_cycles").
 std::string report_json(const ScenarioReport& report);
-
-/// One compact perf-trajectory record (a BENCH_trajectory.jsonl line): UTC
-/// stamp, scenario/transport/backend identity, wall clock, modeled
-/// aggregate throughput at 190 MHz, and the all-classes p99 latency.
-/// `transport` names how the scenario was driven ("inproc" / "net").
-std::string trajectory_line(const ScenarioReport& report, const std::string& transport);
-/// Append `line` + '\n' to `path` (creating the file); false on I/O error.
-bool append_trajectory(const std::string& path, const std::string& line);
 
 }  // namespace mccp::workload

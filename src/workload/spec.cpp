@@ -1,6 +1,8 @@
 #include "workload/spec.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "workload/trace.h"
@@ -358,6 +360,21 @@ ScenarioSpec load_scenario(const std::string& path) {
     // and "unexpected end of input at line 2" alone doesn't say where.
     if (std::string(e.what()).find(path) != std::string::npos) throw;
     throw json::ParseError(path + ": " + e.what());
+  }
+}
+
+void scale_packets(ScenarioSpec& spec, double scale) {
+  char shown[32];
+  std::snprintf(shown, sizeof(shown), "%g", scale);
+  if (!(std::isfinite(scale) && scale > 0.0))
+    throw std::invalid_argument(std::string("--scale must be a finite number > 0, got ") + shown);
+  for (ClassSpec& cs : spec.classes) {
+    if (cs.packets == 0) continue;
+    const double scaled = std::round(static_cast<double>(cs.packets) * scale);
+    if (!(scaled < 0x1p63))
+      throw std::invalid_argument(std::string("--scale ") + shown +
+                                  " overflows a class's packet count");
+    cs.packets = std::max<std::uint64_t>(1, static_cast<std::uint64_t>(scaled));
   }
 }
 

@@ -155,6 +155,13 @@ ScenarioSpec parse_scenario_text(std::string_view json_text, const std::string& 
 /// Load from a file; trace references resolve relative to its directory.
 ScenarioSpec load_scenario(const std::string& path);
 
+/// The CLIs' `--scale F`: multiply every counted class's packet count by
+/// `scale`, rounding to nearest (halves away from zero) with a floor of one
+/// packet; trace-driven classes (packets == 0) keep replaying their trace.
+/// Throws std::invalid_argument naming `--scale` unless `scale` is finite
+/// and > 0 and every scaled count fits in 63 bits.
+void scale_packets(ScenarioSpec& spec, double scale);
+
 const char* backend_name(host::Backend backend);
 host::Backend backend_from_name(const std::string& name);
 const char* placement_name(host::Placement placement);

@@ -25,10 +25,7 @@ workload::ScenarioSpec load_scaled(const std::string& name, double scale,
   workload::ScenarioSpec spec =
       workload::load_scenario(std::string(MCCP_SOURCE_DIR) + "/scenarios/" + name);
   spec.backend = backend;
-  for (auto& cs : spec.classes)
-    if (cs.packets != 0)
-      cs.packets = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(static_cast<double>(cs.packets) * scale));
+  workload::scale_packets(spec, scale);
   return spec;
 }
 

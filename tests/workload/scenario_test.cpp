@@ -133,9 +133,7 @@ TEST(Scenario, MixedRadioPresetSerialVsThreadedOnBothBackends) {
   for (host::Backend backend : {host::Backend::kFast, host::Backend::kSim}) {
     ScenarioSpec base = load_scenario(path);
     base.backend = backend;
-    if (backend == host::Backend::kSim)
-      for (ClassSpec& cs : base.classes)
-        cs.packets = std::max<std::uint64_t>(1, cs.packets / 20);  // --scale 0.05
+    if (backend == host::Backend::kSim) scale_packets(base, 0.05);
 
     ScenarioSpec serial_spec = base;
     serial_spec.threads = 0;

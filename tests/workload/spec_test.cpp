@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "workload/spec.h"
@@ -206,6 +208,36 @@ TEST(Spec, NameRoundTrips) {
     EXPECT_EQ(image_from_name(image_spec_name(img)), img);
   for (auto s : {reconfig::BitstreamStore::kRam, reconfig::BitstreamStore::kCompactFlash})
     EXPECT_EQ(store_from_name(store_spec_name(s)), s);
+}
+
+TEST(Spec, ScalePacketsRoundsToNearestWithAFloorOfOne) {
+  ScenarioSpec spec;
+  spec.classes.resize(4);
+  spec.classes[0].packets = 150;
+  spec.classes[1].packets = 149;
+  spec.classes[2].packets = 3;
+  spec.classes[3].packets = 0;  // trace-driven: replays its whole trace
+  scale_packets(spec, 0.05);
+  EXPECT_EQ(spec.classes[0].packets, 8u);  // 7.5 rounds half away from zero
+  EXPECT_EQ(spec.classes[1].packets, 7u);  // 7.45
+  EXPECT_EQ(spec.classes[2].packets, 1u);  // 0.15, raised to the one-packet floor
+  EXPECT_EQ(spec.classes[3].packets, 0u);
+  scale_packets(spec, 1.0);
+  EXPECT_EQ(spec.classes[0].packets, 8u);
+}
+
+TEST(Spec, ScalePacketsRejectsNonFiniteNonPositiveAndOverflowingScales) {
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    ScenarioSpec spec;
+    spec.classes.resize(1);
+    try {
+      scale_packets(spec, bad);
+      ADD_FAILURE() << "accepted --scale " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--scale"), std::string::npos) << e.what();
+    }
+  }
 }
 
 // -- multi-tenant QoS ---------------------------------------------------------
