@@ -84,29 +84,6 @@ void CryptoCore::advance_quiet(std::uint64_t n) {
   if (task_active_) busy_cycles_ += n;
 }
 
-sim::Cycle CryptoCore::run(sim::Cycle max_cycles) {
-  if (cpu_.halted()) return 0;  // parked controllers batch via advance_quiet()
-  sim::Cycle budget = max_cycles;
-  const bool cu_busy = cu_.busy();
-  if (cu_busy) {
-    // The controller cannot touch the unit inside a burst (port accesses
-    // yield), so the unit must be provably dormant for the whole span. Its
-    // done pulse may land mid-burst; the wake it sets is sticky and takes
-    // effect at exactly the same instruction boundary as in lockstep.
-    const std::uint64_t d = cu_.dormant_cycles(/*external_frozen=*/false);
-    if (d < budget) budget = d;
-    if (budget == 0) return 0;
-  }
-  const sim::Cycle consumed = cpu_.run(budget);
-  if (consumed == 0) return 0;
-  if (cu_busy)
-    cu_.advance_dormant(consumed);
-  else
-    cu_.skip_idle(consumed);
-  if (task_active_) busy_cycles_ += consumed;
-  return consumed;
-}
-
 std::uint8_t CryptoCore::read_port(std::uint8_t port) {
   switch (port) {
     case kPortCuStatus: {

@@ -79,13 +79,6 @@ class CryptoCore final : public sim::Clocked, private pb::IoBus {
   /// Apply `n` quiet ticks in O(1); bit-identical to n tick() calls for any
   /// n <= quiet_horizon().
   void advance_quiet(std::uint64_t n);
-  /// Burst an *active* controller: retire straight-line instructions
-  /// back-to-back (cpu run loop) while the Cryptographic Unit is idle or
-  /// provably dormant, yielding at I/O-port accesses, HALT and interrupt
-  /// entry. Returns the cycles consumed (0 = the next cycle needs tick(),
-  /// e.g. an I/O execute, a parked controller, or a port-gated CU wait).
-  /// Safe whenever nothing outside the core acts during the burst.
-  sim::Cycle run(sim::Cycle max_cycles);
 
   // -- statistics -------------------------------------------------------------
   std::uint64_t busy_cycles() const { return busy_cycles_; }

@@ -6,9 +6,11 @@
 // validated by the FIPS-197 known-answer tests.
 //
 // The column-granular round helpers (`encrypt_round_column`,
-// `final_round_column`) exist for the cycle-level Cryptographic Unit model,
-// which — like the Chodowiec–Gaj core the paper uses — produces one 32-bit
-// column of the next state per clock cycle.
+// `final_round_column`) mirror the datapath of the Chodowiec–Gaj core the
+// paper uses, which produces one 32-bit column of the next state per clock
+// cycle. aes_test checks them against FIPS-197 and the block routine; the
+// cycle-level Cryptographic Unit takes its functional result from
+// aes_encrypt_block and models only that core's timing.
 #pragma once
 
 #include <array>
@@ -77,7 +79,7 @@ Block128 aes_decrypt_block_portable(const AesRoundKeys& keys, const Block128& in
 /// One-shot helpers (expand + single block).
 Block128 aes_encrypt_block(ByteSpan key, const Block128& in);
 
-// --- Column-granular round steps for the cycle-level core model ----------
+// --- Column-granular round steps of the iterative core's datapath --------
 
 /// Compute column `col` (0..3) of SubBytes∘ShiftRows∘MixColumns(state) ^ rk.
 /// Applying this for all four columns equals one full middle round.

@@ -145,25 +145,11 @@ void CryptographicUnit::begin(Inflight& f) {
   // cycles per AES block count from the start strobe).
   if (f.op == CuOp::kSaes) {
     if (keys_ == nullptr) throw std::runtime_error(name_ + ": SAES without round keys");
-    // Functional result via the column-serial round helpers — same datapath
-    // the Chodowiec-Gaj core implements, validated against FIPS-197.
-    const auto& k = *keys_;
-    Block128 state = bank_[f.a] ^ k.rk[0];
-    const int nr = k.rounds();
-    for (int r = 1; r < nr; ++r) {
-      Block128 next;
-      for (int c = 0; c < 4; ++c)
-        next.set_word(static_cast<std::size_t>(c),
-                      crypto::encrypt_round_column(state, k.rk[static_cast<std::size_t>(r)], c));
-      state = next;
-    }
-    Block128 out;
-    for (int c = 0; c < 4; ++c)
-      out.set_word(static_cast<std::size_t>(c),
-                   crypto::final_round_column(state, k.rk[static_cast<std::size_t>(nr)], c));
-    aes_result_ = out;
+    // Functional result from the crypto kernel tier (bit-identical AES on
+    // every tier); the horizon below is the iterative core's timing.
+    aes_result_ = crypto::aes_encrypt_block(*keys_, bank_[f.a]);
     aes_valid_ = true;
-    aes_ready_ = cycle_ + static_cast<std::uint64_t>(crypto::aes_core_cycles(k.key_size));
+    aes_ready_ = cycle_ + static_cast<std::uint64_t>(crypto::aes_core_cycles(keys_->key_size));
     ++aes_blocks_;
   } else if (f.op == CuOp::kSgfm) {
     // Y <- (Y ^ X) * H. The hardware is the 43-cycle digit-serial

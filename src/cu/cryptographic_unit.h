@@ -96,9 +96,6 @@ class CryptographicUnit final : public sim::Clocked {
   /// resulting state (cycle counter, horizons, bank writes, done pulses)
   /// is bit-identical to calling tick() n times.
   void advance_dormant(std::uint64_t n);
-  /// Account `n` ticks while no instruction is in flight (pure clock
-  /// advance; only valid when !busy()).
-  void skip_idle(std::uint64_t n) { cycle_ += n; }
 
   // Introspection for tests and the reconfiguration model.
   const Block128& bank(unsigned i) const { return bank_[i & 3]; }

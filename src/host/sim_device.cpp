@@ -29,6 +29,10 @@ std::uint8_t SimDevice::run_control(std::uint32_t instruction) {
 }
 
 bool SimDevice::drain_retrieved() {
+  const std::uint64_t words_out = mccp_.crossbar().words_out();
+  if (words_out == drained_words_out_ && !retrieved_since_drain_) return false;
+  drained_words_out_ = words_out;
+  retrieved_since_drain_ = false;
   bool drained = false;
   for (Job* job : active_) {
     if (job->state == Job::State::kRetrieved) {
@@ -262,6 +266,7 @@ bool SimDevice::pump() {
         if (job->state == Job::State::kAccepted && job->request_id == req) {
           job->auth_ok = !top::is_auth_fail(rr);
           job->state = job->auth_ok ? Job::State::kRetrieved : Job::State::kDrained;
+          retrieved_since_drain_ |= job->auth_ok;
           break;
         }
       }

@@ -128,6 +128,12 @@ class SimDevice final : public Device {
   /// of every control-instruction wait — a map lookup per job per cycle
   /// was a measurable slice of simulated wall-clock.
   std::vector<Job*> active_;
+  /// Drain gate: drain_retrieved() can only act when the crossbar moved a
+  /// word into some outbox (words_out() advanced past the value seen at the
+  /// last drain) or a job entered kRetrieved since then (its lanes may
+  /// already hold everything it expects, e.g. a verify with no output).
+  std::uint64_t drained_words_out_ = 0;
+  bool retrieved_since_drain_ = false;
   std::map<DeviceJobId, Job> jobs_;           // pending + accepted
   std::map<DeviceJobId, JobResult> results_;  // completed + in-flight partials
   DeviceJobId next_job_ = 1;

@@ -37,27 +37,28 @@ bool CrossBar::quiet() const {
 }
 
 void CrossBar::tick() {
+  // Round-robin from the lane after the last one served; the probe index
+  // wraps by compare, not by division (up to 2n probes every cycle).
   const std::size_t n = lanes_.size();
+  auto next = [n](std::size_t i) { return i + 1 == n ? 0 : i + 1; };
   // One word into one core per cycle (write port).
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t i = (write_rr_ + k) % n;
+  for (std::size_t k = 0, i = write_rr_; k < n; ++k, i = next(i)) {
     Lane& lane = lanes_[i];
     if (lane.write_granted && !lane.inbox.empty() && !cores_[i]->in_fifo().full()) {
       cores_[i]->in_fifo().push(lane.inbox.front());
       lane.inbox.pop_front();
       ++words_in_;
-      write_rr_ = (i + 1) % n;
+      write_rr_ = next(i);
       break;
     }
   }
   // One word out of one core per cycle (read port).
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t i = (read_rr_ + k) % n;
+  for (std::size_t k = 0, i = read_rr_; k < n; ++k, i = next(i)) {
     Lane& lane = lanes_[i];
     if (lane.read_granted && !cores_[i]->out_fifo().empty()) {
       lane.outbox.push_back(cores_[i]->out_fifo().pop());
       ++words_out_;
-      read_rr_ = (i + 1) % n;
+      read_rr_ = next(i);
       break;
     }
   }

@@ -109,6 +109,7 @@ std::optional<std::uint64_t> Mccp::begin_core_reconfiguration(std::size_t core_i
   reconfig_[core_idx].target = image;
   reconfig_[core_idx].remaining =
       reconfig::scaled_reconfiguration_cycles(image, store, reconfig_time_divisor_);
+  ++swaps_in_flight_;
   ++reconfigurations_done_;
   reconfig_stall_cycles_ += reconfig_[core_idx].remaining;
   ++reconfig_to_[static_cast<std::size_t>(image)];
@@ -119,10 +120,12 @@ std::optional<std::uint64_t> Mccp::begin_core_reconfiguration(std::size_t core_i
 }
 
 void Mccp::tick_reconfiguration() {
+  if (swaps_in_flight_ == 0) return;
   for (std::size_t i = 0; i < reconfig_.size(); ++i) {
     auto& r = reconfig_[i];
     if (r.remaining == 0) continue;
     if (--r.remaining == 0) {
+      --swaps_in_flight_;
       r.image = r.target;
       cores_[i]->set_personality(personality_for(r.image));
       core_allocated_[i] = false;
@@ -282,6 +285,7 @@ void Mccp::try_finish_wait_keys() {
     crossbar_->open_write(req.info.lanes[i]);
   }
   req.state = ReqState::kProcessing;
+  if (!req.info.decrypt) ++unannounced_encrypts_;
   std::uint8_t id = req.info.id;
   finish(make_ok(id));
 }
@@ -316,6 +320,20 @@ void Mccp::exec_transfer_done(std::uint8_t id) {
 }
 
 void Mccp::scan_requests() {
+  // Without a fresh done line, an unannounced encrypt or a running
+  // countdown, every request below would fall through untouched.
+  std::uint64_t tasks_completed = 0;
+  for (const auto& c : cores_) tasks_completed += c->tasks_completed();
+  if (tasks_completed == scanned_tasks_completed_ && unannounced_encrypts_ == 0 &&
+      done_countdowns_ == 0)
+    return;
+  scanned_tasks_completed_ = tasks_completed;
+
+  auto announce = [&](std::uint8_t id, Request& req, bool ok) {
+    req.announced = true;
+    available_.push_back({id, ok});
+    if (!req.info.decrypt) --unannounced_encrypts_;
+  };
   for (auto& [id, req] : requests_) {
     if (req.state != ReqState::kProcessing) continue;
 
@@ -324,8 +342,7 @@ void Mccp::scan_requests() {
     if (!req.info.decrypt && !req.announced) {
       for (std::size_t lane : req.info.lanes) {
         if (!cores_[lane]->out_fifo().empty()) {
-          req.announced = true;
-          available_.push_back({id, true});
+          announce(id, req, true);
           break;
         }
       }
@@ -336,8 +353,12 @@ void Mccp::scan_requests() {
       if (!cores_[lane]->done_pending()) all_done = false;
     if (!all_done) continue;
 
-    if (req.done_scan_countdown < 0) req.done_scan_countdown = kDoneScanCycles;
+    if (req.done_scan_countdown < 0) {
+      req.done_scan_countdown = kDoneScanCycles;
+      ++done_countdowns_;
+    }
     if (--req.done_scan_countdown > 0) continue;
+    --done_countdowns_;
 
     // All cores reported: collect results.
     req.auth_ok = true;
@@ -361,10 +382,7 @@ void Mccp::scan_requests() {
     }
     req.state = ReqState::kCompleted;
     ++requests_completed_;
-    if (!req.announced) {
-      req.announced = true;
-      available_.push_back({id, req.auth_ok});
-    }
+    if (!req.announced) announce(id, req, req.auth_ok);
     trace_.record(cycle_, "scheduler",
                   "req " + std::to_string(id) + (req.auth_ok ? " done" : " AUTH FAIL"));
   }

@@ -210,6 +210,14 @@ class Mccp final : public sim::Clocked {
 
   std::map<std::uint8_t, Channel> channels_;
   std::map<std::uint8_t, Request> requests_;
+  // Request-scan gate: scan_requests() can only act when a core's done
+  // line rose since the last scan (the cores' summed tasks_completed()
+  // moved), an encrypt request still waits for its first output word, or a
+  // done-scan countdown is running. The last two are kept as counts,
+  // updated where those request states change.
+  std::uint64_t scanned_tasks_completed_ = 0;
+  std::size_t unannounced_encrypts_ = 0;
+  std::size_t done_countdowns_ = 0;
   std::deque<std::pair<std::uint8_t, bool>> available_;  // (request id, auth ok)
 
   struct CoreReconfigState {
@@ -218,6 +226,8 @@ class Mccp final : public sim::Clocked {
     std::uint64_t remaining = 0;
   };
   std::vector<CoreReconfigState> reconfig_;
+  /// Swaps begun and not yet landed: tick_reconfiguration() is O(1) at 0.
+  std::size_t swaps_in_flight_ = 0;
   reconfig::BitstreamStore bitstream_store_;
   bool auto_reconfig_;
   std::uint32_t reconfig_time_divisor_;

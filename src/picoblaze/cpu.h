@@ -20,7 +20,10 @@
 // into a dense DecodedOp table, so the per-cycle `tick()` dispatches on a
 // flat enum with no field extraction, and `run(max_cycles)` retires
 // straight-line instructions back-to-back between I/O boundaries. The
-// original decode-per-execute path is retained as `tick_reference()` — a
+// simulator itself only ticks: a CryptoCore's controller writes the CU port
+// every few instructions, so its bursts would be too short to pay, and
+// `run()` is exercised by the differential fuzz suite alone. The original
+// decode-per-execute path is retained as `tick_reference()` — a
 // differential oracle the fuzz suite steps in lockstep against the cached
 // paths.
 #pragma once

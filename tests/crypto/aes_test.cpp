@@ -91,7 +91,8 @@ INSTANTIATE_TEST_SUITE_P(KeySizes, AesRoundTrip, ::testing::Values(0, 1, 2, 3, 4
 
 TEST(Aes, ColumnSerialMiddleRoundMatchesFullEncryption) {
   // Drive a full encryption using only the column-granular helpers, the way
-  // the simulated 32-bit core does, and compare with the block routine.
+  // the paper's 32-bit iterative core computes it, and compare with the
+  // block routine the simulated Cryptographic Unit uses.
   Rng rng(99);
   for (std::size_t ks : {16u, 24u, 32u}) {
     auto keys = aes_expand_key(rng.bytes(ks));

@@ -1,5 +1,5 @@
 // Cross Bar unit tests: grant discipline, word-per-cycle metering and
-// round-robin fairness among granted cores.
+// round-robin arbitration among granted cores.
 #include "mccp/crossbar.h"
 
 #include <gtest/gtest.h>
@@ -104,6 +104,79 @@ TEST(CrossBar, ThroughputCountersAdvance) {
   h.sim.run(3);
   EXPECT_EQ(h.xb->words_in(), 2u);
   EXPECT_EQ(h.xb->words_out(), 1u);
+}
+
+// One tick; returns the lane whose core FIFO received a word (-1: none).
+int tick_write(XbHarness& h) {
+  std::vector<std::size_t> before;
+  for (auto& c : h.cores) before.push_back(c->in_fifo().size());
+  h.sim.run(1);
+  int served = -1;
+  for (std::size_t i = 0; i < h.cores.size(); ++i)
+    if (h.cores[i]->in_fifo().size() != before[i]) {
+      EXPECT_EQ(served, -1) << "two lanes served in one cycle";
+      served = static_cast<int>(i);
+    }
+  return served;
+}
+
+// One tick; returns the lane whose outbox received a word (-1: none).
+int tick_read(XbHarness& h) {
+  h.sim.run(1);
+  int served = -1;
+  for (std::size_t i = 0; i < h.cores.size(); ++i)
+    if (!h.xb->take_output(i).empty()) {
+      EXPECT_EQ(served, -1) << "two lanes served in one cycle";
+      served = static_cast<int>(i);
+    }
+  return served;
+}
+
+// Three lanes — not a power of two, so the arbiter's wrap-around from the
+// last lane back to lane 0 is exercised on both ports.
+TEST(CrossBar, WriteArbiterRoundRobinsThreeLanesAndSkipsFullFifos) {
+  XbHarness h(3);
+  for (std::size_t i = 0; i < 3; ++i) h.xb->open_write(i);
+  // Only lane 1 has words: it is served, and the arbiter resumes after it.
+  h.xb->push_words(1, {7});
+  EXPECT_EQ(tick_write(h), 1);
+  for (std::size_t i = 0; i < 3; ++i) h.xb->push_words(i, {1, 2, 3});
+  std::vector<int> order;
+  for (int k = 0; k < 6; ++k) order.push_back(tick_write(h));
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 1, 2, 0, 1}));
+  // Core 2's FIFO is full: its lane is skipped, not waited on.
+  while (!h.cores[2]->in_fifo().full()) h.cores[2]->in_fifo().push(0);
+  order.clear();
+  for (int k = 0; k < 3; ++k) order.push_back(tick_write(h));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, -1}));
+  // Space appears: the stalled lane is next in turn and then wraps to 0.
+  h.cores[2]->in_fifo().pop();
+  h.xb->push_words(0, {4});
+  order.clear();
+  for (int k = 0; k < 2; ++k) order.push_back(tick_write(h));
+  EXPECT_EQ(order, (std::vector<int>{2, 0}));
+  EXPECT_EQ(h.xb->words_in(), 11u);
+}
+
+TEST(CrossBar, ReadArbiterRoundRobinsThreeLanesAndSkipsEmptyFifos) {
+  XbHarness h(3);
+  for (std::size_t i = 0; i < 3; ++i) h.xb->open_read(i);
+  // Only lane 2 has output: after serving it the arbiter wraps to lane 0.
+  h.cores[2]->out_fifo().push(9);
+  EXPECT_EQ(tick_read(h), 2);
+  for (std::uint32_t w = 0; w < 2; ++w)
+    for (auto& c : h.cores) c->out_fifo().push(w);
+  std::vector<int> order;
+  for (int k = 0; k < 6; ++k) order.push_back(tick_read(h));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2}));
+  // Lane 0 has nothing to read: skipped in turn.
+  h.cores[1]->out_fifo().push(5);
+  h.cores[2]->out_fifo().push(6);
+  h.cores[1]->out_fifo().push(8);
+  order.clear();
+  for (int k = 0; k < 4; ++k) order.push_back(tick_read(h));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 1, -1}));
+  EXPECT_EQ(h.xb->words_out(), 10u);
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 // scratchpad, port I/O, jumps, calls into RETURN-terminated subroutines,
 // HALT/wake and interrupts; the two CPUs step in lockstep and the full
 // architectural state (registers, flags, scratchpad, stack, pc, retired
-// count, bus traffic) is compared at every cycle / yield point.
+// count, bus traffic) is compared at every cycle / yield point. A last
+// case checks a whole CryptoCore task fast-forwarded through its quiet
+// spans against per-cycle ticks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -204,11 +207,12 @@ TEST(CpuDifferential, BatchedRunMatchesReferenceAtYieldPoints) {
   }
 }
 
-// The batched CryptoCore::run must consume exactly the same number of
-// cycles as per-cycle tick() for a whole GCM task — same result code, same
-// ciphertext+tag words, same controller retirement count. The stream is
-// preloaded into the input FIFO so nothing external acts during bursts.
-TEST(CpuDifferential, CryptoCoreRunMatchesPerCycleTick) {
+// CryptoCore::advance_quiet must land a whole GCM task on exactly the cycle
+// per-cycle tick() does — same result code, same ciphertext+tag words, same
+// controller retirement count and busy cycles — when every quiet span the
+// core reports is skipped in one call (split at random points). The stream
+// is preloaded into the input FIFO so nothing external acts during a span.
+TEST(CpuDifferential, CryptoCoreQuietAdvanceMatchesPerCycleTick) {
   const std::vector<std::uint8_t> key(16, 0x42);
   std::vector<std::uint8_t> iv(12), aad(8), pt(64);
   for (std::size_t i = 0; i < iv.size(); ++i) iv[i] = static_cast<std::uint8_t>(i + 1);
@@ -237,19 +241,24 @@ TEST(CpuDifferential, CryptoCoreRunMatchesPerCycleTick) {
   Rng rng(7);
   core::CryptoCore fast{"fast"};
   prime(fast);
-  sim::Cycle fast_cycles = 0;
+  sim::Cycle fast_cycles = 0, skipped = 0;
   while (!fast.done_pending() && fast_cycles < 200000) {
-    const sim::Cycle used = fast.run(1 + rng.below(500));
-    if (used == 0) {
+    const std::uint64_t h = fast.quiet_horizon();
+    if (h == 0) {
       fast.tick();
       ++fast_cycles;
-    } else {
-      fast_cycles += used;
+      continue;
     }
+    const std::uint64_t n = 1 + rng.below(static_cast<unsigned>(std::min<std::uint64_t>(h, 500)));
+    fast.advance_quiet(n);
+    fast_cycles += n;
+    skipped += n;
   }
   ASSERT_TRUE(fast.done_pending());
 
+  EXPECT_GT(skipped, 0u);  // the AES/GHASH waits were fast-forwarded
   EXPECT_EQ(fast_cycles, ref_cycles);
+  EXPECT_EQ(fast.busy_cycles(), ref.busy_cycles());
   EXPECT_EQ(fast.result(), ref.result());
   EXPECT_EQ(fast.controller().instructions_retired(),
             ref.controller().instructions_retired());
