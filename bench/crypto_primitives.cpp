@@ -9,11 +9,13 @@
 // (portable|auto|aesni|vaes) for the google-benchmark section
 // (all other flags pass through to google-benchmark). A closing table
 // sweeps every tier this host supports and compares GCM seal/open, CCM
-// seal/open and CBC-MAC wall throughput, portable vs accelerated, in one
-// run.
+// seal/open, CCM seal of four packets side by side (one ccm_batch call, the
+// multi-lane kernel) and CBC-MAC wall throughput, portable vs accelerated,
+// in one run.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
 #include "bench_common.h"
 #include "common/rng.h"
@@ -151,6 +153,7 @@ struct TierRates {
   double gcm_open_mb_s = 0;
   double ccm_seal_mb_s = 0;  // 8-byte tag, 13-byte nonce
   double ccm_open_mb_s = 0;
+  double ccm_seal_x4_mb_s = 0;  // four 2 KB seals per ccm_batch call
   double cbc_mac_mb_s = 0;
 };
 
@@ -172,7 +175,9 @@ double measure_mb_s(std::size_t bytes_per_op, Fn&& op) {
 
 /// Sweep every kernel tier this host can force and measure the FastDevice
 /// AES-mode hot paths on 2 KB payloads: GCM seal/open with a cached per-key
-/// GcmKey, CCM seal/open (the one-pass kernel) and the CBC-MAC chain.
+/// GcmKey, CCM seal/open one packet per call, CCM seal of four packets per
+/// ccm_batch call (as FastDevice batches a 4-core device's jobs) and the
+/// CBC-MAC chain.
 /// Restores the previously dispatched tier afterwards.
 std::vector<TierRates> measure_by_tier() {
   constexpr std::size_t kPayload = 2048;
@@ -186,6 +191,9 @@ std::vector<TierRates> measure_by_tier() {
   const CcmParams ccm{.tag_len = 8, .nonce_len = 13};
   GcmSealed sealed = gcm_seal(key, iv, aad, pt);
   CcmSealed ccm_sealed = ccm_seal(keys, ccm, nonce, aad, pt);
+  const Bytes nonces[4] = {rng.bytes(13), rng.bytes(13), rng.bytes(13), rng.bytes(13)};
+  std::vector<CcmJob> x4;
+  for (const Bytes& n : nonces) x4.push_back(CcmJob::seal(keys, ccm, n, aad, pt));
 
   const std::string previous = active_kernel_name();
   std::vector<TierRates> rates;
@@ -207,6 +215,10 @@ std::vector<TierRates> measure_by_tier() {
       benchmark::DoNotOptimize(
           ccm_open(keys, ccm, nonce, aad, ccm_sealed.ciphertext, ccm_sealed.tag));
     });
+    r.ccm_seal_x4_mb_s = measure_mb_s(4 * kPayload, [&] {
+      ccm_batch(x4);
+      benchmark::DoNotOptimize(x4.data());
+    });
     r.cbc_mac_mb_s = measure_mb_s(kPayload, [&] {
       CbcMac mac(keys);
       mac.update_padded(pt);
@@ -221,13 +233,13 @@ std::vector<TierRates> measure_by_tier() {
 void print_tier_table(const std::vector<TierRates>& rates) {
   bench::print_header(
       "AES modes by crypto kernel tier -- wall MB/s, 2 KB payloads, AES-128");
-  std::printf("%-10s %10s %10s %10s %10s %10s %9s\n", "tier", "GCM seal", "GCM open",
-              "CCM seal", "CCM open", "CBC-MAC", "GCM gain");
+  std::printf("%-10s %10s %10s %10s %10s %12s %10s %9s\n", "tier", "GCM seal", "GCM open",
+              "CCM seal", "CCM open", "CCM seal x4", "CBC-MAC", "GCM gain");
   const double base = rates.empty() ? 1.0 : rates.front().gcm_seal_mb_s;
   for (const auto& r : rates)
-    std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %10.1f %8.1fx\n", r.tier.c_str(),
+    std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %12.1f %10.1f %8.1fx\n", r.tier.c_str(),
                 r.gcm_seal_mb_s, r.gcm_open_mb_s, r.ccm_seal_mb_s, r.ccm_open_mb_s,
-                r.cbc_mac_mb_s, r.gcm_seal_mb_s / base);
+                r.ccm_seal_x4_mb_s, r.cbc_mac_mb_s, r.gcm_seal_mb_s / base);
   std::printf("\ndispatched kernel: %s (MCCP_CRYPTO_KERNEL or --kernel to override)\n",
               active_kernel_name());
 }
@@ -273,6 +285,7 @@ class JsonCollector : public benchmark::ConsoleReporter {
           .field("gcm_open_mb_s", t.gcm_open_mb_s)
           .field("ccm_seal_mb_s", t.ccm_seal_mb_s)
           .field("ccm_open_mb_s", t.ccm_open_mb_s)
+          .field("ccm_seal_x4_mb_s", t.ccm_seal_x4_mb_s)
           .field("cbc_mac_mb_s", t.cbc_mac_mb_s)
           .end_object();
     }

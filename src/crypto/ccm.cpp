@@ -68,71 +68,102 @@ namespace {
 
 /// The CBC-MAC chain over B0 and the encoded AAD: everything the tag covers
 /// before the payload.
-Block128 ccm_header_mac(const CryptoKernels& k, const AesRoundKeys& keys, const CcmParams& p,
-                        ByteSpan nonce, ByteSpan aad, std::size_t msg_len) {
+Block128 ccm_header_mac(const CryptoKernels& k, const CcmJob& job) {
   Block128 x{};
-  const Block128 b0 = ccm_b0(p, nonce, aad.size(), msg_len);
-  k.cbc_mac_blocks(keys, x, b0.b.data(), 1);
-  const Bytes encoded = ccm_encode_aad(aad);
-  k.cbc_mac_blocks(keys, x, encoded.data(), encoded.size() / 16);
+  const Block128 b0 = ccm_b0(job.params, job.nonce, job.aad.size(), job.input.size());
+  k.cbc_mac_blocks(*job.keys, x, b0.b.data(), 1);
+  const Bytes encoded = ccm_encode_aad(job.aad);
+  k.cbc_mac_blocks(*job.keys, x, encoded.data(), encoded.size() / 16);
   return x;
 }
 
-/// One pass over the payload: the CTR transform from Ctr_1 (inc32 walk,
-/// as ctr_transform) and the CBC-MAC chain over the plaintext, which is
-/// `in` when sealing and `out` when opening. The full blocks go through
-/// the kernel; the zero-padded tail is finished here.
-void ccm_payload(const CryptoKernels& k, const AesRoundKeys& keys, Block128& mac, Block128 ctr,
-                 bool decrypt, ByteSpan in, std::uint8_t* out) {
-  const std::size_t full = in.size() / 16;
-  k.ccm_blocks(keys, mac, ctr, decrypt, in.data(), out, full);
-  const std::size_t done = 16 * full;
-  if (done == in.size()) return;
-  k.ctr_xor(keys, ctr, /*wide_counter=*/true, in.data() + done, out + done, in.size() - done);
-  const Block128 tail = Block128::from_span(decrypt ? ByteSpan(out + done, in.size() - done)
-                                                    : in.subspan(done));
-  k.cbc_mac_blocks(keys, mac, tail.b.data(), 1);
+/// Start a job: its header MAC, and its full payload blocks as a kernel
+/// lane from Ctr_1 (the inc32 walk, as ctr_transform).
+CcmLane ccm_start(const CryptoKernels& k, CcmJob& job) {
+  job.output.resize(job.input.size());
+  return CcmLane{.keys = job.keys,
+                 .mac = ccm_header_mac(k, job),
+                 .ctr = ccm_ctr_block(job.params, job.nonce, 1),
+                 .decrypt = job.decrypt,
+                 .in = job.input.data(),
+                 .out = job.output.data(),
+                 .nblocks = job.input.size() / 16};
 }
 
-/// T ^ E(K, Ctr_0), truncated to the tag length.
-Bytes ccm_tag(const CryptoKernels& k, const AesRoundKeys& keys, const CcmParams& p,
-              ByteSpan nonce, const Block128& mac) {
-  const Block128 a0_ks = k.aes_encrypt(keys, ccm_ctr_block(p, nonce, 0));
-  Bytes tag(p.tag_len);
-  for (std::size_t i = 0; i < p.tag_len; ++i) tag[i] = mac.b[i] ^ a0_ks.b[i];
-  return tag;
+/// Finish a job after its lane ran: the zero-padded tail, then the tag
+/// T ^ E(K, Ctr_0), truncated to tag_len — sealed, or checked.
+void ccm_finish(const CryptoKernels& k, CcmJob& job, CcmLane& lane) {
+  const std::size_t done = 16 * lane.nblocks;
+  const std::size_t n = job.input.size();
+  if (done < n) {
+    k.ctr_xor(*job.keys, lane.ctr, /*wide_counter=*/true, job.input.data() + done,
+              job.output.data() + done, n - done);
+    const Block128 tail = Block128::from_span(
+        job.decrypt ? ByteSpan(job.output.data() + done, n - done) : job.input.subspan(done));
+    k.cbc_mac_blocks(*job.keys, lane.mac, tail.b.data(), 1);
+  }
+  const Block128 full =
+      lane.mac ^ k.aes_encrypt(*job.keys, ccm_ctr_block(job.params, job.nonce, 0));
+  const ByteSpan tag(full.b.data(), job.params.tag_len);
+  if (!job.decrypt) {
+    job.sealed_tag.assign(tag.begin(), tag.end());
+    job.ok = true;
+    return;
+  }
+  job.ok = ct_equal(tag, job.tag);
+  if (!job.ok) job.output.clear();
 }
 
 }  // namespace
 
+void ccm_batch(std::span<CcmJob> jobs) {
+  for (const CcmJob& job : jobs) {
+    if (!ccm_params_valid(job.params)) throw std::invalid_argument("ccm: invalid parameters");
+    if (job.nonce.size() != job.params.nonce_len)
+      throw std::invalid_argument("ccm: nonce length mismatch");
+    ccm_b0(job.params, job.nonce, job.aad.size(), job.input.size());  // length check
+  }
+
+  // Up to kMaxCcmLanes jobs of one round count (10, 12, 14) per kernel
+  // call: a group runs when it fills, and the stragglers at the end.
+  const CryptoKernels& k = active_kernels();
+  struct Group {
+    CcmLane lanes[kMaxCcmLanes]{};
+    CcmJob* jobs[kMaxCcmLanes]{};
+    std::size_t n = 0;
+  } groups[3];
+  auto run = [&k](Group& g) {
+    k.ccm_lanes(g.lanes, g.n);
+    for (std::size_t i = 0; i < g.n; ++i) ccm_finish(k, *g.jobs[i], g.lanes[i]);
+    g.n = 0;
+  };
+  for (CcmJob& job : jobs) {
+    job.output.clear();
+    job.sealed_tag.clear();
+    job.ok = false;
+    if (job.decrypt && job.tag.size() != job.params.tag_len) continue;
+    Group& g = groups[(job.keys->rounds() - 10) / 2];
+    g.lanes[g.n] = ccm_start(k, job);
+    g.jobs[g.n++] = &job;
+    if (g.n == kMaxCcmLanes) run(g);
+  }
+  for (Group& g : groups)
+    if (g.n > 0) run(g);
+}
+
 CcmSealed ccm_seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,
                    ByteSpan plaintext) {
-  if (!ccm_params_valid(p)) throw std::invalid_argument("ccm: invalid parameters");
-  if (nonce.size() != p.nonce_len) throw std::invalid_argument("ccm: nonce length mismatch");
-
-  const CryptoKernels& k = active_kernels();
-  Block128 mac = ccm_header_mac(k, keys, p, nonce, aad, plaintext.size());
-  CcmSealed out;
-  out.ciphertext.resize(plaintext.size());
-  ccm_payload(k, keys, mac, ccm_ctr_block(p, nonce, 1), /*decrypt=*/false, plaintext,
-              out.ciphertext.data());
-  out.tag = ccm_tag(k, keys, p, nonce, mac);
-  return out;
+  CcmJob job = CcmJob::seal(keys, p, nonce, aad, plaintext);
+  ccm_batch({&job, 1});
+  return {std::move(job.output), std::move(job.sealed_tag)};
 }
 
 std::optional<Bytes> ccm_open(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
                               ByteSpan aad, ByteSpan ciphertext, ByteSpan tag) {
-  if (!ccm_params_valid(p)) throw std::invalid_argument("ccm: invalid parameters");
-  if (nonce.size() != p.nonce_len) throw std::invalid_argument("ccm: nonce length mismatch");
-  if (tag.size() != p.tag_len) return std::nullopt;
-
-  const CryptoKernels& k = active_kernels();
-  Block128 mac = ccm_header_mac(k, keys, p, nonce, aad, ciphertext.size());
-  Bytes plaintext(ciphertext.size());
-  ccm_payload(k, keys, mac, ccm_ctr_block(p, nonce, 1), /*decrypt=*/true, ciphertext,
-              plaintext.data());
-  if (!ct_equal(ccm_tag(k, keys, p, nonce, mac), tag)) return std::nullopt;
-  return plaintext;
+  CcmJob job = CcmJob::open(keys, p, nonce, aad, ciphertext, tag);
+  ccm_batch({&job, 1});
+  if (!job.ok) return std::nullopt;
+  return std::move(job.output);
 }
 
 }  // namespace mccp::crypto

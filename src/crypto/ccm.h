@@ -1,6 +1,12 @@
 // AES-CCM: Counter with CBC-MAC (NIST SP 800-38C / RFC 3610).
 //
-// Besides the one-shot seal/open API this header exposes the *formatting
+// ccm_batch seals and opens many independent packets in one call: their
+// payloads run side by side through the multi-lane CCM kernel (up to
+// kMaxCcmLanes per kernel call), the software form of the MCCP running
+// independent packets on independent cores. ccm_seal / ccm_open are
+// batches of one.
+//
+// Besides the seal/open API this header exposes the *formatting
 // function* (B0 block, encoded AAD, counter blocks) as standalone helpers.
 // The paper's communication controller "must format data prior to send them
 // to the cryptographic cores" (§VI.B) — the radio substrate reuses exactly
@@ -8,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "common/bytes.h"
 #include "crypto/aes.h"
@@ -35,6 +42,48 @@ struct CcmSealed {
   Bytes ciphertext;  // same length as plaintext
   Bytes tag;         // tag_len bytes
 };
+
+/// One packet of a ccm_batch: seal `input` (plaintext) or, when `decrypt`,
+/// open it (ciphertext) against `tag`. The call fills the results. The
+/// spans and `keys` must outlive the call.
+struct CcmJob {
+  static CcmJob seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,
+                     ByteSpan plaintext) {
+    CcmJob job;
+    job.keys = &keys;
+    job.params = p;
+    job.nonce = nonce;
+    job.aad = aad;
+    job.input = plaintext;
+    return job;
+  }
+  static CcmJob open(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,
+                     ByteSpan ciphertext, ByteSpan tag) {
+    CcmJob job = seal(keys, p, nonce, aad, ciphertext);
+    job.decrypt = true;
+    job.tag = tag;
+    return job;
+  }
+
+  const AesRoundKeys* keys = nullptr;
+  CcmParams params;
+  bool decrypt = false;
+  ByteSpan nonce;
+  ByteSpan aad;
+  ByteSpan input;
+  ByteSpan tag;  // open only
+
+  Bytes output;       // ciphertext, or plaintext (empty when the tag fails)
+  Bytes sealed_tag;   // seal only: tag_len bytes
+  bool ok = false;    // seal: true; open: the tag verified
+};
+
+/// Seal or open every job, mixed directions, keys and key sizes in any
+/// order. Jobs of equal AES round count share kernel calls. Throws
+/// std::invalid_argument, before any job runs, on bad parameters, a nonce
+/// of the wrong length or a message too long for the nonce length. An open
+/// whose tag is not tag_len bytes fails (!ok) without being computed.
+void ccm_batch(std::span<CcmJob> jobs);
 
 /// Authenticated encryption. Throws std::invalid_argument on bad parameters.
 CcmSealed ccm_seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,

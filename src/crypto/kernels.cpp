@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 
 #include "crypto/ctr.h"
@@ -59,14 +60,16 @@ void portable_cbc_mac_blocks(const AesRoundKeys& keys, Block128& x, const std::u
     x = aes_encrypt_block_portable(keys, x ^ Block128::from_span(ByteSpan(data + 16 * i, 16)));
 }
 
-void portable_ccm_blocks(const AesRoundKeys& keys, Block128& mac, Block128& ctr, bool decrypt,
-                         const std::uint8_t* in, std::uint8_t* out, std::size_t nblocks) {
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    const Block128 x = Block128::from_span(ByteSpan(in + 16 * i, 16));
-    const Block128 y = x ^ aes_encrypt_block_portable(keys, ctr);
-    ctr = inc32(ctr);
-    std::memcpy(out + 16 * i, y.b.data(), 16);
-    mac = aes_encrypt_block_portable(keys, mac ^ (decrypt ? y : x));
+void portable_ccm_lanes(CcmLane* lanes, std::size_t n) {
+  // The oracle: each lane on its own, one block at a time.
+  for (CcmLane& l : std::span(lanes, n)) {
+    for (std::size_t i = 0; i < l.nblocks; ++i) {
+      const Block128 x = Block128::from_span(ByteSpan(l.in + 16 * i, 16));
+      const Block128 y = x ^ aes_encrypt_block_portable(*l.keys, l.ctr);
+      l.ctr = inc32(l.ctr);
+      std::memcpy(l.out + 16 * i, y.b.data(), 16);
+      l.mac = aes_encrypt_block_portable(*l.keys, l.mac ^ (l.decrypt ? y : x));
+    }
   }
 }
 
@@ -80,7 +83,7 @@ void portable_ghash_blocks(const Gf128Table& table, Block128& y, const std::uint
 
 constexpr CryptoKernels kPortableKernels{
     "portable",          portable_aes_encrypt,    portable_aes_decrypt,
-    portable_ctr_xor,    portable_cbc_mac_blocks, portable_ccm_blocks,
+    portable_ctr_xor,    portable_cbc_mac_blocks, portable_ccm_lanes,
     portable_ghash_mul,  portable_ghash_blocks,
 };
 

@@ -3,14 +3,16 @@
 // The portable T-table AES and Shoup-table GHASH in aes.cpp / gf128.cpp are
 // the golden reference: always compiled, always the differential oracle. On
 // x86 hardware with the AES-NI and PCLMULQDQ extensions (optionally VAES +
-// AVX2 for 2x-wide CTR pipelining), a `CryptoKernels` function-pointer set
+// AVX2 for 2x-wide pipelining), a `CryptoKernels` function-pointer set
 // selected once at startup routes the block-level hot paths — single-block
-// AES, multi-block CTR keystream, the CBC-MAC chain, one-pass CCM, GHASH
-// multiply — through the hardware instructions instead. The hardware tiers
-// keep round keys, counters and the MAC chain in registers: counters step
-// with one SIMD lane add per block, and the CCM kernel interleaves the
-// serial CBC-MAC chain with the CTR keystream the way the paper pairs a CTR
-// core with a CBC-MAC core. Outputs are bit-identical by construction (the
+// AES, multi-block CTR keystream, the CBC-MAC chain, multi-buffer CCM,
+// GHASH multiply — through the hardware instructions instead. The hardware
+// tiers keep round keys, counters and the MAC chains in registers: counters
+// step with one SIMD lane add per block, and the CCM kernel runs up to
+// kMaxCcmLanes independent packets side by side, each lane interleaving its
+// serial CBC-MAC chain with its CTR keystream — the way the paper runs
+// independent packets on independent cores and pairs a CTR core with a
+// CBC-MAC core. Outputs are bit-identical by construction (the
 // instructions implement the same field math), and the cross-kernel suite in
 // tests/crypto/kernel_dispatch_test.cpp plus the tier-parametrized KAT and
 // backend-differential suites enforce it.
@@ -39,6 +41,25 @@
 
 namespace mccp::crypto {
 
+/// Most packets one ccm_lanes call runs side by side.
+inline constexpr std::size_t kMaxCcmLanes = 4;
+
+/// One packet's full CCM payload blocks in a ccm_lanes call: out_i = in_i ^
+/// E(K, ctr_i) with the inc32 counter walk, and the CBC-MAC chain absorbs
+/// the plaintext — `in_i` when sealing, `out_i` when opening (`decrypt`).
+/// The kernel leaves `mac` at the chained value and `ctr` at the next
+/// unused counter; a lane of 0 blocks is left untouched. `in` and `out`
+/// may alias exactly.
+struct CcmLane {
+  const AesRoundKeys* keys = nullptr;
+  Block128 mac;
+  Block128 ctr;
+  bool decrypt = false;
+  const std::uint8_t* in = nullptr;
+  std::uint8_t* out = nullptr;
+  std::size_t nblocks = 0;
+};
+
 /// The dispatchable hot-path kernel set. Every entry is bit-identical to
 /// the portable reference; only throughput differs.
 struct CryptoKernels {
@@ -59,13 +80,11 @@ struct CryptoKernels {
   void (*cbc_mac_blocks)(const AesRoundKeys& keys, Block128& x, const std::uint8_t* data,
                          std::size_t nblocks);
 
-  /// One-pass CCM over `nblocks` full payload blocks: out_i = in_i ^ E(K,
-  /// ctr_i) with the inc32 counter walk, and the CBC-MAC chain absorbs the
-  /// plaintext — `in_i` when sealing, `out_i` when opening (`decrypt`).
-  /// Leaves `mac` at the chained value and `ctr` at the next unused
-  /// counter. `in` and `out` may alias exactly.
-  void (*ccm_blocks)(const AesRoundKeys& keys, Block128& mac, Block128& ctr, bool decrypt,
-                     const std::uint8_t* in, std::uint8_t* out, std::size_t nblocks);
+  /// Multi-buffer one-pass CCM over `n` (1..kMaxCcmLanes) independent
+  /// lanes, see CcmLane. Every lane's keys must have the same round count.
+  /// Lanes advance block for block, round for round, until the shortest
+  /// finishes; the rest carry on, still interleaved.
+  void (*ccm_lanes)(CcmLane* lanes, std::size_t n);
 
   /// X * H in GF(2^128) for the table's fixed H — the GHASH absorb step.
   Block128 (*ghash_mul)(const Gf128Table& table, const Block128& x);

@@ -38,6 +38,9 @@
 #include <cpuid.h>
 #include <immintrin.h>
 
+#include <algorithm>
+#include <span>
+
 namespace mccp::crypto {
 namespace {
 
@@ -258,7 +261,7 @@ MCCP_TARGET_VAES void vaes_ctr_xor(const AesRoundKeys& keys, const Block128& ctr
   if (off < len) aesni_ctr_xor(keys, ctr, wide_counter, in + off, out + off, len - off);
 }
 
-// ---- CBC-MAC chain and one-pass CCM -----------------------------------------
+// ---- CBC-MAC chain ------------------------------------------------------------
 
 /// All NR + 1 round keys of one schedule, loaded once per call. NR is a
 /// compile-time constant so the round loops unroll and the keys stay in
@@ -278,20 +281,6 @@ struct RoundKeyRegs {
 #pragma GCC unroll 14
     for (int r = 1; r < NR; ++r) x = _mm_aesenc_si128(x, k[r]);
     return _mm_aesenclast_si128(x, k[NR]);
-  }
-
-  /// Encrypt the MAC state `m` and the counter block `c` side by side,
-  /// round for round: the counter's AESENCs fill the latency gaps of the
-  /// serial MAC chain, so the keystream costs almost nothing on top of it.
-  /// Both inputs already carry the rk0 whitening.
-  MCCP_TARGET_AESNI void rounds_pair(__m128i& m, __m128i& c) const {
-#pragma GCC unroll 14
-    for (int r = 1; r < NR; ++r) {
-      m = _mm_aesenc_si128(m, k[r]);
-      c = _mm_aesenc_si128(c, k[r]);
-    }
-    m = _mm_aesenclast_si128(m, k[NR]);
-    c = _mm_aesenclast_si128(c, k[NR]);
   }
 };
 
@@ -319,46 +308,262 @@ MCCP_TARGET_AESNI void aesni_cbc_mac_blocks(const AesRoundKeys& keys, Block128& 
   });
 }
 
-MCCP_TARGET_AESNI void aesni_ccm_blocks(const AesRoundKeys& keys, Block128& mac, Block128& ctr,
-                                        bool decrypt, const std::uint8_t* in, std::uint8_t* out,
-                                        std::size_t nblocks) {
-  if (nblocks == 0) return;
-  const __m128i swap = counter_swap<true>();
-  const __m128i lane0 = _mm_shuffle_epi8(load_block(ctr), swap);
-  with_rounds(keys, [&]<int NR>() MCCP_TARGET_AESNI {
-    const RoundKeyRegs<NR> rk(keys);
-    __m128i lane = lane0;
-    __m128i m = load_block(mac);
-    if (!decrypt) {
-      // Seal: the MAC absorbs P_i while E(ctr_i) is computed beside it.
-      for (std::size_t i = 0; i < nblocks; ++i) {
-        const __m128i p = load_data(in + 16 * i);
-        __m128i c = _mm_xor_si128(_mm_shuffle_epi8(lane, swap), rk.k[0]);
-        lane = counter_add<true>(lane, 1);
-        m = _mm_xor_si128(m, _mm_xor_si128(p, rk.k[0]));
-        rk.rounds_pair(m, c);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i), _mm_xor_si128(p, c));
-      }
-    } else {
-      // Open: P_i = C_i ^ E(ctr_i) feeds the MAC, so keystream block i + 1
-      // is computed during MAC block i (one spare keystream block at the
-      // end).
-      __m128i ks = rk.rounds(_mm_xor_si128(_mm_shuffle_epi8(lane, swap), rk.k[0]));
-      lane = counter_add<true>(lane, 1);
-      for (std::size_t i = 0; i < nblocks; ++i) {
-        const __m128i p = _mm_xor_si128(load_data(in + 16 * i), ks);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i), p);
-        ks = _mm_xor_si128(_mm_shuffle_epi8(lane, swap), rk.k[0]);
-        lane = counter_add<true>(lane, 1);
-        m = _mm_xor_si128(m, _mm_xor_si128(p, rk.k[0]));
-        rk.rounds_pair(m, ks);
-      }
+// ---- multi-buffer CCM --------------------------------------------------------
+//
+// Each lane's step i: out_i = in_i ^ ks, the MAC absorbs the plaintext
+// (in_i ^ (ks & dm): `dm` is all-ones for an opening lane, so no branch),
+// and the keystream block for step i + 1 is computed beside the MAC block,
+// round for round. The lanes' chains are independent, so L lanes fill the
+// AESENC latency of one chain with L - 1 others. A ccm_lanes call runs in
+// phases: every live lane advances until the shortest finishes and leaves;
+// the lanes still running start the next phase without it.
+
+/// One lane's live state between phases. `ks` is the keystream for the
+/// lane's next block (computed one step ahead) and `ctr` the counter after
+/// it, in lane form.
+struct LaneState {
+  __m128i m, ks, ctr, dm;
+  const Block128* rk;
+  const std::uint8_t* in;
+  std::uint8_t* out;
+  std::size_t left;
+  CcmLane* lane;
+};
+
+/// Advance `steps` blocks of a phase's live lanes.
+using CcmPhase = void (*)(LaneState* st, std::size_t steps);
+
+/// L lanes as XMM registers, each loading its own round keys every round.
+/// L may be 0 (a phase with no XMM lanes).
+template <int NR, int L>
+struct XmmLanes {
+  static constexpr int kN = L > 0 ? L : 1;  // zero-length arrays are ill-formed
+  __m128i m[kN], ks[kN], ctr[kN], dm[kN], c[kN];
+  const Block128* rk[kN];
+  const std::uint8_t* in[kN];
+  std::uint8_t* out[kN];
+
+  MCCP_TARGET_AESNI explicit XmmLanes(const LaneState* st) {
+    MCCP_LANES
+    for (int j = 0; j < L; ++j) {
+      m[j] = st[j].m, ks[j] = st[j].ks, ctr[j] = st[j].ctr, dm[j] = st[j].dm;
+      rk[j] = st[j].rk, in[j] = st[j].in, out[j] = st[j].out;
     }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(mac.b.data()), m);
+  }
+
+  /// Emit block i, absorb its plaintext, whiten the MAC and the next
+  /// counter block.
+  MCCP_TARGET_AESNI void begin(std::size_t i) {
+    MCCP_LANES
+    for (int j = 0; j < L; ++j) {
+      const __m128i k0 = load_block(rk[j][0]);
+      const __m128i x = load_data(in[j] + 16 * i);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out[j] + 16 * i), _mm_xor_si128(x, ks[j]));
+      const __m128i p = _mm_xor_si128(x, _mm_and_si128(ks[j], dm[j]));
+      m[j] = _mm_xor_si128(m[j], _mm_xor_si128(p, k0));
+      c[j] = _mm_xor_si128(_mm_shuffle_epi8(ctr[j], counter_swap<true>()), k0);
+      ctr[j] = counter_add<true>(ctr[j], 1);
+    }
+  }
+
+  MCCP_TARGET_AESNI void round(int r) {
+    MCCP_LANES
+    for (int j = 0; j < L; ++j) {
+      const __m128i k = load_block(rk[j][r]);
+      m[j] = _mm_aesenc_si128(m[j], k);
+      c[j] = _mm_aesenc_si128(c[j], k);
+    }
+  }
+
+  MCCP_TARGET_AESNI void last() {
+    MCCP_LANES
+    for (int j = 0; j < L; ++j) {
+      const __m128i k = load_block(rk[j][NR]);
+      m[j] = _mm_aesenclast_si128(m[j], k);
+      ks[j] = _mm_aesenclast_si128(c[j], k);
+    }
+  }
+
+  MCCP_TARGET_AESNI void save(LaneState* st, std::size_t steps) const {
+    MCCP_LANES
+    for (int j = 0; j < L; ++j) {
+      st[j].m = m[j], st[j].ks = ks[j], st[j].ctr = ctr[j];
+      st[j].in += 16 * steps, st[j].out += 16 * steps;
+    }
+  }
+};
+
+MCCP_TARGET_VAES inline __m256i pair_of(__m128i lo, __m128i hi) {
+  return _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
+}
+
+MCCP_TARGET_VAES inline __m128i half_of(__m256i x, int h) {
+  return h ? _mm256_extracti128_si256(x, 1) : _mm256_castsi256_si128(x);
+}
+
+/// 2P lanes as P YMM registers: lanes 2p and 2p + 1 share register p, and
+/// their two key schedules are interleaved into YMM round keys once per
+/// phase.
+template <int NR, int P>
+struct YmmPairs {
+  __m256i m[P], ks[P], ctr[P], dm[P], c[P], rk[P][NR + 1];
+  const std::uint8_t* in[2 * P];
+  std::uint8_t* out[2 * P];
+
+  MCCP_TARGET_VAES explicit YmmPairs(const LaneState* st) {
+    MCCP_LANES
+    for (int p = 0; p < P; ++p) {
+      const LaneState &a = st[2 * p], &b = st[2 * p + 1];
+      m[p] = pair_of(a.m, b.m), ks[p] = pair_of(a.ks, b.ks);
+      ctr[p] = pair_of(a.ctr, b.ctr), dm[p] = pair_of(a.dm, b.dm);
+#pragma GCC unroll 15
+      for (int r = 0; r <= NR; ++r) rk[p][r] = pair_of(load_block(a.rk[r]), load_block(b.rk[r]));
+      in[2 * p] = a.in, in[2 * p + 1] = b.in, out[2 * p] = a.out, out[2 * p + 1] = b.out;
+    }
+  }
+
+  MCCP_TARGET_VAES void begin(std::size_t i) {
+    const __m256i swap = _mm256_broadcastsi128_si256(counter_swap<true>());
+    const __m256i one = _mm256_setr_epi32(0, 0, 0, 1, 0, 0, 0, 1);
+    MCCP_LANES
+    for (int p = 0; p < P; ++p) {
+      const std::size_t off = 16 * i;
+      const __m256i x = pair_of(load_data(in[2 * p] + off), load_data(in[2 * p + 1] + off));
+      const __m256i y = _mm256_xor_si256(x, ks[p]);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out[2 * p] + off), half_of(y, 0));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out[2 * p + 1] + off), half_of(y, 1));
+      const __m256i pt = _mm256_xor_si256(x, _mm256_and_si256(ks[p], dm[p]));
+      m[p] = _mm256_xor_si256(m[p], _mm256_xor_si256(pt, rk[p][0]));
+      c[p] = _mm256_xor_si256(_mm256_shuffle_epi8(ctr[p], swap), rk[p][0]);
+      ctr[p] = _mm256_add_epi32(ctr[p], one);
+    }
+  }
+
+  MCCP_TARGET_VAES void round(int r) {
+    MCCP_LANES
+    for (int p = 0; p < P; ++p) {
+      m[p] = _mm256_aesenc_epi128(m[p], rk[p][r]);
+      c[p] = _mm256_aesenc_epi128(c[p], rk[p][r]);
+    }
+  }
+
+  MCCP_TARGET_VAES void last() {
+    MCCP_LANES
+    for (int p = 0; p < P; ++p) {
+      m[p] = _mm256_aesenclast_epi128(m[p], rk[p][NR]);
+      ks[p] = _mm256_aesenclast_epi128(c[p], rk[p][NR]);
+    }
+  }
+
+  MCCP_TARGET_VAES void save(LaneState* st, std::size_t steps) const {
+    MCCP_LANES
+    for (int l = 0; l < 2 * P; ++l) {
+      st[l].m = half_of(m[l / 2], l % 2);
+      st[l].ks = half_of(ks[l / 2], l % 2);
+      st[l].ctr = half_of(ctr[l / 2], l % 2);
+      st[l].in += 16 * steps, st[l].out += 16 * steps;
+    }
+  }
+};
+
+template <int NR, int L>
+MCCP_TARGET_AESNI void aesni_ccm_phase(LaneState* st, std::size_t steps) {
+  XmmLanes<NR, L> x(st);
+  for (std::size_t i = 0; i < steps; ++i) {
+    x.begin(i);
+#pragma GCC unroll 14
+    for (int r = 1; r < NR; ++r) x.round(r);
+    x.last();
+  }
+  x.save(st, steps);
+}
+
+/// P YMM lane pairs plus S (0 or 1) XMM lanes, round for round. Clears the
+/// upper YMM state before returning.
+template <int NR, int P, int S>
+MCCP_TARGET_VAES void vaes_ccm_phase(LaneState* st, std::size_t steps) {
+  YmmPairs<NR, P> y(st);
+  XmmLanes<NR, S> x(st + 2 * P);
+  for (std::size_t i = 0; i < steps; ++i) {
+    y.begin(i);
+    x.begin(i);
+#pragma GCC unroll 14
+    for (int r = 1; r < NR; ++r) {
+      y.round(r);
+      x.round(r);
+    }
+    y.last();
+    x.last();
+  }
+  y.save(st, steps);
+  x.save(st + 2 * P, steps);
+  _mm256_zeroupper();
+}
+
+/// Run a ccm_lanes call of round count NR: `phases[L - 1]` advances L live
+/// lanes.
+template <int NR>
+MCCP_TARGET_AESNI void ccm_lanes_run(CcmLane* lanes, std::size_t n, const CcmPhase* phases) {
+  const __m128i swap = counter_swap<true>();
+  LaneState st[kMaxCcmLanes]{};
+  std::size_t live = 0;
+  for (CcmLane& l : std::span(lanes, n)) {
+    if (l.nblocks == 0) continue;
+    LaneState& s = st[live++];
+    s.rk = l.keys->rk.data();
+    s.m = load_block(l.mac);
+    // The first keystream block; later ones are computed a step ahead.
+    const __m128i c0 = load_block(l.ctr);
+    __m128i ks = _mm_xor_si128(c0, load_block(s.rk[0]));
+#pragma GCC unroll 14
+    for (int r = 1; r < NR; ++r) ks = _mm_aesenc_si128(ks, load_block(s.rk[r]));
+    s.ks = _mm_aesenclast_si128(ks, load_block(s.rk[NR]));
+    s.ctr = counter_add<true>(_mm_shuffle_epi8(c0, swap), 1);
+    s.dm = l.decrypt ? _mm_set1_epi32(-1) : _mm_setzero_si128();
+    s.in = l.in, s.out = l.out, s.left = l.nblocks, s.lane = &l;
+  }
+  while (live > 0) {
+    std::size_t steps = st[0].left;
+    for (std::size_t j = 1; j < live; ++j) steps = std::min(steps, st[j].left);
+    phases[live - 1](st, steps);
+    std::size_t kept = 0;
+    for (std::size_t j = 0; j < live; ++j) {
+      LaneState& s = st[j];
+      s.left -= steps;
+      if (s.left > 0) {
+        st[kept++] = s;
+        continue;
+      }
+      // The lane's counter is one past the spare keystream block: step
+      // back to the next unused counter.
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(s.lane->mac.b.data()), s.m);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(s.lane->ctr.b.data()),
+                       _mm_shuffle_epi8(counter_add<true>(s.ctr, 0xFFFFFFFFu), swap));
+    }
+    live = kept;
+  }
+}
+
+MCCP_TARGET_AESNI void aesni_ccm_lanes(CcmLane* lanes, std::size_t n) {
+  if (n == 0) return;
+  with_rounds(*lanes[0].keys, [&]<int NR>() MCCP_TARGET_AESNI {
+    static constexpr CcmPhase kPhases[kMaxCcmLanes] = {
+        aesni_ccm_phase<NR, 1>, aesni_ccm_phase<NR, 2>, aesni_ccm_phase<NR, 3>,
+        aesni_ccm_phase<NR, 4>};
+    ccm_lanes_run<NR>(lanes, n, kPhases);
   });
-  _mm_storeu_si128(
-      reinterpret_cast<__m128i*>(ctr.b.data()),
-      _mm_shuffle_epi8(counter_add<true>(lane0, static_cast<std::uint32_t>(nblocks)), swap));
+}
+
+/// A lone lane stays in XMM registers: YMM state is only worth touching
+/// for two or more lanes.
+MCCP_TARGET_AESNI void vaes_ccm_lanes(CcmLane* lanes, std::size_t n) {
+  if (n == 0) return;
+  with_rounds(*lanes[0].keys, [&]<int NR>() MCCP_TARGET_AESNI {
+    static constexpr CcmPhase kPhases[kMaxCcmLanes] = {
+        aesni_ccm_phase<NR, 1>, vaes_ccm_phase<NR, 1, 0>, vaes_ccm_phase<NR, 1, 1>,
+        vaes_ccm_phase<NR, 2, 0>};
+    ccm_lanes_run<NR>(lanes, n, kPhases);
+  });
 }
 
 // ---- GHASH via carry-less multiply -----------------------------------------
@@ -481,15 +686,15 @@ MCCP_TARGET_CLMUL void clmul_ghash_blocks(const Gf128Table& table, Block128& y,
 
 constexpr CryptoKernels kAesniKernels{
     "aesni",          aesni_encrypt,        aesni_decrypt,
-    aesni_ctr_xor,    aesni_cbc_mac_blocks, aesni_ccm_blocks,
+    aesni_ctr_xor,    aesni_cbc_mac_blocks, aesni_ccm_lanes,
     clmul_ghash_mul,  clmul_ghash_blocks,
 };
 
-// The CBC-MAC chain is latency-bound and CCM is bound by that chain, so
-// the VAES tier shares the AES-NI kernels for both.
+// One CBC-MAC chain is latency-bound, so the VAES tier shares the AES-NI
+// chain kernel; CCM lanes pair up in YMM registers.
 constexpr CryptoKernels kVaesKernels{
     "vaes",           aesni_encrypt,        aesni_decrypt,
-    vaes_ctr_xor,     aesni_cbc_mac_blocks, aesni_ccm_blocks,
+    vaes_ctr_xor,     aesni_cbc_mac_blocks, vaes_ccm_lanes,
     clmul_ghash_mul,  clmul_ghash_blocks,
 };
 

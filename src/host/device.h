@@ -104,7 +104,12 @@ static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) >
 ///    while the fast path would return a digest;
 ///  * a CCM submit whose nonce length differs from the channel's
 ///    registered nonce_len: the formatting function (and crypto::ccm_seal
-///    on the fast path) throws on it.
+///    on the fast path) throws on it;
+///  * a GCM, CCM or CBC-MAC decrypt/verify whose tag length differs from
+///    the channel's registered tag_len: the simulated formatter masks the
+///    verify by the submitted length and the fast path by the channel's,
+///    so an over-long tag with the right prefix failed on SimDevice and
+///    verified on FastDevice.
 /// Backends call this at the submit seam and fail the job immediately
 /// (complete, !auth_ok) instead. AES-mode shapes only the simulated FIFOs
 /// cannot carry (payloads not whole blocks or over
@@ -112,10 +117,13 @@ static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) >
 /// are not refused here: FastDevice serves them, and SimDevice refuses
 /// them itself.
 inline bool refused_at_submit(const JobSpec& spec) {
+  const bool bad_tag = spec.decrypt && spec.tag.size() != spec.channel.tag_len;
   switch (spec.channel.mode) {
     case ChannelMode::kGcm:
     case ChannelMode::kCcm:
-      return spec.iv_or_nonce.size() != spec.channel.nonce_len;
+      return spec.iv_or_nonce.size() != spec.channel.nonce_len || bad_tag;
+    case ChannelMode::kCbcMac:
+      return bad_tag;
     case ChannelMode::kWhirlpool:
       return spec.payload.size() > kMaxWhirlpoolPayload;
     default:

@@ -16,15 +16,11 @@ namespace mccp::host {
 
 namespace {
 
-// Tag check exactly as the verify cores perform it: the submitted tag
-// reaches the core as a zero-padded 128-bit block, and the XOR byte-mask
-// covers the *channel's* tag_len bytes (core::tag_mask_for_len) — however
-// many tag bytes the host actually supplied. A truncated tag therefore
-// fails against the zero padding, just as it does on SimDevice.
+// Tag check as the verify cores perform it: the first tag_len bytes of the
+// computed tag against the submitted tag, which refused_at_submit has
+// already held to exactly the channel's tag_len bytes.
 bool hw_tag_ok(const Block128& computed, ByteSpan tag, std::size_t tag_len) {
-  Block128 submitted = Block128::from_span(tag);
-  return ct_equal(ByteSpan(computed.b.data(), tag_len),
-                  ByteSpan(submitted.b.data(), tag_len));
+  return ct_equal(ByteSpan(computed.b.data(), tag_len), tag);
 }
 
 // GCM with the INC core's counter semantics: the simulated GCM firmware
@@ -99,11 +95,13 @@ std::optional<std::uint64_t> FastDevice::begin_reconfiguration(std::size_t slot,
 }
 
 void FastDevice::provision_key(top::KeyId id, Bytes session_key) {
-  Key& k = keys_[id];
-  k.expanded = crypto::aes_expand_key(session_key);  // throws on bad length, like the red side
-  k.gcm = crypto::GcmKey(k.expanded);
-  k.session_key = std::move(session_key);
-  k.generation = next_generation_++;  // rotation invalidates every key cache
+  // A new bundle, never an in-place overwrite: jobs already dispatched keep
+  // the bundle they hold.
+  auto k = std::make_shared<Key>();
+  k->expanded = crypto::aes_expand_key(session_key);  // throws on bad length, like the red side
+  k->gcm = crypto::GcmKey(k->expanded);
+  k->generation = next_generation_++;  // rotation invalidates every key cache
+  keys_[id] = std::move(k);
 }
 
 std::optional<ChannelInfo> FastDevice::open_channel(ChannelMode mode, top::KeyId key,
@@ -337,7 +335,8 @@ void FastDevice::start_job(Job& job, const std::vector<std::size_t>& cores) {
   const Key* key = nullptr;
   sim::Cycle key_load = 0;
   if (ch.mode != ChannelMode::kWhirlpool) {
-    key = &keys_.at(ch.key_id);
+    job.key = keys_.at(ch.key_id);
+    key = job.key.get();
     for (std::size_t c : cores) {
       if (config_.key_cache_enabled && core_key_[c] &&
           core_key_[c]->first == ch.key_id && core_key_[c]->second == key->generation)
@@ -379,11 +378,39 @@ void FastDevice::start_job(Job& job, const std::vector<std::size_t>& cores) {
   for (std::size_t c : cores) core_free_[c] = done;
 
   res.accept_cycle = accept;
-  compute(job, res);
 
-  job.scheduled = true;
   job.done_at = done;
-  running_.push_back(job.id);
+  running_.push_back(&job);
+}
+
+void FastDevice::compute_running() {
+  ccm_jobs_.clear();
+  ccm_results_.clear();
+  for (Job* running : running_) {
+    Job& job = *running;
+    if (job.computed) continue;
+    job.computed = true;
+    JobResult& res = result_at(job.id);
+    const JobSpec& s = job.spec;
+    if (s.channel.mode != ChannelMode::kCcm) {
+      compute(job, res);
+      continue;
+    }
+    const crypto::AesRoundKeys& keys = job.key->expanded;
+    const crypto::CcmParams p{s.channel.tag_len, s.channel.nonce_len};
+    ccm_jobs_.push_back(
+        s.decrypt ? crypto::CcmJob::open(keys, p, s.iv_or_nonce, s.aad, s.payload, s.tag)
+                  : crypto::CcmJob::seal(keys, p, s.iv_or_nonce, s.aad, s.payload));
+    ccm_results_.push_back(&res);
+  }
+  if (ccm_jobs_.empty()) return;
+  crypto::ccm_batch(ccm_jobs_);
+  for (std::size_t i = 0; i < ccm_jobs_.size(); ++i) {
+    JobResult& res = *ccm_results_[i];
+    res.auth_ok = ccm_jobs_[i].ok;
+    res.payload = std::move(ccm_jobs_[i].output);  // empty when the tag failed
+    res.tag = std::move(ccm_jobs_[i].sealed_tag);
+  }
 }
 
 void FastDevice::compute(const Job& job, JobResult& res) {
@@ -392,7 +419,7 @@ void FastDevice::compute(const Job& job, JobResult& res) {
   res.auth_ok = true;
   switch (ch.mode) {
     case ChannelMode::kGcm: {
-      const crypto::GcmKey& key = keys_.at(ch.key_id).gcm;
+      const crypto::GcmKey& key = job.key->gcm;
       if (s.decrypt) {
         auto pt = hw_gcm_open(key, s.iv_or_nonce, s.aad, s.payload, s.tag, ch.tag_len);
         if (pt)
@@ -406,32 +433,18 @@ void FastDevice::compute(const Job& job, JobResult& res) {
       }
       break;
     }
-    case ChannelMode::kCcm: {
-      const auto& keys = keys_.at(ch.key_id).expanded;
-      crypto::CcmParams p{ch.tag_len, ch.nonce_len};
-      if (s.decrypt) {
-        auto pt = crypto::ccm_open(keys, p, s.iv_or_nonce, s.aad, s.payload, s.tag);
-        if (pt)
-          res.payload = std::move(*pt);
-        else
-          res.auth_ok = false;
-      } else {
-        auto sealed = crypto::ccm_seal(keys, p, s.iv_or_nonce, s.aad, s.payload);
-        res.payload = std::move(sealed.ciphertext);
-        res.tag = std::move(sealed.tag);
-      }
-      break;
-    }
+    case ChannelMode::kCcm:
+      break;  // batched by compute_running
     case ChannelMode::kCtr: {
       // The INC core's 16-bit counter walk, matching the simulated
       // hardware on wrap (differential-tested with a 0xFFFF counter).
-      const auto& keys = keys_.at(ch.key_id).expanded;
+      const crypto::AesRoundKeys& keys = job.key->expanded;
       res.payload =
           crypto::ctr_transform_inc16(keys, Block128::from_span(s.iv_or_nonce), s.payload);
       break;
     }
     case ChannelMode::kCbcMac: {
-      const auto& keys = keys_.at(ch.key_id).expanded;
+      const crypto::AesRoundKeys& keys = job.key->expanded;
       crypto::CbcMac mac(keys);
       mac.update_padded(s.payload);
       if (s.decrypt) {
@@ -466,10 +479,9 @@ void FastDevice::step() {
   // is an event too (nothing else would wake the scheduler).
   sim::Cycle next = 0;
   bool have_next = false;
-  for (DeviceJobId id : running_) {
-    const Job& job = jobs_.at(id);
-    if (!have_next || job.done_at < next) {
-      next = job.done_at;
+  for (const Job* job : running_) {
+    if (!have_next || job->done_at < next) {
+      next = job->done_at;
       have_next = true;
     }
   }
@@ -484,14 +496,16 @@ void FastDevice::step() {
   now_ = have_next ? std::max(now_ + 1, next) : now_ + 1;
 
   for (auto it = running_.begin(); it != running_.end();) {
-    Job& job = jobs_.at(*it);
+    Job& job = **it;
     if (job.done_at <= now_) {
-      JobResult& res = result_at(*it);
+      if (!job.computed) compute_running();
+      const DeviceJobId id = job.id;  // a copy: erase() frees the node holding job.id
+      JobResult& res = result_at(id);
       res.complete = true;
       res.complete_cycle = job.done_at;
       ++completions_;
-      jobs_.erase(*it);
       it = running_.erase(it);
+      jobs_.erase(id);
     } else {
       ++it;
     }

@@ -18,6 +18,18 @@
 // Its clock is event-driven: each step() schedules work and jumps to the
 // next completion, so stepping costs O(in-flight jobs), not O(cycles).
 //
+// Compute is deferred and batched. Dispatch books cores and cycles only;
+// the packet's result is computed when step() first retires a running job
+// whose result is not computed yet, and then every uncomputed running job
+// of the device is computed as one batch: its CCM jobs go through
+// crypto::ccm_batch side by side (the multi-lane kernel, the software form
+// of independent packets on independent cores), the rest one by one. A
+// result becomes visible only when `complete` flips (Device::result() is
+// partial until then), so batching changes no observable state, and every
+// stamp still comes from the cost model. Each job holds the key bundle in
+// force when it was dispatched: re-provisioning a key mid-flight never
+// reaches a job already on a core, exactly as on the simulated chip.
+//
 // Partial reconfiguration (paper SVII.B) is modelled: each core slot
 // carries a `reconfig::CoreImage` personality (boot layout from
 // MccpConfig::slot_images), a packet only schedules onto a slot hosting
@@ -34,10 +46,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "crypto/aes.h"
+#include "crypto/ccm.h"
 #include "crypto/gcm.h"
 #include "host/device.h"
 #include "mccp/mccp.h"
@@ -47,6 +61,9 @@ namespace mccp::host {
 class FastDevice final : public Device {
  public:
   explicit FastDevice(const top::MccpConfig& config, std::string name = "fast0");
+  // running_ points into jobs_, so a copy would point into the original.
+  FastDevice(const FastDevice&) = delete;
+  FastDevice& operator=(const FastDevice&) = delete;
 
   std::string name() const override { return name_; }
 
@@ -97,7 +114,6 @@ class FastDevice final : public Device {
 
  private:
   struct Key {
-    Bytes session_key;
     std::uint64_t generation = 0;
     crypto::AesRoundKeys expanded;  // expanded once per provision
     /// Round keys + GHASH Shoup table, built once per provision so GCM
@@ -109,8 +125,10 @@ class FastDevice final : public Device {
   struct Job {
     DeviceJobId id = 0;
     JobSpec spec;
-    bool scheduled = false;
+    bool computed = false;
     sim::Cycle done_at = 0;
+    /// The key bundle in force at dispatch (null for Whirlpool).
+    std::shared_ptr<const Key> key;
     /// First cycle a busy-error denied this job a core (unset = never
     /// denied — cycle 0 is a legitimate denial time when jobs are queued
     /// before the clock first advances); converted into a
@@ -118,8 +136,8 @@ class FastDevice final : public Device {
     std::optional<sim::Cycle> first_denied;
   };
 
-  /// Try to place pending jobs (priority order) onto free cores; computes
-  /// the functional result and books core occupancy on success.
+  /// Try to place pending jobs (priority order) onto free cores, booking
+  /// core occupancy (the result is computed later, by compute_running).
   void schedule_pending();
   /// The image slot `c` hosts at cycle `t`: the swap target once an
   /// in-flight transfer's end cycle has passed, the old image before.
@@ -127,8 +145,12 @@ class FastDevice final : public Device {
     return core_swap_until_[c] > t ? core_image_[c] : core_target_[c];
   }
   void start_job(Job& job, const std::vector<std::size_t>& cores);
-  /// Functional result via the fast kernels; mirrors SimDevice::finalize
-  /// output conventions exactly (differential-tested).
+  /// Compute every running job whose result is not computed yet, as one
+  /// batch: the CCM jobs side by side through crypto::ccm_batch, the rest
+  /// through compute().
+  void compute_running();
+  /// Functional result of one non-CCM job via the fast kernels; mirrors
+  /// SimDevice::finalize output conventions exactly (differential-tested).
   void compute(const Job& job, JobResult& res);
   void fail_unrecoverable(DeviceJobId id);
 
@@ -146,7 +168,7 @@ class FastDevice final : public Device {
   std::string name_;
   top::MccpConfig config_;
 
-  std::map<top::KeyId, Key> keys_;
+  std::map<top::KeyId, std::shared_ptr<const Key>> keys_;
   std::uint64_t next_generation_ = 1;
   std::map<std::uint8_t, ChannelInfo> channels_;
 
@@ -169,8 +191,9 @@ class FastDevice final : public Device {
   /// linear scan of SimDevice's pump, but O(log #classes) per placement so
   /// deep queues (million-packet soaks) stay linear overall.
   std::map<unsigned, std::deque<DeviceJobId>> pending_;
-  /// Jobs placed on cores and awaiting retirement (at most one per core).
-  std::vector<DeviceJobId> running_;
+  /// Jobs placed on cores and awaiting retirement (at most one per core),
+  /// pointing into jobs_ (map nodes never move).
+  std::vector<Job*> running_;
   std::map<DeviceJobId, Job> jobs_;  // pending + running
   /// Results for completed + in-flight jobs. Ids are dense and increasing,
   /// so the store is a deque of slots indexed by (id - results_base_):
@@ -184,6 +207,10 @@ class FastDevice final : public Device {
   DeviceJobId next_job_ = 1;
   std::uint8_t last_rr_ = 0;
   std::uint64_t completions_ = 0;  // jobs whose result() turned complete
+  /// compute_running's CCM batch and the result slots it fills, kept so
+  /// batches reuse their capacity.
+  std::vector<crypto::CcmJob> ccm_jobs_;
+  std::vector<JobResult*> ccm_results_;
   sim::Cycle now_ = 0;
 };
 

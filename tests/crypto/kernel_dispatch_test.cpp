@@ -2,13 +2,15 @@
 // contract — every hardware tier is bit-identical to the portable
 // T-table/Shoup reference across AES block ops, CTR keystreams (both
 // counter widths, including the inc16 and inc32 wraps inside a batch),
-// GHASH, GCM, CCM (one-pass kernel, every tail length, tampered inputs)
-// and the CBC-MAC chain, over all key sizes and non-block-aligned tails.
+// GHASH, GCM, CCM (the multi-lane kernel and batches of mixed keys,
+// directions and lengths, every tail length, tampered inputs) and the
+// CBC-MAC chain, over all key sizes and non-block-aligned tails.
 #include "crypto/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -401,48 +403,181 @@ TEST(KernelDispatch, CbcMacBlocksKernelDirect) {
   }
 }
 
-TEST(KernelDispatch, CcmBlocksKernelDirect) {
-  // The one-pass entry: both directions, in place and out of place, with
-  // the inc32 walk crossing a 32-bit wrap; it must leave `ctr` at the next
-  // unused counter and chain the MAC over the plaintext.
+/// One kernel lane computed block by block with the portable AES: the
+/// ciphertext (or plaintext), the chained MAC and the next unused counter.
+struct LaneResult {
+  Bytes out;
+  Block128 mac, ctr;
+};
+
+LaneResult lane_reference(const AesRoundKeys& keys, Block128 mac, Block128 ctr, bool decrypt,
+                          const Bytes& in) {
+  LaneResult r{Bytes(in.size()), mac, ctr};
+  for (std::size_t i = 0; i < in.size() / 16; ++i) {
+    const Block128 x = Block128::from_span(ByteSpan(in.data() + 16 * i, 16));
+    const Block128 y = x ^ aes_encrypt_block_portable(keys, r.ctr);
+    std::copy(y.b.begin(), y.b.end(), r.out.begin() + static_cast<std::ptrdiff_t>(16 * i));
+    r.ctr = inc32(r.ctr);
+    r.mac = aes_encrypt_block_portable(keys, r.mac ^ (decrypt ? y : x));
+  }
+  return r;
+}
+
+// Block counts the lane tests rotate through: empty, one, either side of
+// the 16-block boundary, and the hardware's 255-block maximum.
+const std::size_t kLaneBlocks[] = {0, 1, 15, 16, 17, 255};
+
+TEST(KernelDispatch, CcmLanesKernelDirect) {
+  // The multi-lane entry: 1..kMaxCcmLanes lanes per call, each with its own
+  // key of one shared size, block counts rotating through kLaneBlocks so
+  // lanes finish at different steps (and a 0-block lane is left alone),
+  // seal and open lanes side by side, in place and out of place, and
+  // counters whose inc32 walk wraps mid-lane. Every lane must leave `mac`
+  // chained over its plaintext and `ctr` at its next unused counter.
   Rng rng(114);
   for (std::size_t key_len : {16u, 24u, 32u}) {
-    auto keys = aes_expand_key(rng.bytes(key_len));
-    for (std::size_t nblocks : {0u, 1u, 2u, 7u, 8u, 9u, 40u}) {
-      Bytes pt = rng.bytes(16 * nblocks);
-      const Block128 mac0 = rng.block();
-      Block128 ctr0 = rng.block();
-      ctr0.set_word(3, 0xFFFFFFFCu);
-      Bytes want_ct(pt.size());
-      Block128 want_mac = mac0, want_ctr = ctr0;
-      for (std::size_t i = 0; i < nblocks; ++i) {
-        const Block128 p = Block128::from_span(ByteSpan(pt.data() + 16 * i, 16));
-        const Block128 c = p ^ aes_encrypt_block_portable(keys, want_ctr);
-        std::copy(c.b.begin(), c.b.end(), want_ct.begin() + static_cast<std::ptrdiff_t>(16 * i));
-        want_ctr = inc32(want_ctr);
-        want_mac = aes_encrypt_block_portable(keys, want_mac ^ p);
-      }
-      for (const auto& tier : concrete_tiers()) {
-        ScopedKernel k(tier);
-        Block128 mac = mac0, ctr = ctr0;
-        Bytes ct(pt.size());
-        active_kernels().ccm_blocks(keys, mac, ctr, /*decrypt=*/false, pt.data(), ct.data(),
-                                    nblocks);
-        ASSERT_EQ(ct, want_ct) << tier << " nblocks=" << nblocks;
-        ASSERT_EQ(mac, want_mac) << tier << " nblocks=" << nblocks;
-        ASSERT_EQ(ctr, want_ctr) << tier << " nblocks=" << nblocks;
-
-        Bytes buf = want_ct;  // open in place
-        mac = mac0;
-        ctr = ctr0;
-        active_kernels().ccm_blocks(keys, mac, ctr, /*decrypt=*/true, buf.data(), buf.data(),
-                                    nblocks);
-        ASSERT_EQ(buf, pt) << tier << " nblocks=" << nblocks;
-        ASSERT_EQ(mac, want_mac) << tier << " nblocks=" << nblocks;
-        ASSERT_EQ(ctr, want_ctr) << tier << " nblocks=" << nblocks;
+    std::vector<AesRoundKeys> keys;
+    for (std::size_t j = 0; j < kMaxCcmLanes; ++j)
+      keys.push_back(aes_expand_key(rng.bytes(key_len)));
+    for (std::size_t n = 1; n <= kMaxCcmLanes; ++n) {
+      for (std::size_t rot = 0; rot < std::size(kLaneBlocks); ++rot) {
+        struct Case {
+          Bytes in;
+          Block128 mac0, ctr0;
+          bool decrypt, in_place;
+          LaneResult want;
+        };
+        std::vector<Case> cases(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          Case& c = cases[j];
+          c.in = rng.bytes(16 * kLaneBlocks[(rot + 2 * j) % std::size(kLaneBlocks)]);
+          c.mac0 = rng.block();
+          c.ctr0 = rng.block();
+          c.ctr0.set_word(3, 0xFFFFFFFEu - static_cast<std::uint32_t>(j));
+          c.decrypt = (rot + j) % 2 == 1;
+          c.in_place = (rot + j) % 3 == 0;
+          c.want = lane_reference(keys[j], c.mac0, c.ctr0, c.decrypt, c.in);
+        }
+        for (const auto& tier : concrete_tiers()) {
+          ScopedKernel k(tier);
+          std::vector<Bytes> bufs(n);
+          std::vector<CcmLane> lanes(n);
+          for (std::size_t j = 0; j < n; ++j) {
+            const Case& c = cases[j];
+            bufs[j] = c.in_place ? c.in : Bytes(c.in.size(), 0);
+            lanes[j] = {.keys = &keys[j],
+                        .mac = c.mac0,
+                        .ctr = c.ctr0,
+                        .decrypt = c.decrypt,
+                        .in = c.in_place ? bufs[j].data() : c.in.data(),
+                        .out = bufs[j].data(),
+                        .nblocks = c.in.size() / 16};
+          }
+          active_kernels().ccm_lanes(lanes.data(), n);
+          for (std::size_t j = 0; j < n; ++j) {
+            const auto where = ::testing::Message()
+                               << tier << " key=" << key_len << " lanes=" << n << " rot=" << rot
+                               << " lane=" << j << " blocks=" << lanes[j].nblocks;
+            ASSERT_EQ(bufs[j], cases[j].want.out) << where;
+            ASSERT_EQ(lanes[j].mac, cases[j].want.mac) << where;
+            ASSERT_EQ(lanes[j].ctr, cases[j].want.ctr) << where;
+          }
+        }
       }
     }
   }
+}
+
+TEST(KernelDispatch, CcmBatchBitIdentity) {
+  // ccm_batch over 1..5 jobs, with seals and opens, tampered tags and tags
+  // of the wrong length, and payloads of kLaneBlocks blocks plus partial
+  // tails. Even reps give every job one of two AES-128 keys (five jobs
+  // split into kernel calls of four and one); odd reps mix key sizes, so
+  // lanes group by round count. Every tier must equal the jobs run one at a time through
+  // ccm_seal / ccm_open on the portable tier.
+  Rng rng(115);
+  std::vector<AesRoundKeys> keys;
+  for (std::size_t key_len : {16u, 16u, 24u, 32u, 24u})
+    keys.push_back(aes_expand_key(rng.bytes(key_len)));
+  const CcmParams params[] = {{.tag_len = 16, .nonce_len = 13},
+                              {.tag_len = 8, .nonce_len = 12},
+                              {.tag_len = 4, .nonce_len = 7}};
+  for (std::size_t n = 1; n <= 5; ++n) {
+    for (std::size_t rep = 0; rep < 12; ++rep) {
+      struct Case {
+        std::size_t key;
+        CcmParams p;
+        bool decrypt;
+        Bytes nonce, aad, input, tag;
+        std::optional<Bytes> want_out;
+        Bytes want_tag;
+      };
+      std::vector<Case> cases(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        Case& c = cases[j];
+        const std::size_t v = rep + 3 * j;
+        c.key = rep % 2 == 0 ? j % 2 : v % keys.size();
+        c.p = params[v % std::size(params)];
+        c.decrypt = v % 2 == 1;
+        c.nonce = rng.bytes(c.p.nonce_len);
+        c.aad = rng.bytes(v % 3 == 0 ? 0 : 5 * v);
+        const std::size_t tail = v % 4 == 0 ? 0 : (7 * v) % 16;
+        Bytes pt = rng.bytes(16 * kLaneBlocks[v % std::size(kLaneBlocks)] + tail);
+        ScopedKernel k("portable");
+        if (!c.decrypt) {
+          c.input = pt;
+          CcmSealed want = ccm_seal(keys[c.key], c.p, c.nonce, c.aad, pt);
+          c.want_out = want.ciphertext;
+          c.want_tag = want.tag;
+          continue;
+        }
+        CcmSealed sealed = ccm_seal(keys[c.key], c.p, c.nonce, c.aad, pt);
+        c.input = sealed.ciphertext;
+        c.tag = sealed.tag;
+        if (v % 5 == 2) c.tag[v % c.tag.size()] ^= 0x40;  // tampered
+        if (v % 7 == 3) c.tag.push_back(0);                // wrong length
+        c.want_out = ccm_open(keys[c.key], c.p, c.nonce, c.aad, c.input, c.tag);
+      }
+      for (const auto& tier : concrete_tiers()) {
+        ScopedKernel k(tier);
+        std::vector<CcmJob> jobs(n);
+        for (std::size_t j = 0; j < n; ++j) {
+          const Case& c = cases[j];
+          jobs[j] = c.decrypt ? CcmJob::open(keys[c.key], c.p, c.nonce, c.aad, c.input, c.tag)
+                              : CcmJob::seal(keys[c.key], c.p, c.nonce, c.aad, c.input);
+        }
+        ccm_batch(jobs);
+        for (std::size_t j = 0; j < n; ++j) {
+          const Case& c = cases[j];
+          const auto where = ::testing::Message() << tier << " jobs=" << n << " rep=" << rep
+                                                  << " job=" << j << " len=" << c.input.size();
+          ASSERT_EQ(jobs[j].ok, c.want_out.has_value()) << where;
+          ASSERT_EQ(jobs[j].output, c.want_out.value_or(Bytes{})) << where;
+          ASSERT_EQ(jobs[j].sealed_tag, c.want_tag) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, CcmBatchValidatesBeforeRunning) {
+  // A bad job anywhere in the batch throws before any job is computed.
+  Rng rng(116);
+  const AesRoundKeys keys = aes_expand_key(rng.bytes(16));
+  const Bytes nonce = rng.bytes(13), pt = rng.bytes(64);
+  std::vector<CcmJob> jobs{CcmJob::seal(keys, {}, nonce, {}, pt),
+                           CcmJob::seal(keys, {}, ByteSpan(nonce).first(12), {}, pt)};
+  EXPECT_THROW(ccm_batch(jobs), std::invalid_argument);
+  EXPECT_TRUE(jobs[0].output.empty());
+  EXPECT_FALSE(jobs[0].ok);
+  jobs[1].nonce = nonce;
+  jobs[1].params.tag_len = 5;
+  EXPECT_THROW(ccm_batch(jobs), std::invalid_argument);
+  jobs[1].params.tag_len = 16;
+  ccm_batch(jobs);
+  EXPECT_TRUE(jobs[0].ok && jobs[1].ok);
+  EXPECT_EQ(jobs[0].output, jobs[1].output);
+  EXPECT_EQ(jobs[0].sealed_tag, jobs[1].sealed_tag);
 }
 
 TEST(KernelDispatch, TableBuiltUnderPortableStillAcceleratesGhash) {

@@ -308,32 +308,43 @@ TEST_P(BackendDifferential, CbcMacVerifyMatchesIncludingPlaceholderPayload) {
 }
 
 TEST_P(BackendDifferential, TruncatedTagRejectedByChannelTagLen) {
-  // The verify cores compare tag_len bytes of the *channel* against the
-  // zero-padded submitted tag block, so a truncated (prefix) tag must fail
-  // on both backends — submitting fewer bytes never weakens the check.
+  // A verify tag must be exactly the channel's tag_len bytes. A truncated
+  // (prefix) tag on a 16-byte channel, and an over-long tag on an 8-byte
+  // channel (the true 8 bytes followed by 8 wrong ones), are both refused
+  // at submit on both backends: complete at the submit cycle, !auth_ok,
+  // nothing computed. The over-long case once verified on FastDevice and
+  // failed on SimDevice. The exact-length tag still verifies on both.
   std::uint64_t seed = 11'000;
-  for (ChannelMode mode : {ChannelMode::kGcm, ChannelMode::kCbcMac}) {
-    Workload w{mode, 16, 160, 0, 16, mode == ChannelMode::kGcm ? 12u : 13u};
-    Rng rng(++seed);
-    Bytes key = rng.bytes(16);
-    Bytes iv = iv_for(rng, w);
-    Bytes msg = rng.bytes(w.payload_len);
-    JobResult sealed = run_encrypt(Backend::kFast, w, key, iv, {}, msg);
-    ASSERT_EQ(sealed.tag.size(), 16u);
-    // GCM verifies over the ciphertext; CBC-MAC re-MACs the message itself.
-    const Bytes& data = mode == ChannelMode::kGcm ? sealed.payload : msg;
+  for (ChannelMode mode : {ChannelMode::kGcm, ChannelMode::kCbcMac, ChannelMode::kCcm}) {
+    for (unsigned tag_len : {16u, 8u}) {
+      Workload w{mode, 16, 160, 0, tag_len, mode == ChannelMode::kGcm ? 12u : 13u};
+      Rng rng(++seed);
+      Bytes key = rng.bytes(16);
+      Bytes iv = iv_for(rng, w);
+      Bytes msg = rng.bytes(w.payload_len);
+      JobResult sealed = run_encrypt(Backend::kFast, w, key, iv, {}, msg);
+      ASSERT_EQ(sealed.tag.size(), tag_len);
+      // GCM and CCM verify over the ciphertext; CBC-MAC re-MACs the message.
+      const Bytes& data = mode == ChannelMode::kCbcMac ? msg : sealed.payload;
 
-    Bytes prefix(sealed.tag.begin(), sealed.tag.begin() + 8);
-    JobResult sim = run_decrypt(Backend::kSim, w, key, iv, {}, data, prefix);
-    JobResult fast = run_decrypt(Backend::kFast, w, key, iv, {}, data, prefix);
-    EXPECT_FALSE(sim.auth_ok) << static_cast<int>(mode);
-    EXPECT_FALSE(fast.auth_ok) << static_cast<int>(mode);
-
-    // The untruncated tag still verifies on both.
-    JobResult sim_ok = run_decrypt(Backend::kSim, w, key, iv, {}, data, sealed.tag);
-    JobResult fast_ok = run_decrypt(Backend::kFast, w, key, iv, {}, data, sealed.tag);
-    EXPECT_TRUE(sim_ok.auth_ok) << static_cast<int>(mode);
-    EXPECT_TRUE(fast_ok.auth_ok) << static_cast<int>(mode);
+      Bytes wrong_len = sealed.tag;
+      if (tag_len == 16) {
+        wrong_len.resize(8);  // the true prefix, truncated
+      } else {
+        for (int i = 0; i < 8; ++i) wrong_len.push_back(static_cast<std::uint8_t>(0xA5 + i));
+      }
+      const auto where = ::testing::Message() << "mode=" << static_cast<int>(mode)
+                                              << " tag_len=" << tag_len
+                                              << " submitted=" << wrong_len.size();
+      for (Backend backend : {Backend::kSim, Backend::kFast}) {
+        JobResult r = run_decrypt(backend, w, key, iv, {}, data, wrong_len);
+        EXPECT_TRUE(r.complete) << where;
+        EXPECT_FALSE(r.auth_ok) << where;
+        EXPECT_TRUE(r.payload.empty()) << where;
+        EXPECT_EQ(r.complete_cycle, r.submit_cycle) << where << " (refused at submit)";
+        EXPECT_TRUE(run_decrypt(backend, w, key, iv, {}, data, sealed.tag).auth_ok) << where;
+      }
+    }
   }
 }
 

@@ -1,16 +1,18 @@
 // FastDevice behaviour tests: control-plane error codes, scheduling
 // (priority, core occupancy, CCM pair mapping), key-cache accounting, the
-// event-driven clock, mixed sim/fast fleets — and the calibration check
+// event-driven clock, deferred batch compute, mixed sim/fast fleets — and the calibration check
 // that pins the cost model to the cycle-accurate simulator's steady-state
 // packet occupancy.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/ccm.h"
 #include "crypto/gcm.h"
 #include "host/engine.h"
 #include "mccp/timing.h"
@@ -188,6 +190,106 @@ sim::Cycle steady_state_occupancy(Backend backend, const CalibrationCase& c) {
   const JobResult& r =
       engine.submit_encrypt(ch, iv, rng.bytes(c.aad_len), rng.bytes(c.payload_len)).wait();
   return r.complete_cycle - r.accept_cycle;
+}
+
+TEST(FastDevice, BatchedCcmMixedWithGcmMatchesReferencesAndStamps) {
+  // Deferred batch compute: each wave is submitted to an idle 4-core
+  // device, so all of a wave's first four jobs are dispatched in one step
+  // and computed as one batch at the first retirement — four CCM jobs side
+  // by side (AES-128 and AES-256 keys, so the batch groups lanes by round
+  // count), CCM beside GCM, and seals beside opens (some tampered), with
+  // deeper waves queueing behind busy cores. Every result must equal the
+  // crypto::* reference, and every stamp the cost model's (pinned: batching
+  // moves no cycle).
+  FastDevice dev({.num_cores = 4});
+  Rng rng(2024);
+  const Bytes key1 = rng.bytes(16), key2 = rng.bytes(32);
+  const auto keys1 = crypto::aes_expand_key(key1), keys2 = crypto::aes_expand_key(key2);
+  dev.provision_key(1, key1);
+  dev.provision_key(2, key2);
+  const ChannelInfo gcm1 = *dev.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  const ChannelInfo ccm1 = *dev.open_channel(ChannelMode::kCcm, 1, 16, 13);
+  const ChannelInfo ccm2 = *dev.open_channel(ChannelMode::kCcm, 2, 8, 13);
+  const ChannelInfo gcm2 = *dev.open_channel(ChannelMode::kGcm, 2, 12, 12);
+
+  struct Case {
+    JobSpec spec;
+    bool want_ok = true;
+    Bytes want_payload, want_tag;
+  };
+  // A seal on `ch`, or (open) the open of a fresh seal, tampered on request.
+  auto make = [&](const ChannelInfo& ch, std::size_t len, bool open, bool tamper) {
+    Case c;
+    JobSpec& s = c.spec;
+    s.channel = ch;
+    s.iv_or_nonce = rng.bytes(ch.nonce_len);
+    s.aad = rng.bytes(len % 3 == 0 ? 0 : 20);
+    const Bytes pt = rng.bytes(len);
+    const auto& keys = ch.key_id == 1 ? keys1 : keys2;
+    Bytes ct, tag;
+    if (ch.mode == ChannelMode::kGcm) {
+      auto sealed = crypto::gcm_seal(keys, s.iv_or_nonce, s.aad, pt, ch.tag_len);
+      ct = std::move(sealed.ciphertext), tag = std::move(sealed.tag);
+    } else {
+      auto sealed = crypto::ccm_seal(keys, {ch.tag_len, ch.nonce_len}, s.iv_or_nonce, s.aad, pt);
+      ct = std::move(sealed.ciphertext), tag = std::move(sealed.tag);
+    }
+    if (!open) {
+      s.payload = pt;
+      c.want_payload = ct, c.want_tag = tag;
+      return c;
+    }
+    s.decrypt = true;
+    s.payload = ct;
+    s.tag = tag;
+    if (tamper) s.tag[len % tag.size()] ^= 0x10;
+    c.want_ok = !tamper;
+    if (!tamper) c.want_payload = pt;
+    return c;
+  };
+  std::vector<std::vector<Case>> waves(4);
+  // Four CCM seals: one four-lane batch.
+  waves[0] = {make(ccm1, 4096, false, false), make(ccm2, 1000, false, false),
+              make(ccm1, 17, false, false), make(ccm2, 2048, false, false)};
+  // Two CCM beside two GCM, seals and opens.
+  waves[1] = {make(gcm1, 512, false, false), make(ccm1, 3000, true, false),
+              make(gcm2, 4000, true, false), make(ccm2, 0, false, false)};
+  // Nine jobs on four cores: batches as cores free up.
+  waves[2] = {make(ccm1, 1500, true, true),  make(ccm2, 2500, true, false),
+              make(ccm1, 64, false, false),  make(ccm2, 255, true, false),
+              make(gcm1, 700, true, true),   make(ccm1, 4080, false, false),
+              make(gcm2, 33, false, false),  make(ccm2, 1024, true, true),
+              make(ccm1, 160, true, false)};
+  // Five CCM opens of one key: a four-lane batch, then one.
+  waves[3] = {make(ccm1, 800, true, false), make(ccm1, 801, true, false),
+              make(ccm1, 1600, true, true), make(ccm1, 16, true, false),
+              make(ccm1, 2222, true, false)};
+
+  // (submit, accept, complete) per job: the cost model's stamps, which
+  // batching must not move.
+  const std::vector<std::array<sim::Cycle, 3>> want_stamps = {
+      {0, 25, 27124}, {0, 25, 9164}, {0, 25, 708}, {0, 25, 18004}, {27124, 27149, 29193},
+      {27124, 27149, 47038}, {27124, 27149, 43967}, {27124, 27149, 27490}, {47038, 47063, 57132},
+      {47038, 47063, 68986}, {47038, 47063, 47954}, {47038, 47063, 49580}, {47038, 47979, 50611},
+      {47038, 49605, 76462}, {47038, 50636, 51319}, {47038, 51344, 60559}, {47038, 57157, 58628},
+      {76462, 76487, 82118}, {76462, 76487, 82128}, {76462, 76487, 87362}, {76462, 76487, 77022},
+      {76462, 77047, 91934}};
+  std::vector<std::array<sim::Cycle, 3>> stamps;
+  for (std::vector<Case>& wave : waves) {
+    std::vector<DeviceJobId> ids;
+    for (const Case& c : wave) ids.push_back(dev.submit(c.spec));
+    while (!dev.idle()) dev.step();
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      const JobResult* r = dev.result(ids[i]);
+      ASSERT_NE(r, nullptr);
+      ASSERT_TRUE(r->complete);
+      EXPECT_EQ(r->auth_ok, wave[i].want_ok) << "job " << ids[i];
+      EXPECT_EQ(r->payload, wave[i].want_payload) << "job " << ids[i];
+      EXPECT_EQ(r->tag, wave[i].want_tag) << "job " << ids[i];
+      stamps.push_back({r->submit_cycle, r->accept_cycle, r->complete_cycle});
+    }
+  }
+  EXPECT_EQ(stamps, want_stamps);
 }
 
 TEST(FastDeviceCalibration, PacketOccupancyTracksTheSimulator) {

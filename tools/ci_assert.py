@@ -25,6 +25,10 @@ Each CI step runs its benches with --json and then one check here:
       the reconfig_churn, device_failure and tenant_storm invariants.
   ci_assert.py threaded-speedup SERIAL THREADED
       4 worker threads reproduce the serial run at >= 1.5x its speed.
+  ci_assert.py multibuffer CRYPTO
+      crypto_primitives: on every hardware kernel tier, four CCM seals per
+      ccm_batch call run >= 1.3x the one-at-a-time CCM seal rate (the
+      portable tier, the per-lane oracle, is exempt).
   ci_assert.py --self-test
       every check passes one synthetic report set and fails another.
 
@@ -238,6 +242,25 @@ def threaded_speedup(serial, threaded):
             f"{threaded['wall_ms']:.1f} ms = {speedup:.2f}x")
 
 
+# Four CCM seals side by side over one at a time, on a hardware tier.
+MULTIBUFFER_GAIN = 1.3
+
+
+def multibuffer(report):
+    require(report.get("bench") == "crypto_primitives", "expected a crypto_primitives report")
+    gains = []
+    for t in report["by_kernel_tier"]:
+        if t["tier"] == "portable":
+            continue  # the oracle runs its lanes one after another
+        gain = t["ccm_seal_x4_mb_s"] / t["ccm_seal_mb_s"]
+        require(gain >= MULTIBUFFER_GAIN, f"{t['tier']}: CCM seal x4 {t['ccm_seal_x4_mb_s']:.0f} "
+                f"MB/s is {gain:.2f}x the single seal's {t['ccm_seal_mb_s']:.0f} MB/s "
+                f"< {MULTIBUFFER_GAIN}x")
+        gains.append(f"{t['tier']} {gain:.2f}x")
+    return "multibuffer: CCM seal x4 over single: " + (", ".join(gains) or
+                                                       "no hardware tier (portable exempt)")
+
+
 CHECKS = {
     "kernel-determinism": kernel_determinism,
     "pinned": pinned,
@@ -249,6 +272,7 @@ CHECKS = {
     "faults": faults,
     "tenant-storm": tenant_storm,
     "threaded-speedup": threaded_speedup,
+    "multibuffer": multibuffer,
 }
 
 
@@ -301,6 +325,14 @@ def _mixed(backend, offered):
     return _scenario("mixed_radio", backend, [_cls("voip", offered)],
                      makespan_cycles=pin["makespan_cycles"],
                      latency_cycles={"p99": pin["p99_latency_cycles"]})
+
+
+def _crypto(**gains):
+    """A crypto_primitives report whose tiers run CCM seal x4 at the given
+    multiple of the single seal's 900 MB/s."""
+    return {"bench": "crypto_primitives", "kernel": "vaes", "by_kernel_tier": [
+        {"tier": tier, "ccm_seal_mb_s": 900.0, "ccm_seal_x4_mb_s": 900.0 * g}
+        for tier, g in gains.items()]}
 
 
 def _cases():
@@ -369,6 +401,12 @@ def _cases():
          (s(wall_ms=30.0), s(wall_ms=20.0, classes=bad_cls)), "serial vs threaded"),
         ("threaded-speedup", (s(wall_ms=30.0), s(wall_ms=20.0)),
          (s(wall_ms=30.0), s(wall_ms=20.0, makespan_cycles=1)), "on makespan_cycles"),
+        # portable at 1.0x is exempt; a hardware tier below 1.3x is not.
+        ("multibuffer", (_crypto(portable=1.0, aesni=1.8, vaes=2.7),),
+         (_crypto(portable=1.0, aesni=1.8, vaes=1.29),), "vaes: CCM seal x4"),
+        ("multibuffer", (_crypto(portable=1.0),), (_crypto(portable=1.0, aesni=1.0),),
+         "aesni: CCM seal x4"),
+        ("multibuffer", (_crypto(aesni=1.3),), (s(),), "expected a crypto_primitives"),
     ]
 
 
