@@ -182,21 +182,25 @@ class Device {
 
   // -- lockstep quiet-burst seam ----------------------------------------------
   // A cycle-accurate backend can split step() into "run the controller's
-  // scheduling round at the current cycle" (pump_round) and "advance the
-  // clock" (advance_quiet), and can bound how many upcoming cycles are
-  // provably inert (quiet_horizon). A fleet driver then pumps every device
-  // at the same cycle, takes the min horizon across the fleet when no
-  // controller acted, and advances all clocks together — fast-forwarding
-  // quiet spans without ever letting one device's clock race its siblings
-  // (which would skew wait budgets and later submit-cycle stamps). The
-  // resulting trajectory is bit-identical to per-cycle stepping.
+  // scheduling round" (pump_round) and "advance the clock" (advance_quiet),
+  // and can bound how many upcoming cycles are provably inert
+  // (quiet_horizon). A fleet driver then pumps every device, takes the min
+  // horizon across the fleet when no controller acted, and advances all
+  // clocks by that stride — so a quiet span never lets an idle device's
+  // clock race ahead of busy siblings. Clocks still differ wherever a
+  // device's rounds ran control instructions (each runs to completion,
+  // moving only that device's clock). The resulting trajectory, every
+  // stamp included, is bit-identical to calling step() round by round.
   /// Opt-in flag; when false the driver just calls step() and the three
   /// methods below are never invoked.
   virtual bool supports_quiet_burst() const { return false; }
-  /// Run one scheduling round at the current cycle WITHOUT advancing the
-  /// clock. Returns true when the controller did anything observable —
-  /// the fleet must then advance by exactly one cycle so the action's
-  /// consequences replay at the classic cadence.
+  /// Run one scheduling round, the part of step() before its closing
+  /// tick. Control instructions are synchronous: each one the round issues
+  /// runs to completion and advances the clock by its decode latency, so
+  /// the round moves the clock whenever it issued one. Returns true when
+  /// the controller did anything observable — the fleet must then advance
+  /// by exactly one cycle so the action's consequences replay at the
+  /// classic cadence.
   virtual bool pump_round() { return true; }
   /// After a round where no controller in the fleet acted: upper bound
   /// (capped at `cap`) on upcoming cycles during which this device is

@@ -500,17 +500,22 @@ sim::Cycle Engine::step_quiet(sim::Cycle max_cycles) {
     run_round([](Device& d) { d.step(); });
     return 1;
   }
-  // Phase 1: every controller runs its scheduling round at the current
-  // cycle. Devices are independent, so pumping them all before any clock
-  // moves is indistinguishable from the old pump-then-tick per device.
+  // Phase 1: every controller runs its scheduling round. Devices are
+  // independent, so pumping them all before any stride is taken is
+  // indistinguishable from pump-then-tick per device. (A round that issues
+  // a control instruction runs it to completion, moving that device's own
+  // clock; see Device::pump_round.)
   pool_->run(devices_.size(), [this, max_cycles](std::size_t d) {
     if (devices_[d])
       horizon_[d] = devices_[d]->pump_round() ? 1 : devices_[d]->quiet_horizon(max_cycles);
   });
   // Phase 2: agree on one fleet-wide stride. Any action pins the stride to
   // a single real cycle; otherwise the fleet jumps min(horizon) together,
-  // so sibling clocks never drift and every later submit lands on the same
-  // cycle stamp a per-cycle run would give it.
+  // so no device fast-forwards past a sibling's next event and every later
+  // submit lands on the cycle stamp step() by step() would give it.
+  // Sibling clocks do differ: each device's synchronous control
+  // instructions move only its own clock (a busy device runs ahead of an
+  // idle one). The stamps stay deterministic either way.
   sim::Cycle q = max_cycles;
   for (std::size_t d = 0; d < devices_.size(); ++d)
     if (devices_[d]) q = std::min(q, horizon_[d]);
@@ -529,8 +534,9 @@ void Engine::advance_to(sim::Cycle target) {
   // Work stranded on failed (frozen) devices can never finish — stop
   // stepping rather than spinning; the caller recovers via
   // remove_device(). The stride is capped at the distance to `target` so
-  // a quiet burst never overshoots an arrival boundary: pacing relies on
-  // submits landing at the cycle the workload scheduled them for.
+  // a quiet burst never overshoots an arrival boundary; a control
+  // instruction issued just before `target` still runs to completion and
+  // may carry a device's clock past it, exactly as step() would.
   while (!idle() && max_cycle() < target) {
     step_quiet(target - max_cycle());
     if (inflight_only_on_failed()) break;

@@ -55,6 +55,7 @@
 #include "host/faulty_device.h"
 #include "host/sim_device.h"
 #include "host/worker_pool.h"
+#include "sim/simulation.h"  // sim::throughput_mbps: cycle stamps to Mbps at the paper's clock
 
 namespace mccp::host {
 
@@ -369,12 +370,12 @@ class Engine {
   void collect_completed(std::size_t device_index);
   void deliver_completed();
   /// One round that may fast-forward quiet fleet time: every device's
-  /// controller is pumped at the current cycle, and when none of them
-  /// acted all clocks advance together by the fleet-min quiet horizon
-  /// (capped at `max_cycles`) instead of one cycle. Bit-identical to that
-  /// many step() calls — step(), wait_all(), advance_to() and
-  /// Completion::wait() drive their loops through this. Returns the cycles
-  /// advanced (>= 1).
+  /// controller is pumped, and when none of them acted all clocks advance
+  /// together by the fleet-min quiet horizon (capped at `max_cycles`)
+  /// instead of one cycle. Bit-identical to the step() calls it replaces
+  /// — step(), wait_all(), advance_to() and Completion::wait() drive their
+  /// loops through this. Returns the stride (>= 1); a device whose pump
+  /// ran a control instruction moved its own clock further.
   sim::Cycle step_quiet(sim::Cycle max_cycles);
 
   std::vector<std::unique_ptr<Device>> devices_;  // null = tombstoned slot

@@ -10,9 +10,7 @@
 namespace mccp::host {
 
 SimDevice::SimDevice(const top::MccpConfig& config, std::string name)
-    : name_(std::move(name)), mccp_(config, key_memory_) {
-  sim_.add(&mccp_);
-}
+    : name_(std::move(name)), mccp_(config, key_memory_) {}
 
 std::uint8_t SimDevice::run_control(std::uint32_t instruction) {
   // The four non-interruptible steps of SIII.B. The rest of the platform
@@ -22,7 +20,7 @@ std::uint8_t SimDevice::run_control(std::uint32_t instruction) {
   mccp_.pulse_start();
   while (!mccp_.instruction_done()) {
     drain_retrieved();
-    sim_.step();
+    mccp_.tick();
   }
   last_rr_ = mccp_.return_register();
   return last_rr_;
@@ -131,10 +129,10 @@ DeviceJobId SimDevice::submit(JobSpec spec) {
     // or make the stream formatter throw.
     DeviceJobId id = next_job_++;
     JobResult& res = results_[id];
-    res.submit_cycle = sim_.now();
+    res.submit_cycle = now();
     res.complete = true;
     res.auth_ok = false;
-    res.complete_cycle = sim_.now();
+    res.complete_cycle = now();
     ++completions_;
     return id;
   }
@@ -144,7 +142,7 @@ DeviceJobId SimDevice::submit(JobSpec spec) {
   auto [hb, db] = block_fields(job.spec.channel, job.spec.aad.size(), job.spec.payload.size());
   job.header_blocks = hb;
   job.data_blocks = db;
-  results_[job.id].submit_cycle = sim_.now();
+  results_[job.id].submit_cycle = now();
   pending_[job.spec.priority].push_back(job.id);
   DeviceJobId id = job.id;
   jobs_[id] = std::move(job);
@@ -165,7 +163,7 @@ void SimDevice::on_accept(Job& job, std::uint8_t request_id) {
   job.lanes = info->lanes;
   job.state = Job::State::kAccepted;
   active_.push_back(&job);
-  results_[job.id].accept_cycle = sim_.now();
+  results_[job.id].accept_cycle = now();
 
   // Now that the core mapping is known, format the per-lane streams
   // ("the communication controller must format data prior to send").
@@ -228,7 +226,7 @@ void SimDevice::finalize(Job& job) {
   JobResult& res = results_[job.id];
   res.complete = true;
   res.auth_ok = job.auth_ok;
-  res.complete_cycle = sim_.now();
+  res.complete_cycle = now();
   ++completions_;
   if (job.auth_ok && !job.lane_jobs.empty()) {
     // Lane 0 carries the payload stream in every mapping.
@@ -306,7 +304,7 @@ bool SimDevice::pump() {
         pop_head();
         results_[id].complete = true;
         results_[id].auth_ok = false;
-        results_[id].complete_cycle = sim_.now();
+        results_[id].complete_cycle = now();
         ++completions_;
         jobs_.erase(id);
         return true;
@@ -332,7 +330,7 @@ bool SimDevice::pump() {
       pop_head();
       results_[id].complete = true;
       results_[id].auth_ok = false;
-      results_[id].complete_cycle = sim_.now();
+      results_[id].complete_cycle = now();
       ++completions_;
       jobs_.erase(id);
     }
@@ -342,45 +340,52 @@ bool SimDevice::pump() {
 }
 
 void SimDevice::step() {
-  // One scheduling round = exactly one cycle, always. An uncapped quiet
-  // burst here is tempting but wrong at the fleet level: step() has no
-  // horizon to cap against, so an idle device would race its clock
-  // arbitrarily far ahead of busy siblings, blowing wait budgets (which
-  // are denominated in max-over-devices cycles) and shifting the
+  // One scheduling round, then one chip cycle. The round itself may move
+  // the clock: each control instruction it issues runs to completion
+  // through run_control(), ticking the chip for the scheduler's decode
+  // latency. So a step() advances at least one cycle, and more whenever
+  // the round issued an instruction. Every stamp stays deterministic.
+  //
+  // An uncapped quiet burst here is tempting but wrong at the fleet level:
+  // step() has no horizon to cap against, so an idle device would race its
+  // clock arbitrarily far ahead of busy siblings, blowing wait budgets
+  // (which are denominated in max-over-devices cycles) and shifting the
   // submit-cycle stamps of every later placement. Quiet fast-forwarding
   // lives in advance_to(), whose target provides the cap.
   pump();
-  sim_.step();
+  mccp_.tick();
 }
 
 void SimDevice::advance_quiet(sim::Cycle n) {
   if (n <= 1) {
-    // Either the fleet round acted somewhere or some chip is busy: this
-    // cycle must replay for real.
-    sim_.step();
+    // Either a round acted (here or on a fleet sibling) or the chip is
+    // busy: this cycle must replay for real.
+    mccp_.tick();
     return;
   }
-  // n is bounded by this chip's own quiet horizon (the Engine took the
-  // fleet min), so the O(components) fast-forward is bit-exact.
+  // n is bounded by this chip's own quiet horizon (advance_to asked for
+  // it, or the Engine took the fleet min), so the O(components)
+  // fast-forward is bit-exact.
   mccp_.advance_quiet(n);
-  sim_.skip(n);
 }
 
 void SimDevice::advance_to(sim::Cycle target) {
-  while (sim_.now() < target) {
+  while (now() < target) {
     // When the pump acted (it ran control instructions, drained words or
     // retired a job) the next cycles are control traffic: keep the classic
     // one-cycle cadence so its decisions replay exactly. When it is purely
     // waiting on the chip, none of its inputs (Data Available, outboxes,
     // job states, the pending queue) can change before the chip's next
-    // non-quiet cycle, so Mccp::run may fast-forward to that boundary —
-    // capped at `target`, never overshooting an arrival: pacing relies on
-    // submits landing at the cycle the workload scheduled them for.
+    // non-quiet cycle, so the chip may fast-forward to that boundary,
+    // capped at `target`. The cap holds for quiet spans only: a control
+    // instruction the pump issues just before `target` runs to completion
+    // and can carry the clock past it. The result is the same clock and
+    // the same stamps as step() called until now() >= target.
     if (pump()) {
-      sim_.step();
+      mccp_.tick();
       continue;
     }
-    sim_.skip(mccp_.run(target - sim_.now()));
+    advance_quiet(mccp_.quiet_horizon(target - now()));
   }
 }
 

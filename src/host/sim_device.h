@@ -1,10 +1,11 @@
 // SimDevice: the cycle-accurate simulator backend of `host::Device`.
 //
-// Owns one `top::Mccp` (plus its Key Memory and clock domain) and plays the
-// communication controller's data-plane role for it: formats packet streams
-// (SVI.B), drives the 4-step control protocol, pumps the crossbar, and
-// reacts to the Data Available interrupt. It sits behind the Device seam so
-// the multi-device `host::Engine` can own any number of these.
+// Owns one `top::Mccp` (plus its Key Memory) and plays the communication
+// controller's data-plane role for it: formats packet streams (SVI.B),
+// drives the 4-step control protocol, pumps the crossbar, and reacts to the
+// Data Available interrupt. The chip's own cycle counter is the device
+// clock. It sits behind the Device seam so the multi-device `host::Engine`
+// can own any number of these.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,6 @@
 #include "core/stream_format.h"
 #include "host/device.h"
 #include "mccp/mccp.h"
-#include "sim/simulation.h"
 
 namespace mccp::host {
 
@@ -39,8 +39,8 @@ class SimDevice final : public Device {
   void step() override;
   void advance_to(sim::Cycle target) override;
 
-  // Lockstep quiet-burst seam: the Engine pumps the whole fleet at one
-  // cycle, then advances every clock by the fleet-min quiet horizon.
+  // Lockstep quiet-burst seam: the Engine pumps the whole fleet, then
+  // advances every clock by the fleet-min quiet horizon.
   bool supports_quiet_burst() const override { return true; }
   bool pump_round() override { return pump(); }
   sim::Cycle quiet_horizon(sim::Cycle cap) const override { return mccp_.quiet_horizon(cap); }
@@ -71,7 +71,7 @@ class SimDevice final : public Device {
     return mccp_.reconfigurations_to(img);
   }
 
-  sim::Cycle now() const override { return sim_.now(); }
+  sim::Cycle now() const override { return mccp_.cycle(); }
   std::size_t num_cores() const override { return mccp_.num_cores(); }
   /// Jobs submitted but not yet finalized: pending ones still queued for an
   /// ENCRYPT/DECRYPT slot plus accepted ones in any on-device state
@@ -82,7 +82,6 @@ class SimDevice final : public Device {
   std::size_t open_channel_count() const override { return open_channels_; }
 
   // -- simulator plumbing (tests, benches, reconfiguration flows) -------------
-  sim::Simulation& sim() { return sim_; }
   top::Mccp& mccp() { return mccp_; }
   top::KeyMemory& key_memory() { return key_memory_; }
 
@@ -102,7 +101,8 @@ class SimDevice final : public Device {
   /// One round of communication-controller work. Returns true when it did
   /// anything observable (ran a control instruction, drained words, retired
   /// or failed a job, scheduled a swap) — false means the controller is
-  /// purely waiting on the chip, and step() may fast-forward quiet cycles.
+  /// purely waiting on the chip, and advance_to() or a fleet round may
+  /// fast-forward quiet cycles.
   bool pump();
   bool drain_retrieved();
   std::uint8_t run_control(std::uint32_t instruction);
@@ -114,7 +114,6 @@ class SimDevice final : public Device {
   std::string name_;
   top::KeyMemory key_memory_;
   top::Mccp mccp_;
-  sim::Simulation sim_;
 
   /// Jobs awaiting an ENCRYPT/DECRYPT slot, bucketed by priority class
   /// (lowest value = most urgent), arrival order within a bucket. The pump

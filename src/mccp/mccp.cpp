@@ -431,17 +431,6 @@ void Mccp::advance_quiet(std::uint64_t n) {
   cycle_ += n;
 }
 
-sim::Cycle Mccp::run(sim::Cycle max_cycles) {
-  if (max_cycles == 0) return 0;
-  const std::uint64_t q = quiet_horizon(max_cycles);
-  if (q >= 2) {
-    advance_quiet(q);
-    return q;
-  }
-  tick();
-  return 1;
-}
-
 void Mccp::tick() {
   if (ctrl_state_ == CtrlState::kDecoding) {
     if (--ctrl_latency_ <= 0) execute_instruction();

@@ -141,20 +141,15 @@ class Mccp final : public sim::Clocked {
 
   void tick() override;
   std::string name() const override { return "mccp"; }
-
-  /// Batched stepping: when the whole chip is provably quiet — scheduler
-  /// and key loader idle, crossbar with nothing to move, request scans
-  /// inert, every controller parked inside a time-gated Cryptographic Unit
-  /// stretch — fast-forward up to `max_cycles` at once; otherwise tick()
-  /// once. The resulting state (all counters, horizons, cycle stamps) is
-  /// bit-identical to ticking cycle by cycle. Returns the cycles consumed
-  /// (>= 1 whenever max_cycles >= 1).
-  sim::Cycle run(sim::Cycle max_cycles);
+  /// Cycles elapsed since construction: one per tick(), n per
+  /// advance_quiet(n). The owning device's clock.
+  sim::Cycle cycle() const { return cycle_; }
 
   /// Upcoming ticks (possibly 0) guaranteed to be pure latency chip-wide;
   /// capped at `budget` and at every countdown that lands inside the span.
-  /// Public so a fleet driver can take the min across devices and advance
-  /// them in lockstep.
+  /// A device advances through this and advance_quiet(), or tick() when
+  /// the horizon is below 2; a fleet driver takes the min across devices
+  /// and advances them in lockstep.
   std::uint64_t quiet_horizon(std::uint64_t budget) const;
   /// Apply `n` quiet ticks in O(components); n <= quiet_horizon(...).
   void advance_quiet(std::uint64_t n);

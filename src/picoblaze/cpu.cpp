@@ -7,10 +7,9 @@ namespace mccp::pb {
 void Cpu::load_program(std::span<const Word> image) {
   if (image.size() > kImemWords)
     throw std::length_error("Cpu::load_program: image exceeds 1024 words");
-  imem_.fill(encode(Opcode::kNop, 0, 0));
-  for (std::size_t i = 0; i < image.size(); ++i) imem_[i] = image[i];
-  // Predecode the whole store once; tick()/run() never extract fields again.
-  for (std::size_t i = 0; i < kImemWords; ++i) dops_[i] = decode_word(imem_[i]);
+  // Predecode the whole store once; tick() never extracts fields again.
+  dops_.fill(decode_word(encode(Opcode::kNop, 0, 0)));
+  for (std::size_t i = 0; i < image.size(); ++i) dops_[i] = decode_word(image[i]);
   reset();
 }
 
@@ -26,7 +25,6 @@ void Cpu::reset() {
   wake_pending_ = false;
   irq_pending_ = false;
   fetch_phase_ = true;
-  current_ = 0;
   dcur_ = &dops_[0];
   retired_ = 0;
 }
@@ -111,9 +109,8 @@ Cpu::DecodedOp Cpu::decode_word(Word w) {
   return d;
 }
 
-bool Cpu::fetch_cycle() {
+void Cpu::fetch_cycle() {
   // Interrupts are recognised at instruction boundaries, like KCPSM3.
-  bool vectored = false;
   if (irq_pending_ && int_enable_) {
     irq_pending_ = false;
     int_enable_ = false;
@@ -122,14 +119,10 @@ bool Cpu::fetch_cycle() {
     if (stack_.size() >= kStackDepth) throw std::runtime_error("PicoBlaze stack overflow");
     stack_.push_back(pc_);
     pc_ = kInterruptVector;
-    vectored = true;
   }
-  const std::uint16_t idx = pc_ & (kImemWords - 1);
-  current_ = imem_[idx];
-  dcur_ = &dops_[idx];
+  dcur_ = &dops_[pc_ & (kImemWords - 1)];
   pc_ = static_cast<std::uint16_t>((pc_ + 1) & (kImemWords - 1));
   fetch_phase_ = false;
-  return vectored;
 }
 
 void Cpu::tick() {
@@ -149,62 +142,13 @@ void Cpu::tick() {
   if (fetch_phase_) {
     fetch_cycle();
   } else {
-    exec_decoded(*dcur_, zero_, carry_);
+    exec_decoded(*dcur_);
     ++retired_;
     fetch_phase_ = true;
   }
 }
 
-sim::Cycle Cpu::run(sim::Cycle max_cycles) {
-  sim::Cycle used = 0;
-  if (halted_) {
-    if (!wake_pending_ || max_cycles == 0) return 0;  // parked
-    halted_ = false;
-    wake_pending_ = false;
-    fetch_phase_ = true;
-    ++used;  // the cycle the wake pulse is sampled
-  }
-  // Hoist the hot flags into locals for the straight-line stretch; they are
-  // written back on every exit path (including exceptions).
-  bool zf = zero_;
-  bool cf = carry_;
-  try {
-    while (used < max_cycles) {
-      if (fetch_phase_) {
-        // IRQ vectoring saves the *architectural* flags.
-        zero_ = zf;
-        carry_ = cf;
-        const bool vectored = fetch_cycle();
-        ++used;
-        if (vectored) break;  // yield: interrupt boundary
-      } else {
-        const DecodedOp& d = *dcur_;
-        if (is_io(d.kind)) break;  // yield BEFORE touching the bus
-        exec_decoded(d, zf, cf);
-        ++retired_;
-        fetch_phase_ = true;
-        ++used;
-        if (halted_) break;  // yield: HALT executed
-      }
-    }
-  } catch (...) {
-    zero_ = zf;
-    carry_ = cf;
-    throw;
-  }
-  zero_ = zf;
-  carry_ = cf;
-  return used;
-}
-
-void Cpu::alu_writeback(unsigned sx, std::uint16_t wide, bool update_carry) {
-  std::uint8_t result = static_cast<std::uint8_t>(wide & 0xFF);
-  regs_[sx] = result;
-  zero_ = (result == 0);
-  if (update_carry) carry_ = (wide & 0x100) != 0;
-}
-
-void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
+void Cpu::exec_decoded(const DecodedOp& d) {
   const unsigned sx = d.sx;
   const std::uint8_t imm = d.imm;
 
@@ -212,19 +156,19 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
   // updates it from bit 8.
   auto logical = [&](std::uint8_t r) {
     regs_[sx] = r;
-    zf = (r == 0);
-    cf = false;
+    zero_ = (r == 0);
+    carry_ = false;
   };
   auto arith = [&](std::uint16_t wide) {
     const std::uint8_t r = static_cast<std::uint8_t>(wide & 0xFF);
     regs_[sx] = r;
-    zf = (r == 0);
-    cf = (wide & 0x100) != 0;
+    zero_ = (r == 0);
+    carry_ = (wide & 0x100) != 0;
   };
   auto shifted = [&](std::uint8_t r, bool carry_out) {
     regs_[sx] = r;
-    zf = (r == 0);
-    cf = carry_out;
+    zero_ = (r == 0);
+    carry_ = carry_out;
   };
 
   switch (d.kind) {
@@ -240,30 +184,30 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
     case Exec::kAddK: arith(static_cast<std::uint16_t>(regs_[sx] + imm)); break;
     case Exec::kAddR: arith(static_cast<std::uint16_t>(regs_[sx] + regs_[d.sy])); break;
     case Exec::kAddcyK:
-      arith(static_cast<std::uint16_t>(regs_[sx] + imm + (cf ? 1 : 0)));
+      arith(static_cast<std::uint16_t>(regs_[sx] + imm + (carry_ ? 1 : 0)));
       break;
     case Exec::kAddcyR:
-      arith(static_cast<std::uint16_t>(regs_[sx] + regs_[d.sy] + (cf ? 1 : 0)));
+      arith(static_cast<std::uint16_t>(regs_[sx] + regs_[d.sy] + (carry_ ? 1 : 0)));
       break;
     case Exec::kSubK: arith(static_cast<std::uint16_t>(regs_[sx] - imm)); break;
     case Exec::kSubR: arith(static_cast<std::uint16_t>(regs_[sx] - regs_[d.sy])); break;
     case Exec::kSubcyK:
-      arith(static_cast<std::uint16_t>(regs_[sx] - imm - (cf ? 1 : 0)));
+      arith(static_cast<std::uint16_t>(regs_[sx] - imm - (carry_ ? 1 : 0)));
       break;
     case Exec::kSubcyR:
-      arith(static_cast<std::uint16_t>(regs_[sx] - regs_[d.sy] - (cf ? 1 : 0)));
+      arith(static_cast<std::uint16_t>(regs_[sx] - regs_[d.sy] - (carry_ ? 1 : 0)));
       break;
 
     case Exec::kCompareK: {
       const std::uint16_t r = static_cast<std::uint16_t>(regs_[sx] - imm);
-      zf = ((r & 0xFF) == 0);
-      cf = (r & 0x100) != 0;
+      zero_ = ((r & 0xFF) == 0);
+      carry_ = (r & 0x100) != 0;
       break;
     }
     case Exec::kCompareR: {
       const std::uint16_t r = static_cast<std::uint16_t>(regs_[sx] - regs_[d.sy]);
-      zf = ((r & 0xFF) == 0);
-      cf = (r & 0x100) != 0;
+      zero_ = ((r & 0xFF) == 0);
+      carry_ = (r & 0x100) != 0;
       break;
     }
 
@@ -294,7 +238,7 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
     }
     case Exec::kSla: {
       const std::uint8_t r = regs_[sx];
-      shifted(static_cast<std::uint8_t>((r << 1) | (cf ? 1 : 0)), r & 0x80);
+      shifted(static_cast<std::uint8_t>((r << 1) | (carry_ ? 1 : 0)), r & 0x80);
       break;
     }
     case Exec::kRl: {
@@ -319,7 +263,7 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
     }
     case Exec::kSra: {
       const std::uint8_t r = regs_[sx];
-      shifted(static_cast<std::uint8_t>((r >> 1) | (cf ? 0x80 : 0)), r & 1);
+      shifted(static_cast<std::uint8_t>((r >> 1) | (carry_ ? 0x80 : 0)), r & 1);
       break;
     }
     case Exec::kRr: {
@@ -330,19 +274,19 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
     case Exec::kBadShift: throw std::runtime_error("PicoBlaze: bad shift sub-op");
 
     case Exec::kJump: pc_ = d.addr; break;
-    case Exec::kJumpZ: if (zf) pc_ = d.addr; break;
-    case Exec::kJumpNz: if (!zf) pc_ = d.addr; break;
-    case Exec::kJumpC: if (cf) pc_ = d.addr; break;
-    case Exec::kJumpNc: if (!cf) pc_ = d.addr; break;
+    case Exec::kJumpZ: if (zero_) pc_ = d.addr; break;
+    case Exec::kJumpNz: if (!zero_) pc_ = d.addr; break;
+    case Exec::kJumpC: if (carry_) pc_ = d.addr; break;
+    case Exec::kJumpNc: if (!carry_) pc_ = d.addr; break;
 
     case Exec::kCall:
     case Exec::kCallZ:
     case Exec::kCallNz:
     case Exec::kCallC:
     case Exec::kCallNc: {
-      const bool take = (d.kind == Exec::kCall) || (d.kind == Exec::kCallZ && zf) ||
-                        (d.kind == Exec::kCallNz && !zf) || (d.kind == Exec::kCallC && cf) ||
-                        (d.kind == Exec::kCallNc && !cf);
+      const bool take = (d.kind == Exec::kCall) || (d.kind == Exec::kCallZ && zero_) ||
+                        (d.kind == Exec::kCallNz && !zero_) || (d.kind == Exec::kCallC && carry_) ||
+                        (d.kind == Exec::kCallNc && !carry_);
       if (take) {
         if (stack_.size() >= kStackDepth) throw std::runtime_error("PicoBlaze stack overflow");
         stack_.push_back(pc_);
@@ -356,9 +300,9 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
     case Exec::kReturnNz:
     case Exec::kReturnC:
     case Exec::kReturnNc: {
-      const bool take = (d.kind == Exec::kReturn) || (d.kind == Exec::kReturnZ && zf) ||
-                        (d.kind == Exec::kReturnNz && !zf) || (d.kind == Exec::kReturnC && cf) ||
-                        (d.kind == Exec::kReturnNc && !cf);
+      const bool take = (d.kind == Exec::kReturn) || (d.kind == Exec::kReturnZ && zero_) ||
+                        (d.kind == Exec::kReturnNz && !zero_) || (d.kind == Exec::kReturnC && carry_) ||
+                        (d.kind == Exec::kReturnNc && !carry_);
       if (take) {
         if (stack_.empty()) throw std::runtime_error("PicoBlaze stack underflow");
         pc_ = stack_.back();
@@ -372,8 +316,8 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
       if (stack_.empty()) throw std::runtime_error("PicoBlaze RETURNI with empty stack");
       pc_ = stack_.back();
       stack_.pop_back();
-      zf = saved_zero_;
-      cf = saved_carry_;
+      zero_ = saved_zero_;
+      carry_ = saved_carry_;
       int_enable_ = (d.kind == Exec::kReturniEnable);
       break;
 
@@ -384,184 +328,6 @@ void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
     case Exec::kNop: break;
 
     case Exec::kIllegal:
-    default: throw std::runtime_error("PicoBlaze: illegal opcode");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reference path: the original decode-per-execute interpreter, kept cycle-
-// for-cycle identical as the oracle the differential fuzz suite steps
-// against the cached paths above.
-
-void Cpu::tick_reference() {
-  if (halted_) {
-    if (wake_pending_) {
-      halted_ = false;
-      wake_pending_ = false;
-      fetch_phase_ = true;
-    }
-    return;
-  }
-  if (fetch_phase_) {
-    fetch_cycle();  // shares the IRQ-at-boundary rule (and keeps dcur_ coherent)
-  } else {
-    execute(current_);
-    ++retired_;
-    fetch_phase_ = true;
-  }
-}
-
-void Cpu::execute(Word w) {
-  const Opcode op = opcode_of(w);
-  const unsigned sx = field_sx(w);
-  const unsigned sy = field_sy(w);
-  const std::uint8_t imm = static_cast<std::uint8_t>(field_imm(w));
-  const std::uint8_t ry = regs_[sy];
-
-  auto logical = [&](std::uint8_t v, char kind) {
-    std::uint8_t r = regs_[sx];
-    switch (kind) {
-      case '&': r &= v; break;
-      case '|': r |= v; break;
-      case '^': r ^= v; break;
-      default: r = v; break;  // load
-    }
-    regs_[sx] = r;
-    zero_ = (r == 0);
-    carry_ = false;  // KCPSM3 clears carry on logical ops
-  };
-
-  switch (op) {
-    case Opcode::kLoadK: regs_[sx] = imm; break;  // LOAD does not affect flags
-    case Opcode::kLoadR: regs_[sx] = ry; break;
-    case Opcode::kAndK: logical(imm, '&'); break;
-    case Opcode::kAndR: logical(ry, '&'); break;
-    case Opcode::kOrK: logical(imm, '|'); break;
-    case Opcode::kOrR: logical(ry, '|'); break;
-    case Opcode::kXorK: logical(imm, '^'); break;
-    case Opcode::kXorR: logical(ry, '^'); break;
-
-    case Opcode::kAddK: alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] + imm), true); break;
-    case Opcode::kAddR: alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] + ry), true); break;
-    case Opcode::kAddcyK:
-      alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] + imm + (carry_ ? 1 : 0)), true);
-      break;
-    case Opcode::kAddcyR:
-      alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] + ry + (carry_ ? 1 : 0)), true);
-      break;
-    case Opcode::kSubK: alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] - imm), true); break;
-    case Opcode::kSubR: alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] - ry), true); break;
-    case Opcode::kSubcyK:
-      alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] - imm - (carry_ ? 1 : 0)), true);
-      break;
-    case Opcode::kSubcyR:
-      alu_writeback(sx, static_cast<std::uint16_t>(regs_[sx] - ry - (carry_ ? 1 : 0)), true);
-      break;
-
-    case Opcode::kCompareK: {
-      std::uint16_t r = static_cast<std::uint16_t>(regs_[sx] - imm);
-      zero_ = ((r & 0xFF) == 0);
-      carry_ = (r & 0x100) != 0;
-      break;
-    }
-    case Opcode::kCompareR: {
-      std::uint16_t r = static_cast<std::uint16_t>(regs_[sx] - ry);
-      zero_ = ((r & 0xFF) == 0);
-      carry_ = (r & 0x100) != 0;
-      break;
-    }
-
-    case Opcode::kInputP: regs_[sx] = bus_->read_port(imm); break;
-    case Opcode::kInputR: regs_[sx] = bus_->read_port(ry); break;
-    case Opcode::kOutputP: bus_->write_port(imm, regs_[sx]); break;
-    case Opcode::kOutputR: bus_->write_port(ry, regs_[sx]); break;
-
-    case Opcode::kStoreS: scratch_[imm % kScratchpadBytes] = regs_[sx]; break;
-    case Opcode::kStoreR: scratch_[ry % kScratchpadBytes] = regs_[sx]; break;
-    case Opcode::kFetchS: regs_[sx] = scratch_[imm % kScratchpadBytes]; break;
-    case Opcode::kFetchR: regs_[sx] = scratch_[ry % kScratchpadBytes]; break;
-
-    case Opcode::kShift: {
-      std::uint8_t r = regs_[sx];
-      bool old_carry = carry_;
-      switch (static_cast<ShiftOp>(imm)) {
-        case ShiftOp::kSl0: carry_ = r & 0x80; r = static_cast<std::uint8_t>(r << 1); break;
-        case ShiftOp::kSl1: carry_ = r & 0x80; r = static_cast<std::uint8_t>((r << 1) | 1); break;
-        case ShiftOp::kSlx: carry_ = r & 0x80; r = static_cast<std::uint8_t>((r << 1) | (r & 1)); break;
-        case ShiftOp::kSla:
-          carry_ = r & 0x80;
-          r = static_cast<std::uint8_t>((r << 1) | (old_carry ? 1 : 0));
-          break;
-        case ShiftOp::kRl: carry_ = r & 0x80; r = static_cast<std::uint8_t>((r << 1) | (r >> 7)); break;
-        case ShiftOp::kSr0: carry_ = r & 1; r = static_cast<std::uint8_t>(r >> 1); break;
-        case ShiftOp::kSr1: carry_ = r & 1; r = static_cast<std::uint8_t>((r >> 1) | 0x80); break;
-        case ShiftOp::kSrx: carry_ = r & 1; r = static_cast<std::uint8_t>((r >> 1) | (r & 0x80)); break;
-        case ShiftOp::kSra:
-          carry_ = r & 1;
-          r = static_cast<std::uint8_t>((r >> 1) | (old_carry ? 0x80 : 0));
-          break;
-        case ShiftOp::kRr: carry_ = r & 1; r = static_cast<std::uint8_t>((r >> 1) | (r << 7)); break;
-        default: throw std::runtime_error("PicoBlaze: bad shift sub-op");
-      }
-      regs_[sx] = r;
-      zero_ = (r == 0);
-      break;
-    }
-
-    case Opcode::kJump: pc_ = static_cast<std::uint16_t>(field_addr(w)); break;
-    case Opcode::kJumpZ: if (zero_) pc_ = static_cast<std::uint16_t>(field_addr(w)); break;
-    case Opcode::kJumpNz: if (!zero_) pc_ = static_cast<std::uint16_t>(field_addr(w)); break;
-    case Opcode::kJumpC: if (carry_) pc_ = static_cast<std::uint16_t>(field_addr(w)); break;
-    case Opcode::kJumpNc: if (!carry_) pc_ = static_cast<std::uint16_t>(field_addr(w)); break;
-
-    case Opcode::kCall:
-    case Opcode::kCallZ:
-    case Opcode::kCallNz:
-    case Opcode::kCallC:
-    case Opcode::kCallNc: {
-      bool take = (op == Opcode::kCall) || (op == Opcode::kCallZ && zero_) ||
-                  (op == Opcode::kCallNz && !zero_) || (op == Opcode::kCallC && carry_) ||
-                  (op == Opcode::kCallNc && !carry_);
-      if (take) {
-        if (stack_.size() >= kStackDepth) throw std::runtime_error("PicoBlaze stack overflow");
-        stack_.push_back(pc_);
-        pc_ = static_cast<std::uint16_t>(field_addr(w));
-      }
-      break;
-    }
-
-    case Opcode::kReturn:
-    case Opcode::kReturnZ:
-    case Opcode::kReturnNz:
-    case Opcode::kReturnC:
-    case Opcode::kReturnNc: {
-      bool take = (op == Opcode::kReturn) || (op == Opcode::kReturnZ && zero_) ||
-                  (op == Opcode::kReturnNz && !zero_) || (op == Opcode::kReturnC && carry_) ||
-                  (op == Opcode::kReturnNc && !carry_);
-      if (take) {
-        if (stack_.empty()) throw std::runtime_error("PicoBlaze stack underflow");
-        pc_ = stack_.back();
-        stack_.pop_back();
-      }
-      break;
-    }
-
-    case Opcode::kReturniEnable:
-    case Opcode::kReturniDisable:
-      if (stack_.empty()) throw std::runtime_error("PicoBlaze RETURNI with empty stack");
-      pc_ = stack_.back();
-      stack_.pop_back();
-      zero_ = saved_zero_;
-      carry_ = saved_carry_;
-      int_enable_ = (op == Opcode::kReturniEnable);
-      break;
-
-    case Opcode::kEnableInt: int_enable_ = true; break;
-    case Opcode::kDisableInt: int_enable_ = false; break;
-
-    case Opcode::kHalt: halted_ = true; break;
-    case Opcode::kNop: break;
-
     default: throw std::runtime_error("PicoBlaze: illegal opcode");
   }
 }

@@ -16,16 +16,12 @@
 //   - Wake pulses are sticky: a wake() arriving before the HALT executes
 //     makes the HALT fall through immediately instead of sleeping forever.
 //
-// Execution paths: `load_program` predecodes all 1024 instruction words
-// into a dense DecodedOp table, so the per-cycle `tick()` dispatches on a
-// flat enum with no field extraction, and `run(max_cycles)` retires
-// straight-line instructions back-to-back between I/O boundaries. The
-// simulator itself only ticks: a CryptoCore's controller writes the CU port
-// every few instructions, so its bursts would be too short to pay, and
-// `run()` is exercised by the differential fuzz suite alone. The original
-// decode-per-execute path is retained as `tick_reference()` — a
-// differential oracle the fuzz suite steps in lockstep against the cached
-// paths.
+// Execution: `load_program` predecodes all 1024 instruction words into a
+// dense DecodedOp table, and `tick()` — the controller's one execution
+// path — dispatches on a flat enum with no field extraction. Its test
+// oracle is a standalone decode-per-execute interpreter
+// (tests/support/picoblaze_reference.h) that the differential fuzz suite
+// steps in lockstep against tick().
 #pragma once
 
 #include <array>
@@ -60,8 +56,8 @@ class Cpu final : public sim::Clocked {
   void load_program(std::span<const Word> image);
 
   /// Architectural reset: registers, scratchpad, stack, flags, pc and the
-  /// retired-instruction counter all restart from zero. The program image
-  /// (and its decoded table) is preserved.
+  /// retired-instruction counter all restart from zero. The decoded
+  /// program is preserved.
   void reset();
 
   // -- control/status lines ------------------------------------------------
@@ -76,25 +72,6 @@ class Cpu final : public sim::Clocked {
   // -- Clocked --------------------------------------------------------------
   void tick() override;
   std::string name() const override { return name_; }
-
-  /// Batched execution: advance up to `max_cycles` cycles on the cached
-  /// decode path, retiring straight-line instructions back-to-back with the
-  /// flags hoisted into locals. Returns the cycles actually consumed; the
-  /// accounting is bit-identical to calling tick() that many times. The
-  /// loop yields early — so the embedder can synchronize bus-side state —
-  ///   - BEFORE the execute cycle of an INPUT/OUTPUT instruction (run()
-  ///     itself never touches the IoBus; step the access with tick()),
-  ///   - after the fetch cycle that vectors into the interrupt handler,
-  ///   - after HALT executes, and
-  ///   - immediately (returning 0) while parked: a halted CPU burns no
-  ///     internal state, so the caller accounts idle time itself.
-  /// A return of 0 with `!halted()` means the next cycle is an I/O execute.
-  sim::Cycle run(sim::Cycle max_cycles);
-
-  /// The pre-decode-cache execution path (decode every field on every
-  /// execute), kept bit-for-bit as the differential oracle for the cached
-  /// tick()/run() paths. Interchangeable with tick() at cycle granularity.
-  void tick_reference();
 
   // -- introspection for tests ----------------------------------------------
   std::uint8_t reg(unsigned i) const { return regs_[i & 0xF]; }
@@ -114,7 +91,7 @@ class Cpu final : public sim::Clocked {
     kLoadK, kLoadR, kAndK, kAndR, kOrK, kOrR, kXorK, kXorR,
     kAddK, kAddR, kAddcyK, kAddcyR, kSubK, kSubR, kSubcyK, kSubcyR,
     kCompareK, kCompareR,
-    kInputP, kInputR, kOutputP, kOutputR,  // contiguous: the I/O yield range
+    kInputP, kInputR, kOutputP, kOutputR,
     kStoreS, kStoreR, kFetchS, kFetchR,
     kSl0, kSl1, kSlx, kSla, kRl, kSr0, kSr1, kSrx, kSra, kRr, kBadShift,
     kJump, kJumpZ, kJumpNz, kJumpC, kJumpNc,
@@ -135,21 +112,14 @@ class Cpu final : public sim::Clocked {
   };
 
   static DecodedOp decode_word(Word w);
-  static bool is_io(Exec k) { return k >= Exec::kInputP && k <= Exec::kOutputR; }
 
-  /// One fetch cycle on the cached path (including IRQ vectoring). Returns
-  /// true when the fetch vectored into the interrupt handler.
-  bool fetch_cycle();
-  /// Execute the current decoded op with the flags passed by reference
-  /// (members for tick(), hoisted locals for run()).
-  void exec_decoded(const DecodedOp& d, bool& zf, bool& cf);
-
-  void execute(Word w);  // reference path (decode per execute)
-  void alu_writeback(unsigned sx, std::uint16_t wide, bool update_carry);
+  /// One fetch cycle (including IRQ vectoring at the instruction boundary).
+  void fetch_cycle();
+  /// Execute the current decoded op.
+  void exec_decoded(const DecodedOp& d);
 
   std::string name_;
   IoBus* bus_;
-  std::array<Word, kImemWords> imem_{};
   std::array<DecodedOp, kImemWords> dops_{};
   std::array<std::uint8_t, kNumRegisters> regs_{};
   std::array<std::uint8_t, kScratchpadBytes> scratch_{};
@@ -164,8 +134,7 @@ class Cpu final : public sim::Clocked {
   bool wake_pending_ = false;
   bool irq_pending_ = false;
   bool fetch_phase_ = true;  // true: fetch tick, false: execute tick
-  Word current_ = 0;
-  const DecodedOp* dcur_ = nullptr;  // decoded twin of current_
+  const DecodedOp* dcur_ = nullptr;  // op fetched for the next execute tick
   std::uint64_t retired_ = 0;
 };
 

@@ -1,7 +1,10 @@
-// The global clock: owns the cycle counter and ticks registered components.
+// A clock for component harnesses: owns a cycle counter and ticks the
+// registered components (a single core, a CU, a bare Mccp under test).
 //
 // The MCCP is a single synchronous clock domain (190 MHz on the paper's
-// Virtex-4), so one Simulation instance drives the entire processor model.
+// Virtex-4). A whole chip behind host::SimDevice needs no Simulation: the
+// Mccp ticks its components itself and its cycle counter is the device
+// clock.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +33,6 @@ class Simulation {
   void run(Cycle n) {
     for (Cycle i = 0; i < n; ++i) step();
   }
-
-  /// Account `n` cycles the registered components have already consumed
-  /// through a batched run of their own (e.g. Mccp::run) — advances the
-  /// clock without ticking anyone.
-  void skip(Cycle n) { cycle_ += n; }
 
   /// Advance until `done()` returns true, or throw after `max_cycles`
   /// (guards against firmware bugs hanging the test suite).
