@@ -35,6 +35,15 @@ Block128 ccm_b0(const CcmParams& p, ByteSpan nonce, std::size_t aad_len, std::si
 /// The a-encoding of the AAD length prepended to the AAD (SP 800-38C A.2.2).
 Bytes ccm_encode_aad(ByteSpan aad);
 
+/// ccm_encode_aad(aad).size() / 16 for an `aad_len`-byte AAD, without
+/// building the encoding: 0 for no AAD, otherwise the 2-, 6- or 10-byte
+/// length prefix plus the AAD, rounded up to whole blocks.
+constexpr std::size_t ccm_aad_blocks(std::size_t aad_len) {
+  if (aad_len == 0) return 0;
+  const std::size_t prefix = aad_len < 0xFF00 ? 2 : aad_len <= 0xFFFFFFFFULL ? 6 : 10;
+  return (prefix + aad_len + 15) / 16;
+}
+
 /// Counter block Ctr_i: flags(q-1) || nonce || i.
 Block128 ccm_ctr_block(const CcmParams& p, ByteSpan nonce, std::uint64_t index);
 

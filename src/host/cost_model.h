@@ -98,6 +98,17 @@ inline constexpr int kCbcResidualCycles = 58;
 inline constexpr int kCcm1ResidualCycles = 59;
 inline constexpr int kCcm2ResidualCycles = -37;
 
+/// Formatted header (AAD) blocks of a packet, as the communication
+/// controller streams them: GCM pads the AAD to whole blocks, CCM
+/// prefixes its length encoding first, and no other mode has a header.
+constexpr std::size_t header_blocks(top::ChannelMode mode, std::size_t aad_len) {
+  switch (mode) {
+    case top::ChannelMode::kGcm: return (aad_len + 15) / 16;
+    case top::ChannelMode::kCcm: return crypto::ccm_aad_blocks(aad_len);
+    default: return 0;
+  }
+}
+
 /// Compute-lane occupancy for one packet. `aad_blocks` counts formatted
 /// header blocks (padded AAD for GCM; length-encoded, padded AAD for CCM —
 /// the B0 block is charged internally).

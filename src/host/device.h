@@ -5,9 +5,10 @@
 // architecture "is scalable; the number of embedded crypto-cores may vary".
 // Production deployments scale one step further: a fleet of MCCP devices
 // behind one host driver. `Device` is the stable seam between that driver
-// (`host::Engine`) and whatever sits underneath — the cycle-accurate
-// simulator today (`SimDevice`), RTL co-simulation or real PCIe/AXI hardware
-// later. Everything above this interface is transport-agnostic.
+// (`host::Engine`) and whatever sits underneath: the cycle-accurate
+// `SimDevice` and the calibrated `FastDevice` (which share host/job_book.h),
+// RTL co-simulation or real PCIe/AXI hardware later. Everything above this
+// interface is transport-agnostic.
 //
 // A Device bundles one MCCP's control port (the 4-step instruction protocol
 // of SIII.B) with its crossbar pump (packet formatting, lane streaming,
@@ -159,10 +160,9 @@ class Device {
   /// Queue a packet; never blocks. Errors (unknown channel, ...) surface on
   /// the job itself: it completes with `auth_ok == false`.
   virtual DeviceJobId submit(JobSpec spec) = 0;
-  /// Queue a burst of packets in one call, consuming the specs. Semantically
-  /// identical to calling submit() in order; backends override to amortize
-  /// per-job bookkeeping at high offered load.
-  virtual std::vector<DeviceJobId> submit_batch(std::span<JobSpec> specs) {
+  /// Queue a burst of packets in one call, consuming the specs: submit() in
+  /// order.
+  std::vector<DeviceJobId> submit_batch(std::span<JobSpec> specs) {
     std::vector<DeviceJobId> ids;
     ids.reserve(specs.size());
     for (JobSpec& spec : specs) ids.push_back(submit(std::move(spec)));
@@ -175,9 +175,7 @@ class Device {
   /// there). The cycle-accurate backend really simulates the interval; an
   /// idle event-driven backend may jump. Workload pacing uses this to skip
   /// quiet gaps between arrivals without submitting early.
-  virtual void advance_to(sim::Cycle target) {
-    while (now() < target) step();
-  }
+  virtual void advance_to(sim::Cycle target) = 0;
   virtual bool idle() const = 0;
 
   // -- lockstep quiet-burst seam ----------------------------------------------
@@ -214,28 +212,24 @@ class Device {
 
   /// Live view of a job (partial until `complete`); nullptr if unknown.
   virtual const JobResult* result(DeviceJobId id) const = 0;
-  /// Sentinel for completions(): the backend keeps no counter, so callers
-  /// must scan result() to discover completions.
-  static constexpr std::uint64_t kCompletionsUnknown = ~0ull;
   /// Monotone count of jobs that have reached a final state — bumped no
   /// later than the moment result() first reports the job complete. The
   /// Engine polls this to skip scanning a device whose in-flight jobs
   /// cannot have finished since the last look; decorators that hide some
   /// completions may over-report (extra scans are merely wasted work) but
   /// must never under-report.
-  virtual std::uint64_t completions() const { return kCompletionsUnknown; }
+  virtual std::uint64_t completions() const = 0;
   /// Drop a completed job's bookkeeping (the Engine copies results out).
+  /// A job that has not completed keeps running: forgetting it is a no-op.
   virtual void forget(DeviceJobId id) = 0;
 
   // -- slot personalities & partial reconfiguration (paper SVII.B) ------------
   /// The core image slot `slot` currently hosts. While a swap is in flight
   /// the OLD image is reported (the region only commits on completion).
-  virtual reconfig::CoreImage slot_image(std::size_t /*slot*/) const {
-    return reconfig::CoreImage::kAesEncryptWithKs;
-  }
+  virtual reconfig::CoreImage slot_image(std::size_t slot) const = 0;
   /// True while slot `slot`'s bitstream transfer is running (the slot is
   /// unschedulable; sibling slots keep working).
-  virtual bool slot_reconfiguring(std::size_t /*slot*/) const { return false; }
+  virtual bool slot_reconfiguring(std::size_t slot) const = 0;
   /// Slots whose committed personality is `img` right now (in-flight swaps
   /// count for neither image).
   virtual std::size_t slots_with_image(reconfig::CoreImage img) const {
@@ -247,23 +241,21 @@ class Device {
   /// Begin swapping slot `slot` to `image` from `store`. The slot must be
   /// idle and not already reconfiguring; it is unavailable for the
   /// returned number of cycles and comes back with the new personality.
-  /// nullopt = busy / already swapping / unsupported backend. A submit
+  /// nullopt = busy / already swapping / dead device. A submit
   /// whose mode needs an image no slot holds triggers this automatically
   /// when the device's auto_reconfig policy is on, and fails fast when it
   /// is off — it is never silently computed.
-  virtual std::optional<std::uint64_t> begin_reconfiguration(std::size_t /*slot*/,
-                                                             reconfig::CoreImage /*image*/,
-                                                             reconfig::BitstreamStore /*store*/) {
-    return std::nullopt;
-  }
+  virtual std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot,
+                                                             reconfig::CoreImage image,
+                                                             reconfig::BitstreamStore store) = 0;
   /// Swaps started on this device + the slot-cycles they spent (will
   /// spend) unavailable — the fleet-level reconfiguration accounting the
   /// workload reports aggregate.
-  virtual std::uint64_t reconfigurations() const { return 0; }
-  virtual std::uint64_t reconfig_stall_cycles() const { return 0; }
+  virtual std::uint64_t reconfigurations() const = 0;
+  virtual std::uint64_t reconfig_stall_cycles() const = 0;
   /// Of those, swaps that landed `img` specifically (per-class workload
   /// accounting attributes swaps to the image a class's mode needs).
-  virtual std::uint64_t reconfigurations_to(reconfig::CoreImage /*img*/) const { return 0; }
+  virtual std::uint64_t reconfigurations_to(reconfig::CoreImage img) const = 0;
 
   // -- introspection ----------------------------------------------------------
   virtual sim::Cycle now() const = 0;

@@ -112,7 +112,7 @@ Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
   inflight_.resize(devices_.size());
   done_.resize(devices_.size());
   horizon_.resize(devices_.size());
-  completions_seen_.assign(devices_.size(), Device::kCompletionsUnknown);
+  for (const auto& dev : devices_) completions_seen_.push_back(dev->completions());
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
   build_config_ = config;
@@ -129,7 +129,7 @@ Engine::Engine(std::vector<std::unique_ptr<Device>> devices, Placement placement
   inflight_.resize(devices_.size());
   done_.resize(devices_.size());
   horizon_.resize(devices_.size());
-  completions_seen_.assign(devices_.size(), Device::kCompletionsUnknown);
+  for (const auto& dev : devices_) completions_seen_.push_back(dev ? dev->completions() : 0);
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
   pool_ = std::make_unique<WorkerPool>(std::min(num_workers, devices_.size()));
@@ -419,10 +419,8 @@ void Engine::collect_completed(std::size_t device_index) {
   // wall-clock on both backends at deep in-flight windows.
   const std::uint64_t count = devices_[device_index]->completions();
   std::uint64_t& seen = completions_seen_[device_index];
-  if (count != Device::kCompletionsUnknown && count == seen) return;
-  std::uint64_t budget = count == Device::kCompletionsUnknown || seen == Device::kCompletionsUnknown
-                             ? Device::kCompletionsUnknown
-                             : count - seen;
+  if (count == seen) return;
+  std::uint64_t budget = count - seen;
   seen = count;
   auto& list = inflight_[device_index];
   std::size_t kept = 0;
@@ -702,18 +700,18 @@ std::size_t Engine::adopt_device(std::unique_ptr<Device> dev) {
 
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (devices_[i]) continue;
+    // The slot changed occupants: count from the new device's own counter,
+    // or the old device's count could alias it and mask its completions.
+    completions_seen_[i] = dev->completions();
     devices_[i] = std::move(dev);
-    // The slot changed occupants: a cached completion count from the old
-    // device could alias the new device's count and mask its completions.
-    completions_seen_[i] = Device::kCompletionsUnknown;
     draining_[i] = 0;
     return i;
   }
+  completions_seen_.push_back(dev->completions());
   devices_.push_back(std::move(dev));
   inflight_.emplace_back();
   done_.emplace_back();
   horizon_.emplace_back();
-  completions_seen_.push_back(Device::kCompletionsUnknown);
   draining_.push_back(0);
   return devices_.size() - 1;
 }

@@ -417,7 +417,8 @@ class Engine {
   /// caller's thread owns every list between rounds).
   std::vector<std::vector<std::shared_ptr<detail::JobState>>> inflight_;
   /// Device::completions() value read by the last collect, per device
-  /// slot (kCompletionsUnknown = must scan). Every visible completion up to
+  /// slot (the occupant's own count when it filled the slot, before the
+  /// Engine submitted anything to it). Every visible completion up to
   /// it has been collected, so while the counter sits at this value the
   /// collect skips the device in O(1), and otherwise it stops scanning once
   /// it found as many completions as the counter moved — the scans were

@@ -146,87 +146,15 @@ bool FastDevice::close_channel(std::uint8_t channel_id) {
 }
 
 DeviceJobId FastDevice::submit(JobSpec spec) {
-  if (refused_at_submit(spec)) {
-    // Same seam contract as SimDevice: the simulated hardware cannot serve
-    // this packet, so the fast path must not silently compute it.
-    DeviceJobId id = next_job_++;
-    JobResult& res = append_result();
-    res.submit_cycle = now_;
-    res.complete = true;
-    res.auth_ok = false;
-    res.complete_cycle = now_;
-    ++completions_;
-    return id;
-  }
-  Job job;
-  job.id = next_job_++;
-  job.spec = std::move(spec);
-  append_result().submit_cycle = now_;
-  pending_[job.spec.priority].push_back(job.id);
-  DeviceJobId id = job.id;
-  jobs_[id] = std::move(job);
-  return id;
-}
-
-std::vector<DeviceJobId> FastDevice::submit_batch(std::span<JobSpec> specs) {
-  std::vector<DeviceJobId> ids;
-  ids.reserve(specs.size());
-  std::deque<DeviceJobId>* bucket = nullptr;
-  unsigned bucket_priority = 0;
-  for (JobSpec& spec : specs) {
-    if (refused_at_submit(spec)) {
-      ids.push_back(submit(std::move(spec)));  // immediate seam failure
-      continue;
-    }
-    Job job;
-    job.id = next_job_++;
-    job.spec = std::move(spec);
-    append_result().submit_cycle = now_;
-    if (bucket == nullptr || job.spec.priority != bucket_priority) {
-      bucket_priority = job.spec.priority;
-      bucket = &pending_[bucket_priority];
-    }
-    bucket->push_back(job.id);
-    ids.push_back(job.id);
-    DeviceJobId id = job.id;
-    jobs_.emplace_hint(jobs_.end(), id, std::move(job));
-  }
-  return ids;
+  // Same seam contract as SimDevice: the simulated hardware cannot serve
+  // this packet, so the fast path must not silently compute it.
+  if (refused_at_submit(spec)) return book_.refuse(now_);
+  return book_.enqueue(std::move(spec), now_).id;
 }
 
 void FastDevice::advance_to(sim::Cycle target) {
-  while (!jobs_.empty() && now_ < target) step();
+  while (!book_.idle() && now_ < target) step();
   now_ = std::max(now_, target);
-}
-
-const JobResult* FastDevice::result(DeviceJobId id) const {
-  if (id < results_base_) return nullptr;
-  const std::size_t idx = static_cast<std::size_t>(id - results_base_);
-  if (idx >= results_.size()) return nullptr;
-  const std::optional<JobResult>& slot = results_[idx];
-  return slot ? &*slot : nullptr;
-}
-
-void FastDevice::forget(DeviceJobId id) {
-  if (id < results_base_) return;
-  const std::size_t idx = static_cast<std::size_t>(id - results_base_);
-  if (idx >= results_.size()) return;
-  results_[idx].reset();
-  while (!results_.empty() && !results_.front()) {
-    results_.pop_front();
-    ++results_base_;
-  }
-}
-
-void FastDevice::fail_unrecoverable(DeviceJobId id) {
-  // Mirrors SimDevice's unrecoverable-submit path: the job completes
-  // failed, with no payload and no core time charged.
-  JobResult& res = result_at(id);
-  res.complete = true;
-  res.auth_ok = false;
-  res.complete_cycle = now_ + accept_control_cycles(config_.control_latency_cycles);
-  ++completions_;
-  jobs_.erase(id);
 }
 
 void FastDevice::schedule_pending() {
@@ -234,19 +162,14 @@ void FastDevice::schedule_pending() {
   // arrival order within a class (SIII.C / SVIII QoS), exactly like
   // SimDevice's pump loop: the head of the lowest-priority bucket. Keep
   // placing packets until that head cannot get a core this round.
-  while (!pending_.empty()) {
-    auto bucket = pending_.begin();
-    DeviceJobId id = bucket->second.front();
-    Job& job = jobs_.at(id);
-    auto pop_head = [&] {
-      bucket->second.pop_front();
-      if (bucket->second.empty()) pending_.erase(bucket);
-    };
-
+  while (Job* head = book_.head()) {
+    Job& job = *head;
     if (!channels_.count(job.spec.channel.id) ||
         channels_.at(job.spec.channel.id).mode != job.spec.channel.mode) {
-      pop_head();
-      fail_unrecoverable(id);
+      // SimDevice's unrecoverable-submit path: the job fails after one
+      // ENCRYPT/DECRYPT round trip, with no core time charged.
+      book_.pop_head();
+      book_.fail(job.id, now_ + accept_control_cycles(config_.control_latency_cycles));
       continue;
     }
 
@@ -274,16 +197,11 @@ void FastDevice::schedule_pending() {
         if (!config_.auto_reconfig) {
           // Seam-style failure: SimDevice's personality gate rejects
           // before any control instruction is exchanged, so no
-          // accept-latency is charged (unlike fail_unrecoverable, which
+          // accept-latency is charged (unlike an unknown channel, which
           // models a failed ENCRYPT/DECRYPT round trip) — and, like the
           // pump, at most one head is rejected per scheduling round.
-          pop_head();
-          JobResult& res = result_at(id);
-          res.complete = true;
-          res.auth_ok = false;
-          res.complete_cycle = now_;
-          ++completions_;
-          jobs_.erase(id);
+          book_.pop_head();
+          book_.fail(job.id, now_);
           return;
         }
         for (std::size_t i = core_free_.size(); i-- > 0;)
@@ -321,7 +239,7 @@ void FastDevice::schedule_pending() {
       }
     }
 
-    pop_head();
+    book_.pop_head();
     start_job(job, cores);
   }
 }
@@ -347,15 +265,7 @@ void FastDevice::start_job(Job& job, const std::vector<std::size_t>& cores) {
     }
   }
 
-  // Header blocks for the cost model: formatted the way the communication
-  // controller would stream them (GCM pads the AAD; CCM prepends B0 to the
-  // length-encoded AAD).
-  std::size_t aad_blocks = 0;
-  if (ch.mode == ChannelMode::kGcm) {
-    aad_blocks = (job.spec.aad.size() + 15) / 16;
-  } else if (ch.mode == ChannelMode::kCcm) {
-    aad_blocks = crypto::ccm_encode_aad(job.spec.aad).size() / 16;
-  }
+  const std::size_t aad_blocks = header_blocks(ch.mode, job.spec.aad.size());
   std::size_t payload_blocks = (job.spec.payload.size() + 15) / 16;
   if (ch.mode == ChannelMode::kWhirlpool)
     payload_blocks = crypto::whirlpool_padded_len(job.spec.payload.size()) / 64;
@@ -367,7 +277,7 @@ void FastDevice::start_job(Job& job, const std::vector<std::size_t>& cores) {
   const sim::Cycle occupancy = key_load + std::max(cost.lane0, cost.lane1);
   const sim::Cycle done = accept + occupancy + retire_control_cycles(config_.control_latency_cycles);
 
-  JobResult& res = result_at(job.id);
+  JobResult& res = book_.result_at(job.id);
   if (job.first_denied) {
     // SimDevice counts one rejection per busy-error retry of the ENCRYPT/
     // DECRYPT instruction, one instruction latency apart — reconstruct
@@ -390,7 +300,7 @@ void FastDevice::compute_running() {
     Job& job = *running;
     if (job.computed) continue;
     job.computed = true;
-    JobResult& res = result_at(job.id);
+    JobResult& res = book_.result_at(job.id);
     const JobSpec& s = job.spec;
     if (s.channel.mode != ChannelMode::kCcm) {
       compute(job, res);
@@ -485,7 +395,7 @@ void FastDevice::step() {
       have_next = true;
     }
   }
-  if (!pending_.empty()) {
+  if (book_.head() != nullptr) {
     for (sim::Cycle until : core_swap_until_) {
       if (until > now_ && (!have_next || until < next)) {
         next = until;
@@ -499,13 +409,8 @@ void FastDevice::step() {
     Job& job = **it;
     if (job.done_at <= now_) {
       if (!job.computed) compute_running();
-      const DeviceJobId id = job.id;  // a copy: erase() frees the node holding job.id
-      JobResult& res = result_at(id);
-      res.complete = true;
-      res.complete_cycle = job.done_at;
-      ++completions_;
       it = running_.erase(it);
-      jobs_.erase(id);
+      book_.complete(job.id, job.done_at);  // last: drops the record `job` refers to
     } else {
       ++it;
     }

@@ -16,7 +16,8 @@
 // cores per the configured mapping), priority-then-arrival service order,
 // and the control-protocol error codes of mccp/control.h in last_error().
 // Its clock is event-driven: each step() schedules work and jumps to the
-// next completion, so stepping costs O(in-flight jobs), not O(cycles).
+// next completion, so stepping costs O(in-flight jobs), not O(cycles). The
+// job lifecycle lives in a `JobBook` shared with SimDevice.
 //
 // Compute is deferred and batched. Dispatch books cores and cycles only;
 // the packet's result is computed when step() first retires a running job
@@ -44,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -54,6 +54,7 @@
 #include "crypto/ccm.h"
 #include "crypto/gcm.h"
 #include "host/device.h"
+#include "host/job_book.h"
 #include "mccp/mccp.h"
 
 namespace mccp::host {
@@ -61,7 +62,7 @@ namespace mccp::host {
 class FastDevice final : public Device {
  public:
   explicit FastDevice(const top::MccpConfig& config, std::string name = "fast0");
-  // running_ points into jobs_, so a copy would point into the original.
+  // running_ points into book_, so a copy would point into the original.
   FastDevice(const FastDevice&) = delete;
   FastDevice& operator=(const FastDevice&) = delete;
 
@@ -76,19 +77,15 @@ class FastDevice final : public Device {
   std::uint8_t last_error() const override { return last_rr_; }
 
   DeviceJobId submit(JobSpec spec) override;
-  /// Amortized burst submit: ids are dense and increasing, so every map
-  /// insert lands at end() and the priority bucket is resolved once per
-  /// run of equal-priority specs instead of once per job.
-  std::vector<DeviceJobId> submit_batch(std::span<JobSpec> specs) override;
   void step() override;
   /// Event-driven clock: an idle device jumps straight to `target`; with
   /// work in flight, fall back to stepping (each step already jumps to the
   /// next completion).
   void advance_to(sim::Cycle target) override;
-  bool idle() const override { return jobs_.empty(); }
-  const JobResult* result(DeviceJobId id) const override;
-  std::uint64_t completions() const override { return completions_; }
-  void forget(DeviceJobId id) override;
+  bool idle() const override { return book_.idle(); }
+  const JobResult* result(DeviceJobId id) const override { return book_.result(id); }
+  std::uint64_t completions() const override { return book_.completions(); }
+  void forget(DeviceJobId id) override { book_.forget(id); }
 
   // -- slot personalities & partial reconfiguration ---------------------------
   /// Old image until the swap's end cycle passes (same commit semantics as
@@ -109,7 +106,7 @@ class FastDevice final : public Device {
 
   sim::Cycle now() const override { return now_; }
   std::size_t num_cores() const override { return config_.num_cores; }
-  std::size_t inflight() const override { return jobs_.size(); }
+  std::size_t inflight() const override { return book_.inflight(); }
   std::size_t open_channel_count() const override { return channels_.size(); }
 
  private:
@@ -152,18 +149,6 @@ class FastDevice final : public Device {
   /// Functional result of one non-CCM job via the fast kernels; mirrors
   /// SimDevice::finalize output conventions exactly (differential-tested).
   void compute(const Job& job, JobResult& res);
-  void fail_unrecoverable(DeviceJobId id);
-
-  /// Append the result slot for the id submit() just allocated (ids are
-  /// handed out densely, so the new slot always lands at the back).
-  JobResult& append_result() {
-    results_.emplace_back(std::in_place);
-    return *results_.back();
-  }
-  /// The (existing) mutable result slot for an unforgotten job.
-  JobResult& result_at(DeviceJobId id) {
-    return *results_[static_cast<std::size_t>(id - results_base_)];
-  }
 
   std::string name_;
   top::MccpConfig config_;
@@ -186,27 +171,13 @@ class FastDevice final : public Device {
   std::uint64_t reconfig_stall_cycles_ = 0;
   std::uint64_t reconfig_to_[2] = {0, 0};  // indexed by CoreImage
 
-  /// Jobs awaiting a core, bucketed by priority class (lowest value = most
-  /// urgent), arrival order within a bucket — the same service order as the
-  /// linear scan of SimDevice's pump, but O(log #classes) per placement so
-  /// deep queues (million-packet soaks) stay linear overall.
-  std::map<unsigned, std::deque<DeviceJobId>> pending_;
+  /// Pending jobs (awaiting a core) and running ones, their results and
+  /// the completion count.
+  JobBook<Job> book_;
   /// Jobs placed on cores and awaiting retirement (at most one per core),
-  /// pointing into jobs_ (map nodes never move).
+  /// pointing into book_'s node-stable store.
   std::vector<Job*> running_;
-  std::map<DeviceJobId, Job> jobs_;  // pending + running
-  /// Results for completed + in-flight jobs. Ids are dense and increasing,
-  /// so the store is a deque of slots indexed by (id - results_base_):
-  /// the engine probes result() once per in-flight job per completion
-  /// poll, and a bounds check + index keeps that probe O(1) where the old
-  /// std::map walk dominated fast-backend wall clock. forget() blanks a
-  /// slot and advances the base past leading blanks, so memory is bounded
-  /// by the window between the oldest unforgotten job and the newest.
-  std::deque<std::optional<JobResult>> results_;
-  DeviceJobId results_base_ = 1;  // id of results_[0]; tracks next_job_'s start
-  DeviceJobId next_job_ = 1;
   std::uint8_t last_rr_ = 0;
-  std::uint64_t completions_ = 0;  // jobs whose result() turned complete
   /// compute_running's CCM batch and the result slots it fills, kept so
   /// batches reuse their capacity.
   std::vector<crypto::CcmJob> ccm_jobs_;

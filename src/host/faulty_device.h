@@ -109,10 +109,6 @@ class FaultyDevice final : public Device {
     check();
     return inner_->submit(std::move(spec));
   }
-  std::vector<DeviceJobId> submit_batch(std::span<JobSpec> specs) override {
-    check();
-    return inner_->submit_batch(specs);
-  }
 
   void step() override {
     check();

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "crypto/ccm.h"
 #include "crypto/whirlpool.h"
+#include "host/cost_model.h"
 
 namespace mccp::host {
 
@@ -65,17 +67,6 @@ bool SimDevice::close_channel(std::uint8_t channel_id) {
 
 namespace {
 
-/// Formatted header (AAD) blocks of a packet, per the formatters'
-/// conventions: GCM pads the AAD to whole blocks, CCM prefixes its length
-/// encoding first.
-std::size_t header_blocks(ChannelMode mode, std::size_t aad_len) {
-  switch (mode) {
-    case ChannelMode::kGcm: return core::blocks_of(aad_len);
-    case ChannelMode::kCcm: return crypto::ccm_encode_aad(Bytes(aad_len, 0)).size() / 16;
-    default: return 0;
-  }
-}
-
 // Instruction header/data fields per mode (the firmware conventions of
 // stream_format.cpp).
 std::pair<std::uint8_t, std::uint8_t> block_fields(const ChannelInfo& ch, std::size_t aad_len,
@@ -127,34 +118,13 @@ DeviceJobId SimDevice::submit(JobSpec spec) {
     // core (a GCM IV shorter or longer than the registered nonce_len),
     // wrap the instruction's block count (an oversize Whirlpool message)
     // or make the stream formatter throw.
-    DeviceJobId id = next_job_++;
-    JobResult& res = results_[id];
-    res.submit_cycle = now();
-    res.complete = true;
-    res.auth_ok = false;
-    res.complete_cycle = now();
-    ++completions_;
-    return id;
+    return book_.refuse(now());
   }
-  Job job;
-  job.id = next_job_++;
-  job.spec = std::move(spec);
-  auto [hb, db] = block_fields(job.spec.channel, job.spec.aad.size(), job.spec.payload.size());
-  job.header_blocks = hb;
-  job.data_blocks = db;
-  results_[job.id].submit_cycle = now();
-  pending_[job.spec.priority].push_back(job.id);
-  DeviceJobId id = job.id;
-  jobs_[id] = std::move(job);
-  return id;
+  Job& job = book_.enqueue(std::move(spec), now());
+  std::tie(job.header_blocks, job.data_blocks) =
+      block_fields(job.spec.channel, job.spec.aad.size(), job.spec.payload.size());
+  return job.id;
 }
-
-const JobResult* SimDevice::result(DeviceJobId id) const {
-  auto it = results_.find(id);
-  return it == results_.end() ? nullptr : &it->second;
-}
-
-void SimDevice::forget(DeviceJobId id) { results_.erase(id); }
 
 void SimDevice::on_accept(Job& job, std::uint8_t request_id) {
   job.request_id = request_id;
@@ -163,7 +133,7 @@ void SimDevice::on_accept(Job& job, std::uint8_t request_id) {
   job.lanes = info->lanes;
   job.state = Job::State::kAccepted;
   active_.push_back(&job);
-  results_[job.id].accept_cycle = now();
+  book_.result_at(job.id).accept_cycle = now();
 
   // Now that the core mapping is known, format the per-lane streams
   // ("the communication controller must format data prior to send").
@@ -223,11 +193,8 @@ bool SimDevice::fully_drained(const Job& job) const {
 }
 
 void SimDevice::finalize(Job& job) {
-  JobResult& res = results_[job.id];
-  res.complete = true;
+  JobResult& res = book_.result_at(job.id);
   res.auth_ok = job.auth_ok;
-  res.complete_cycle = now();
-  ++completions_;
   if (job.auth_ok && !job.lane_jobs.empty()) {
     // Lane 0 carries the payload stream in every mapping.
     if (job.spec.decrypt) {
@@ -248,7 +215,7 @@ void SimDevice::finalize(Job& job) {
     }
   }
   active_.erase(std::find(active_.begin(), active_.end(), &job));
-  jobs_.erase(job.id);
+  book_.complete(job.id, now());  // last: drops the record `job` refers to
 }
 
 bool SimDevice::pump() {
@@ -285,14 +252,8 @@ bool SimDevice::pump() {
   // Priority 3: submit the most urgent pending packet — lowest priority
   // value first, arrival order within a class (SIII.C default; SVIII QoS
   // extension when priorities differ): the head of the first bucket.
-  if (!pending_.empty()) {
-    auto bucket = pending_.begin();
-    DeviceJobId id = bucket->second.front();
-    Job& job = jobs_.at(id);
-    auto pop_head = [&] {
-      bucket->second.pop_front();
-      if (bucket->second.empty()) pending_.erase(bucket);
-    };
+  if (Job* head = book_.head()) {
+    Job& job = *head;
     // Personality gate (paper SVII.B): a packet whose mode needs a core
     // image that no slot hosts — and that no running swap will land — is
     // never silently computed. Either schedule a partial reconfiguration
@@ -301,12 +262,8 @@ bool SimDevice::pump() {
     const reconfig::CoreImage need = image_for_mode(job.spec.channel.mode);
     if (!mccp_.image_acquirable(need)) {
       if (!mccp_.auto_reconfig()) {
-        pop_head();
-        results_[id].complete = true;
-        results_[id].auth_ok = false;
-        results_[id].complete_cycle = now();
-        ++completions_;
-        jobs_.erase(id);
+        book_.pop_head();
+        book_.fail(job.id, now());
         return true;
       }
       for (std::size_t i = mccp_.num_cores(); i-- > 0;)
@@ -321,18 +278,14 @@ bool SimDevice::pump() {
             : top::encode_encrypt(job.spec.channel.id, job.header_blocks, job.data_blocks);
     std::uint8_t rr = run_control(instr);
     if (top::is_ok(rr)) {
-      pop_head();
+      book_.pop_head();
       on_accept(job, top::return_id(rr));
     } else if (top::return_error(rr) == top::ControlError::kNoCoreAvailable) {
-      ++results_[id].rejections;  // busy: retry on a later pump
+      ++book_.result_at(job.id).rejections;  // busy: retry on a later pump
     } else {
       // Unrecoverable (bad channel etc.): surface as failed job.
-      pop_head();
-      results_[id].complete = true;
-      results_[id].auth_ok = false;
-      results_[id].complete_cycle = now();
-      ++completions_;
-      jobs_.erase(id);
+      book_.pop_head();
+      book_.fail(job.id, now());
     }
     return true;
   }

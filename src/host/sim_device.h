@@ -4,17 +4,17 @@
 // controller's data-plane role for it: formats packet streams (SVI.B),
 // drives the 4-step control protocol, pumps the crossbar, and reacts to the
 // Data Available interrupt. The chip's own cycle counter is the device
-// clock. It sits behind the Device seam so the multi-device `host::Engine`
-// can own any number of these.
+// clock; the job lifecycle lives in a `JobBook` shared with FastDevice. It
+// sits behind the Device seam so the multi-device `host::Engine` can own
+// any number of these.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "core/stream_format.h"
 #include "host/device.h"
+#include "host/job_book.h"
 #include "mccp/mccp.h"
 
 namespace mccp::host {
@@ -46,10 +46,10 @@ class SimDevice final : public Device {
   sim::Cycle quiet_horizon(sim::Cycle cap) const override { return mccp_.quiet_horizon(cap); }
   void advance_quiet(sim::Cycle n) override;
 
-  bool idle() const override { return jobs_.empty(); }
-  const JobResult* result(DeviceJobId id) const override;
-  std::uint64_t completions() const override { return completions_; }
-  void forget(DeviceJobId id) override;
+  bool idle() const override { return book_.idle(); }
+  const JobResult* result(DeviceJobId id) const override { return book_.result(id); }
+  std::uint64_t completions() const override { return book_.completions(); }
+  void forget(DeviceJobId id) override { book_.forget(id); }
 
   // -- slot personalities (forwarded to the simulated scheduler) --------------
   reconfig::CoreImage slot_image(std::size_t slot) const override {
@@ -78,7 +78,7 @@ class SimDevice final : public Device {
   /// (running, retrieved, draining) until TRANSFER_DONE retires them.
   /// Completed jobs leave this count immediately, even while their results
   /// are still held for `result()`; unrecoverable submits never enter it.
-  std::size_t inflight() const override { return jobs_.size(); }
+  std::size_t inflight() const override { return book_.inflight(); }
   std::size_t open_channel_count() const override { return open_channels_; }
 
   // -- simulator plumbing (tests, benches, reconfiguration flows) -------------
@@ -115,17 +115,15 @@ class SimDevice final : public Device {
   top::KeyMemory key_memory_;
   top::Mccp mccp_;
 
-  /// Jobs awaiting an ENCRYPT/DECRYPT slot, bucketed by priority class
-  /// (lowest value = most urgent), arrival order within a bucket. The pump
-  /// serves the head of the first bucket, so the old per-step O(pending)
-  /// min-scan — O(n²) across a deep backlog — becomes O(log #classes).
-  std::map<unsigned, std::deque<DeviceJobId>> pending_;
+  /// Pending jobs (awaiting an ENCRYPT/DECRYPT slot) and accepted ones,
+  /// their results and the completion count.
+  JobBook<Job> book_;
   /// Jobs accepted by the device and not yet finalized: the only ones the
   /// interrupt/drain/transfer-done scans need to touch (bounded by the
-  /// core count, never by the backlog depth). Held as pointers into
-  /// `jobs_` (node-stable) because the drain scan runs every single cycle
-  /// of every control-instruction wait — a map lookup per job per cycle
-  /// was a measurable slice of simulated wall-clock.
+  /// core count, never by the backlog depth). Held as pointers into the
+  /// book's node-stable store because the drain scan runs every single
+  /// cycle of every control-instruction wait — a map lookup per job per
+  /// cycle was a measurable slice of simulated wall-clock.
   std::vector<Job*> active_;
   /// Drain gate: drain_retrieved() can only act when the crossbar moved a
   /// word into some outbox (words_out() advanced past the value seen at the
@@ -133,12 +131,8 @@ class SimDevice final : public Device {
   /// already hold everything it expects, e.g. a verify with no output).
   std::uint64_t drained_words_out_ = 0;
   bool retrieved_since_drain_ = false;
-  std::map<DeviceJobId, Job> jobs_;           // pending + accepted
-  std::map<DeviceJobId, JobResult> results_;  // completed + in-flight partials
-  DeviceJobId next_job_ = 1;
   std::uint8_t last_rr_ = 0;
   std::size_t open_channels_ = 0;
-  std::uint64_t completions_ = 0;  // jobs whose result() turned complete
 };
 
 }  // namespace mccp::host

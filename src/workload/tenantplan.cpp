@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "crypto/ccm.h"
 #include "crypto/whirlpool.h"
 #include "host/cost_model.h"
 #include "workload/jobgen.h"
@@ -20,12 +19,7 @@ namespace {
 /// autoscale demand model, which needs a deterministic, backend-free
 /// estimate, not an exact completion predictor.
 sim::Cycle modeled_service_cycles(const ChannelClass& prof, const JobShape& job) {
-  std::size_t aad_blocks = 0;
-  if (prof.mode == ChannelMode::kGcm) {
-    aad_blocks = (job.aad_len + 15) / 16;
-  } else if (prof.mode == ChannelMode::kCcm) {
-    aad_blocks = crypto::ccm_encode_aad(Bytes(job.aad_len, 0)).size() / 16;
-  }
+  const std::size_t aad_blocks = host::header_blocks(prof.mode, job.aad_len);
   std::size_t payload_blocks = (job.payload_len + 15) / 16;
   if (prof.mode == ChannelMode::kWhirlpool)
     payload_blocks = crypto::whirlpool_padded_len(job.payload_len) / 64;

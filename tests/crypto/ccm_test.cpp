@@ -93,6 +93,12 @@ TEST(Ccm, AadEncodingLongForm) {
 
 TEST(Ccm, EmptyAadEncodesEmpty) { EXPECT_TRUE(ccm_encode_aad({}).empty()); }
 
+TEST(Ccm, AadBlocksCountTheEncodingWithoutBuildingIt) {
+  for (std::size_t len : {0x0, 0x1, 0xD, 0xE, 0xF, 0x10, 0x11, 0xFEFF, 0xFF00, 0xFF01}) {
+    EXPECT_EQ(ccm_aad_blocks(len), ccm_encode_aad(Bytes(len, 0)).size() / 16) << len;
+  }
+}
+
 TEST(Ccm, ParamValidation) {
   EXPECT_TRUE(ccm_params_valid({.tag_len = 8, .nonce_len = 13}));
   EXPECT_FALSE(ccm_params_valid({.tag_len = 3, .nonce_len = 13}));

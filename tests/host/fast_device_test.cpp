@@ -12,8 +12,10 @@
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "core/stream_format.h"
 #include "crypto/ccm.h"
 #include "crypto/gcm.h"
+#include "host/cost_model.h"
 #include "host/engine.h"
 #include "mccp/timing.h"
 
@@ -290,6 +292,21 @@ TEST(FastDevice, BatchedCcmMixedWithGcmMatchesReferencesAndStamps) {
     }
   }
   EXPECT_EQ(stamps, want_stamps);
+}
+
+// The cost model's header count is the header field the stream formatters
+// put in the instruction word, for every AAD length a core can carry.
+TEST(FastDeviceCalibration, HeaderBlocksMatchTheFormattedInstruction) {
+  const Bytes payload(32, 0);
+  const crypto::CcmParams p{.tag_len = 8, .nonce_len = 13};
+  for (std::size_t len = 0; len <= 16 * 40; ++len) {
+    const Bytes aad(len, 0);
+    const auto gcm = core::format_gcm_encrypt(Bytes(12, 0), aad, payload, 16);
+    EXPECT_EQ(header_blocks(ChannelMode::kGcm, len), gcm.params.aad_blocks) << len;
+    const auto ccm = core::format_ccm1_encrypt(p, Bytes(13, 0), aad, payload);
+    EXPECT_EQ(header_blocks(ChannelMode::kCcm, len), ccm.params.aad_blocks) << len;
+    EXPECT_EQ(header_blocks(ChannelMode::kCtr, len), 0u);
+  }
 }
 
 TEST(FastDeviceCalibration, PacketOccupancyTracksTheSimulator) {
