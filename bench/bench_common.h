@@ -240,7 +240,7 @@ inline void print_scenario_report(const mccp::workload::ScenarioReport& r,
   print_header("Scenario " + r.scenario + " -- backend " + r.backend + ", " +
                std::to_string(r.devices) + " device(s) x " + std::to_string(r.cores_per_device) +
                " cores, window " + std::to_string(r.window) +
-               (r.threads > 0 ? ", " + std::to_string(r.threads) + " worker thread(s)"
+               (r.threads > 1 ? ", " + std::to_string(r.threads) + " worker thread(s)"
                               : ", serial stepping") +
                transport_note);
   std::printf("%-10s %-9s %-5s %-8s %-8s %-6s %-6s %9s %9s %10s %8s\n", "class", "mode", "prio",

@@ -25,8 +25,8 @@
 //                     simulator); F must be finite and > 0
 //   --window N        override the spec's in-flight window
 //   --seed N          override the spec's seed
-//   --threads N       override the spec's engine worker threads (0 = step
-//                     the fleet serially on this thread)
+//   --threads N       override the spec's engine worker threads (0 or 1 =
+//                     step the fleet serially on this thread)
 //   --kernel K        force a crypto kernel tier (portable|auto|aesni|
 //                     vaes); the dispatched tier lands in the report JSON
 //   --json PATH       write the report artifact (with --json and no PATH

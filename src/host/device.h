@@ -20,7 +20,7 @@
 // Threading contract: a Device is a single-threaded clock domain and
 // implementations need NO internal synchronization. The driver guarantees
 // that at most one thread touches a given device at any time — in the
-// Engine's worker-pool mode, each device is pinned to one worker for
+// Engine's worker-pool mode, each device is touched by one thread for
 // `step()`/`advance_to()`/`result()` during a round, and every round is
 // separated from the caller's submit/control/forget accesses by a barrier
 // (a happens-before edge on both entry and exit). Distinct devices may be

@@ -474,8 +474,8 @@ void Engine::deliver_completed() {
 }
 
 void Engine::run_round(const std::function<void(Device&)>& op) {
-  // Device i is pinned to worker i % size (a zero-thread pool runs every
-  // task inline on the caller), so each device stays a single-threaded
+  // Each device is stepped by one thread per round (the caller when the
+  // round runs inline, else thread i % size), so it stays a single-threaded
   // clock domain and its done_ list needs no lock.
   pool_->run(devices_.size(), [this, &op](std::size_t d) {
     if (!devices_[d]) return;  // tombstoned slot

@@ -16,9 +16,10 @@
 // lookup, and a temporary handle's `wait()` returns its result by value.
 //
 // Stepping is optionally multithreaded (`EngineConfig::num_workers`):
-// devices shard across a worker pool (each device remains a single-threaded
-// clock domain, pinned to one worker; serial mode is a zero-thread pool that
-// runs the same rounds inline). Each worker moves its devices' finished
+// devices shard across a worker pool whose caller runs shard 0 (each device
+// remains a single-threaded clock domain; a round too small to repay the
+// handoff runs inline on the caller, and serial mode is a pool with no
+// threads that runs every round inline). Each worker moves its devices' finished
 // jobs into per-device lists, which the caller's thread merges in JobId
 // order after the round — so `Completion` callbacks, `on_done` ordering
 // guarantees and per-channel stats are the same in both modes: completions
@@ -114,9 +115,10 @@ struct EngineConfig {
   std::vector<std::vector<reconfig::CoreImage>> slot_layouts{};
   Placement placement = Placement::kRoundRobin;
   Backend backend = Backend::kSim;
-  /// Worker threads stepping the fleet: 0 = serial (a zero-thread pool:
-  /// every device steps on the caller's thread), N >= 1 = shard devices
-  /// across min(N, num_devices) pool threads. Completions still fire on the
+  /// Threads stepping the fleet: 0 or 1 = serial (every device steps on
+  /// the caller's thread), N >= 2 = a pool of min(N, num_devices) shards,
+  /// the caller running shard 0, that shards a round only when its
+  /// measured work repays the handoff. Completions still fire on the
   /// caller's thread, in both modes.
   std::size_t num_workers = 0;
   /// Scripted device deaths (fault injection): each listed device is
@@ -209,7 +211,7 @@ class Engine {
   std::vector<Completion> submit_batch(const Channel& ch, std::span<const JobSpec> specs);
 
   /// Advance every device one scheduling round and fire completions.
-  /// With `num_workers` > 0 the devices advance in parallel on the pool;
+  /// With `num_workers` > 1 the devices may advance in parallel on the pool;
   /// completions still fire here, on the calling thread, exactly once.
   void step();
   /// `n` engine steps (each >= 1 device cycle).
@@ -314,8 +316,12 @@ class Engine {
   std::uint64_t reconfig_stall_cycles() const;
   std::uint64_t reconfigurations_to(reconfig::CoreImage img) const;
   Placement placement() const { return placement_; }
-  /// Pool threads stepping the fleet (0 = serial mode).
+  /// Shards the pool splits a stepping round into (0 or 1 = serial mode).
   std::size_t num_workers() const { return pool_->size(); }
+  /// Stepping rounds dispatched so far, and how many of them the pool
+  /// sharded across threads (the rest ran inline on the caller).
+  std::uint64_t rounds() const { return pool_->rounds(); }
+  std::uint64_t sharded_rounds() const { return pool_->sharded_rounds(); }
 
  private:
   friend class Channel;
@@ -364,7 +370,7 @@ class Engine {
   void finish_job(detail::JobState& st, const JobResult& result);
   const ChannelStats* channel_stats(std::uint64_t uid) const;
   /// The one stepping primitive: run `op` on every live device via the
-  /// worker pool, each worker then moving its devices' finished jobs into
+  /// worker pool, each thread then moving its devices' finished jobs into
   /// done_; then merge and deliver them on the calling thread.
   void run_round(const std::function<void(Device&)>& op);
   void collect_completed(std::size_t device_index);
@@ -431,13 +437,13 @@ class Engine {
   std::uint8_t last_rr_ = 0;
 
   /// Jobs a round found finished, per device slot: written only by the
-  /// device's pinned worker during the round, merged by the caller after.
+  /// thread stepping that device in the round, merged by the caller after.
   std::vector<std::vector<std::shared_ptr<detail::JobState>>> done_;
   /// Per-slot quiet horizon reported in step_quiet()'s pump phase (1 when
   /// the controller acted); same ownership rule as done_.
   std::vector<sim::Cycle> horizon_;
 
-  std::unique_ptr<WorkerPool> pool_;  // zero threads = serial stepping
+  std::unique_ptr<WorkerPool> pool_;  // size 0 or 1 = serial stepping
   /// Collected completions awaiting finish_job, ascending JobId. A member
   /// so a callback that re-enters the engine can finish jobs from the same
   /// round's batch, with a nested round's batch merging in order.

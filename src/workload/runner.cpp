@@ -391,6 +391,8 @@ ScenarioReport ScenarioRunner::run() {
   report.devices = spec_.devices;
   report.cores_per_device = spec_.cores_per_device;
   report.threads = engine.num_workers();
+  report.rounds = engine.rounds();
+  report.sharded_rounds = engine.sharded_rounds();
   report.window = spec_.window;
   report.makespan_cycles = engine.max_cycle() - start_cycle;
   report.wall_ms =
@@ -482,6 +484,8 @@ std::string report_json(const ScenarioReport& report) {
       .field("devices", report.devices)
       .field("cores_per_device", report.cores_per_device)
       .field("threads", report.threads)
+      .field("rounds", report.rounds)
+      .field("sharded_rounds", report.sharded_rounds)
       .field("window", report.window)
       .field("makespan_cycles", report.makespan_cycles)
       .field("makespan_ms_at_190mhz",

@@ -147,7 +147,11 @@ struct ScenarioReport {
   std::string backend;
   std::size_t devices = 0;
   std::size_t cores_per_device = 0;
-  std::size_t threads = 0;  // engine worker threads (0 = serial stepping)
+  std::size_t threads = 0;  // engine pool shards (0 or 1 = serial stepping)
+  /// Engine stepping rounds, and how many the pool sharded across threads
+  /// (host-timing dependent, unlike every modelled figure).
+  std::uint64_t rounds = 0;
+  std::uint64_t sharded_rounds = 0;
   std::size_t window = 0;
 
   sim::Cycle makespan_cycles = 0;  // first submit to fleet drain (furthest clock)

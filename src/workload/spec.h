@@ -103,7 +103,7 @@ struct ScenarioSpec {
   host::Backend backend = host::Backend::kFast;
   host::Placement placement = host::Placement::kLeastLoaded;
   /// Engine worker threads stepping the fleet (EngineConfig::num_workers):
-  /// 0 = serial. Threaded and serial runs of the same spec resolve the
+  /// 0 or 1 = serial. Threaded and serial runs of the same spec resolve the
   /// identical workload (tests/workload/scenario_test.cpp pins this).
   std::size_t threads = 0;
   std::size_t window = 64;  // max jobs in flight across the fleet

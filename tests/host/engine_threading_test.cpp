@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -34,19 +37,31 @@ TEST(WorkerPool, RoundRunsEveryTaskExactlyOnce) {
     pool.run(tasks, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < tasks; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   }
+  EXPECT_EQ(pool.rounds(), 3u);
 }
 
 TEST(WorkerPool, TaskToWorkerPinningIsStable) {
-  // Task i always lands on worker i % size: a device keeps its thread
-  // across rounds (single-threaded clock domain).
+  // In a sharded round task i lands on thread i % size, thread 0 being the
+  // caller: a device keeps its thread across sharded rounds. Tasks that
+  // each sleep 2 ms make the measured work dwarf any handoff, so both
+  // rounds shard.
   WorkerPool pool(2);
   constexpr std::size_t kTasks = 6;
   std::vector<std::thread::id> first(kTasks), second(kTasks);
-  pool.run(kTasks, [&](std::size_t i) { first[i] = std::this_thread::get_id(); });
-  pool.run(kTasks, [&](std::size_t i) { second[i] = std::this_thread::get_id(); });
+  auto record = [](std::vector<std::thread::id>& ids) {
+    return [&ids](std::size_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ids[i] = std::this_thread::get_id();
+    };
+  };
+  pool.run(kTasks, record(first));
+  pool.run(kTasks, record(second));
+  ASSERT_EQ(pool.sharded_rounds(), 2u);
+  EXPECT_EQ(first[0], std::this_thread::get_id());  // the caller runs shard 0
+  EXPECT_NE(first[1], first[0]);
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(first[i], second[i]) << i;
-    EXPECT_EQ(first[i], first[i % 2]) << i;  // sharded by i % num_threads
+    EXPECT_EQ(first[i], first[i % 2]) << i;  // sharded by i % size
   }
 }
 
@@ -57,6 +72,7 @@ TEST(WorkerPool, RunReturnsOnlyAfterAllTasksFinish) {
   EXPECT_EQ(done.load(), 16);  // barrier: nothing still running
   pool.run(0, [&](std::size_t) { done.fetch_add(1); });  // empty round is a no-op
   EXPECT_EQ(done.load(), 16);
+  EXPECT_EQ(pool.rounds(), 1u);
 }
 
 TEST(WorkerPool, TaskExceptionRethrownOnCaller) {
@@ -70,6 +86,117 @@ TEST(WorkerPool, TaskExceptionRethrownOnCaller) {
   std::atomic<int> ok{0};
   pool.run(4, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 4);
+}
+
+TEST(WorkerPool, EveryPathRunsEveryTaskThenRethrowsTheLowestIndex) {
+  // Tasks 1 and 3 throw different types. Whether the round runs inline or
+  // sharded (and on whichever shards the two land), every task runs and
+  // task 1's exception reaches the caller.
+  for (std::size_t size : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    WorkerPool pool(size);
+    // Round 0 of a threaded pool is a sharded probe; the later rounds run
+    // inline (a throwing round records no timing, so no work is predicted).
+    for (int round = 0; round < 4; ++round) {
+      std::vector<std::atomic<int>> hits(6);
+      try {
+        pool.run(hits.size(), [&](std::size_t i) {
+          hits[i].fetch_add(1);
+          if (i == 1) throw std::runtime_error("task 1");
+          if (i == 3) throw std::logic_error("task 3");
+        });
+        ADD_FAILURE() << "size " << size << ": the round did not throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "task 1") << "size " << size;
+      } catch (const std::logic_error&) {
+        ADD_FAILURE() << "size " << size << ": task 3's exception won";
+      }
+      for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "size " << size << ", task " << i;
+    }
+    std::atomic<int> ok{0};
+    pool.run(5, [&](std::size_t) { ok.fetch_add(1); });
+    EXPECT_EQ(ok.load(), 5) << "size " << size;
+  }
+}
+
+TEST(WorkerPool, TrivialRoundsOnACalibratedPoolRunOnTheCaller) {
+  // Round r - 1 = 0, 256, 512 ... probes the handoff; between probes a round
+  // whose work is a few stores is cheaper run inline than handed off.
+  WorkerPool pool(4);
+  std::vector<std::thread::id> ran(4);
+  auto trivial = [&](std::size_t i) { ran[i] = std::this_thread::get_id(); };
+  for (int r = 0; r < 513; ++r) pool.run(ran.size(), trivial);
+  const std::uint64_t sharded = pool.sharded_rounds();
+  EXPECT_GE(sharded, 3u);  // the three probes
+  for (int r = 0; r < 200; ++r) {
+    pool.run(ran.size(), trivial);
+    for (std::size_t i = 0; i < ran.size(); ++i)
+      ASSERT_EQ(ran[i], std::this_thread::get_id()) << "round " << 513 + r << ", task " << i;
+  }
+  EXPECT_EQ(pool.sharded_rounds(), sharded);
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(WorkerPool, SizeOnePoolCreatesNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
+  const std::size_t before = live_threads();
+  {
+    WorkerPool one(1);
+    EXPECT_EQ(one.size(), 1u);
+    EXPECT_EQ(live_threads(), before);
+    // However heavy the round, it stays on the caller.
+    std::vector<std::thread::id> ran(3);
+    one.run(ran.size(), [&](std::size_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ran[i] = std::this_thread::get_id();
+    });
+    for (const std::thread::id& id : ran) EXPECT_EQ(id, std::this_thread::get_id());
+    EXPECT_EQ(one.sharded_rounds(), 0u);
+  }
+  {
+    WorkerPool four(4);
+    EXPECT_EQ(live_threads(), before + 3);  // the caller is shard 0
+  }
+}
+
+TEST(WorkerPool, DestroyingAParkedPoolJoinsPromptly) {
+  auto pool = std::make_unique<WorkerPool>(4);
+  pool->run(4, [](std::size_t) { std::this_thread::sleep_for(std::chrono::milliseconds(1)); });
+  ASSERT_EQ(pool->sharded_rounds(), 1u);  // every worker ran, then parked
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
+  pool.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+}
+
+TEST(WorkerPool, StressMixesInlineAndShardedRounds) {
+  // 100k rounds: blocks of heavy rounds (tens of microseconds of work per
+  // task, worth sharding) among trivial ones. Every task writes a plain
+  // slot the caller then reads, so a missing happens-before edge on either
+  // path is a data race under TSan.
+  WorkerPool pool(4);
+  constexpr std::uint64_t kRounds = 100'000;
+  std::vector<std::uint64_t> stamp(4), sink(4);
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    const bool heavy = r % 256 >= 128 && r % 256 < 136;
+    pool.run(stamp.size(), [&, r, heavy](std::size_t i) {
+      std::uint64_t x = r * stamp.size() + i;
+      for (int k = heavy ? 20'000 : 0; k > 0; --k)
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+      sink[i] += x;
+      stamp[i] = r;
+    });
+    for (std::size_t i = 0; i < stamp.size(); ++i) ASSERT_EQ(stamp[i], r) << "task " << i;
+  }
+  EXPECT_EQ(pool.rounds(), kRounds);
+  EXPECT_GT(pool.sharded_rounds(), 0u);
+  EXPECT_LT(pool.sharded_rounds(), kRounds);
 }
 
 // ---- serial vs threaded bit-identity ----------------------------------------

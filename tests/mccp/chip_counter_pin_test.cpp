@@ -36,6 +36,7 @@ struct ChipFigures {
   std::vector<std::uint64_t> tasks_completed;  // device-major, one per core
   std::vector<std::uint64_t> words_in, words_out;
   std::vector<std::uint64_t> requests_completed, requests_rejected, reconfigurations;
+  std::uint64_t sharded_rounds = 0;  // host timing, not a modelled figure
 };
 
 void fnv(std::uint64_t& h, std::uint64_t v) {
@@ -157,6 +158,7 @@ ChipFigures run_mixed(std::size_t workers) {
       fnv(h, v);
   }
   f.stamp_hash = h;
+  f.sharded_rounds = engine.sharded_rounds();
   for (std::size_t d = 0; d < engine.num_devices(); ++d) {
     top::Mccp& chip = engine.sim_device(d)->mccp();
     for (std::size_t c = 0; c < chip.num_cores(); ++c) {
@@ -202,7 +204,11 @@ void expect_pinned(const ChipFigures& f) {
 
 TEST(ChipCounterPins, SerialRun) { expect_pinned(run_mixed(0)); }
 
-TEST(ChipCounterPins, FourWorkerRun) { expect_pinned(run_mixed(4)); }
+TEST(ChipCounterPins, FourWorkerRun) {
+  const ChipFigures f = run_mixed(4);
+  expect_pinned(f);
+  EXPECT_GT(f.sharded_rounds, 0u);  // the pool's handoff ran, not only inline rounds
+}
 
 TEST(ChipCounterPins, PortableKernelRun) {
   const std::string previous = crypto::active_kernel_name();

@@ -25,6 +25,9 @@ Each CI step runs its benches with --json and then one check here:
       the reconfig_churn, device_failure and tenant_storm invariants.
   ci_assert.py threaded-speedup SERIAL THREADED
       4 worker threads reproduce the serial run at >= 1.5x its speed.
+  ci_assert.py threaded-overhead SERIAL THREADED
+      4 worker threads reproduce the serial run in <= 1.5x its wall clock:
+      a pool that cannot speed a run up must not collapse it either.
   ci_assert.py multibuffer CRYPTO
       crypto_primitives: on every hardware kernel tier, four CCM seals per
       ccm_batch call run >= 1.3x the one-at-a-time CCM seal rate (the
@@ -242,6 +245,19 @@ def threaded_speedup(serial, threaded):
             f"{threaded['wall_ms']:.1f} ms = {speedup:.2f}x")
 
 
+# A threaded run may take at most this multiple of the serial wall clock.
+THREADED_OVERHEAD = 1.5
+
+
+def threaded_overhead(serial, threaded):
+    serial_equals_threaded(serial, threaded)
+    ratio = threaded["wall_ms"] / serial["wall_ms"]
+    require(ratio <= THREADED_OVERHEAD, f"threaded run collapsed: {threaded['wall_ms']:.1f} ms is "
+            f"{ratio:.2f}x the serial {serial['wall_ms']:.1f} ms > {THREADED_OVERHEAD}x")
+    return (f"threaded overhead ({serial['backend']}): {serial['wall_ms']:.1f} ms serial, "
+            f"{threaded['wall_ms']:.1f} ms threaded = {ratio:.2f}x")
+
+
 # Four CCM seals side by side over one at a time, on a hardware tier.
 MULTIBUFFER_GAIN = 1.3
 
@@ -272,6 +288,7 @@ CHECKS = {
     "faults": faults,
     "tenant-storm": tenant_storm,
     "threaded-speedup": threaded_speedup,
+    "threaded-overhead": threaded_overhead,
     "multibuffer": multibuffer,
 }
 
@@ -401,6 +418,12 @@ def _cases():
          (s(wall_ms=30.0), s(wall_ms=20.0, classes=bad_cls)), "serial vs threaded"),
         ("threaded-speedup", (s(wall_ms=30.0), s(wall_ms=20.0)),
          (s(wall_ms=30.0), s(wall_ms=20.0, makespan_cycles=1)), "on makespan_cycles"),
+        ("threaded-overhead", (s(wall_ms=20.0), s(wall_ms=30.0)),
+         (s(wall_ms=20.0), s(wall_ms=30.5)), "collapsed"),
+        ("threaded-overhead", (s(wall_ms=20.0), s(wall_ms=10.0)),
+         (s(wall_ms=20.0), s(wall_ms=10.0, classes=bad_cls)), "serial vs threaded"),
+        ("threaded-overhead", (s(wall_ms=20.0), s(wall_ms=10.0)),
+         (s(wall_ms=20.0), s(wall_ms=10.0, makespan_cycles=1)), "on makespan_cycles"),
         # portable at 1.0x is exempt; a hardware tier below 1.3x is not.
         ("multibuffer", (_crypto(portable=1.0, aesni=1.8, vaes=2.7),),
          (_crypto(portable=1.0, aesni=1.8, vaes=1.29),), "vaes: CCM seal x4"),
