@@ -1,5 +1,7 @@
 #include "crypto/ccm.h"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "crypto/kernels.h"
@@ -30,25 +32,36 @@ Block128 ccm_b0(const CcmParams& p, ByteSpan nonce, std::size_t aad_len, std::si
   return b0;
 }
 
+namespace {
+
+/// The 2-, 6- or 10-byte a-encoding of a non-zero AAD length into `out`;
+/// returns its length.
+std::size_t aad_length_prefix(std::size_t a, std::uint8_t* out) {
+  if (a < 0xFF00) {
+    out[0] = static_cast<std::uint8_t>(a >> 8);
+    out[1] = static_cast<std::uint8_t>(a);
+    return 2;
+  }
+  const bool wide = a > 0xFFFFFFFFULL;
+  const int bytes = wide ? 8 : 4;
+  out[0] = 0xFF;
+  out[1] = wide ? 0xFF : 0xFE;
+  for (int i = 0; i < bytes; ++i)
+    out[2 + i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(a) >> (8 * (bytes - 1 - i)));
+  return 2 + static_cast<std::size_t>(bytes);
+}
+
+}  // namespace
+
 Bytes ccm_encode_aad(ByteSpan aad) {
   Bytes out;
-  const std::size_t a = aad.size();
-  if (a == 0) return out;
-  if (a < 0xFF00) {
-    out.push_back(static_cast<std::uint8_t>(a >> 8));
-    out.push_back(static_cast<std::uint8_t>(a));
-  } else if (a <= 0xFFFFFFFFULL) {
-    out.push_back(0xFF);
-    out.push_back(0xFE);
-    for (int i = 3; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(a >> (8 * i)));
-  } else {
-    out.push_back(0xFF);
-    out.push_back(0xFF);
-    for (int i = 7; i >= 0; --i) out.push_back(static_cast<std::uint8_t>(a >> (8 * i)));
-  }
+  if (aad.empty()) return out;
+  std::uint8_t prefix[10];
+  out.reserve(16 * ccm_aad_blocks(aad.size()));
+  out.assign(prefix, prefix + aad_length_prefix(aad.size(), prefix));
   out.insert(out.end(), aad.begin(), aad.end());
   // Zero-pad to a block boundary (the padded-AAD blocks feed CBC-MAC).
-  while (out.size() % 16 != 0) out.push_back(0);
+  out.resize(16 * ccm_aad_blocks(aad.size()), 0);
   return out;
 }
 
@@ -72,8 +85,25 @@ Block128 ccm_header_mac(const CryptoKernels& k, const CcmJob& job) {
   Block128 x{};
   const Block128 b0 = ccm_b0(job.params, job.nonce, job.aad.size(), job.input.size());
   k.cbc_mac_blocks(*job.keys, x, b0.b.data(), 1);
-  const Bytes encoded = ccm_encode_aad(job.aad);
-  k.cbc_mac_blocks(*job.keys, x, encoded.data(), encoded.size() / 16);
+  // ccm_encode_aad(job.aad), streamed through a stack buffer instead of
+  // built on the heap for every packet.
+  const std::size_t a = job.aad.size();
+  if (a == 0) return x;
+  std::uint8_t buf[16 * 16];
+  std::size_t fill = aad_length_prefix(a, buf);
+  for (std::size_t pos = 0; pos < a;) {
+    const std::size_t take = std::min(sizeof buf - fill, a - pos);
+    std::memcpy(buf + fill, job.aad.data() + pos, take);
+    fill += take;
+    pos += take;
+    if (pos == a) {
+      const std::size_t padded = (fill + 15) / 16 * 16;
+      std::memset(buf + fill, 0, padded - fill);
+      fill = padded;
+    }
+    k.cbc_mac_blocks(*job.keys, x, buf, fill / 16);
+    fill = 0;
+  }
   return x;
 }
 

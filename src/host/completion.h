@@ -36,13 +36,16 @@ struct JobState {
   DeviceJobId device_job = 0;
   std::uint64_t channel_uid = 0;  // the submitting channel's record
   bool done = false;
-  JobResult result;  // final copy once done
+  JobResult result;  // final result once done, moved out of the device
   /// Retained copy of the submitted spec (only when the engine runs with
   /// fault injection / spec retention): lets `Engine::remove_device()`
   /// resubmit jobs stranded on a failed device. Dropped on completion.
   std::unique_ptr<JobSpec> spec;
   std::uint32_t resubmissions = 0;  // times this job was migrated to a new device
-  std::vector<std::function<void(const JobResult&)>> callbacks;
+  /// on_done callbacks in registration order: the first one inline (most
+  /// jobs register exactly one), any later ones behind it.
+  std::function<void(const JobResult&)> first_callback;
+  std::vector<std::function<void(const JobResult&)>> more_callbacks;
 };
 
 }  // namespace detail

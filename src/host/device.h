@@ -22,7 +22,7 @@
 // that at most one thread touches a given device at any time — in the
 // Engine's worker-pool mode, each device is touched by one thread for
 // `step()`/`advance_to()`/`result()` during a round, and every round is
-// separated from the caller's submit/control/forget accesses by a barrier
+// separated from the caller's submit/control/take_result accesses by a barrier
 // (a happens-before edge on both entry and exit). Distinct devices may be
 // driven concurrently; nothing behind this interface may share mutable
 // state across devices.
@@ -210,7 +210,9 @@ class Device {
     while (n-- > 0) step();
   }
 
-  /// Live view of a job (partial until `complete`); nullptr if unknown.
+  /// Live view of a job (partial until `complete`); nullptr if unknown or
+  /// taken. The pointer is valid until the next submit, take_result() or
+  /// forget() on this device.
   virtual const JobResult* result(DeviceJobId id) const = 0;
   /// Monotone count of jobs that have reached a final state — bumped no
   /// later than the moment result() first reports the job complete. The
@@ -219,9 +221,15 @@ class Device {
   /// completions may over-report (extra scans are merely wasted work) but
   /// must never under-report.
   virtual std::uint64_t completions() const = 0;
-  /// Drop a completed job's bookkeeping (the Engine copies results out).
-  /// A job that has not completed keeps running: forgetting it is a no-op.
-  virtual void forget(DeviceJobId id) = 0;
+  /// The take-result seam: move a completed job's result out and drop the
+  /// job's bookkeeping, so the caller owns the payload and tag buffers the
+  /// device computed without copying them (the Engine delivers every result
+  /// this way). nullopt, with nothing dropped, for a job that has not
+  /// completed (it keeps running), was already taken or is unknown.
+  virtual std::optional<JobResult> take_result(DeviceJobId id) = 0;
+  /// Drop a completed job's bookkeeping and its result; a no-op for a job
+  /// that has not completed.
+  void forget(DeviceJobId id) { take_result(id); }
 
   // -- slot personalities & partial reconfiguration (paper SVII.B) ------------
   /// The core image slot `slot` currently hosts. While a swap is in flight

@@ -31,7 +31,10 @@ void Completion::on_done(std::function<void(const JobResult&)> fn) {
     fn(state_->result);  // already complete: fire immediately, exactly once
     return;
   }
-  state_->callbacks.push_back(std::move(fn));
+  if (!state_->first_callback)
+    state_->first_callback = std::move(fn);
+  else
+    state_->more_callbacks.push_back(std::move(fn));
 }
 
 const JobResult& Completion::wait(sim::Cycle max_cycles) & {
@@ -183,7 +186,7 @@ std::size_t Engine::pick_device(ChannelMode mode) const {
       // first channel of a mode lands on its static home slot among the
       // image-holding candidates.
       std::size_t best = devices_.size();
-      for (const auto& [uid, rec] : channels_)
+      for (const ChannelRecord& rec : channels_)
         if (rec.open && rec.info.mode == mode && placeable(rec.device))
           if (best == devices_.size() || device_load(rec.device) < device_load(best))
             best = rec.device;
@@ -228,26 +231,24 @@ Channel Engine::open_channel(ChannelMode mode, top::KeyId key, unsigned tag_len,
                                 std::to_string(tenant));
   auto placed = place_channel(mode, key, tag_len, nonce_len);
   if (!placed) return Channel{};
-  std::uint64_t uid = next_channel_uid_++;
-  channels_[uid] = ChannelRecord{placed->first, placed->second, {}, true, false, tenant};
-  return Channel(this, uid, placed->first, placed->second);
+  channels_.push_back(ChannelRecord{placed->first, placed->second, {}, true, false, tenant});
+  return Channel(this, channels_.size(), placed->first, placed->second);
 }
 
 void Engine::release_channel(std::uint64_t uid) {
-  auto it = channels_.find(uid);
-  if (it == channels_.end() || !it->second.open) return;
-  if (devices_[it->second.device]) devices_[it->second.device]->close_channel(it->second.info.id);
-  it->second.open = false;
+  ChannelRecord& rec = channels_[uid - 1];
+  if (!rec.open) return;
+  if (devices_[rec.device]) devices_[rec.device]->close_channel(rec.info.id);
+  rec.open = false;
 }
 
 const ChannelStats* Engine::channel_stats(std::uint64_t uid) const {
-  auto it = channels_.find(uid);
-  return it == channels_.end() ? nullptr : &it->second.stats;
+  const ChannelRecord* rec = channel_record(uid);
+  return rec ? &rec->stats : nullptr;
 }
 
 const Engine::ChannelRecord* Engine::channel_record(std::uint64_t uid) const {
-  auto it = channels_.find(uid);
-  return it == channels_.end() ? nullptr : &it->second;
+  return uid - 1 < channels_.size() ? &channels_[uid - 1] : nullptr;
 }
 
 void Engine::ensure_submittable(const ChannelRecord& rec) const {
@@ -266,7 +267,7 @@ Completion Engine::submit(const Channel& ch, JobSpec spec) {
     throw std::invalid_argument("Engine::submit: invalid or foreign channel handle");
   // Route through the engine's record, not the handle's open-time
   // snapshot: migration may have moved the channel since.
-  ChannelRecord& rec = channels_.at(ch.uid_);
+  ChannelRecord& rec = channels_[ch.uid_ - 1];
   ensure_submittable(rec);
   // Tenant metering throws the typed rate/quota rejection before any side
   // effects, so a refused submit leaves no trace in the stats.
@@ -325,7 +326,7 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
   if (specs.empty()) return completions;
 
   // One channel-record lookup and one stats pass for the whole burst.
-  ChannelRecord& rec = channels_.at(ch.uid_);
+  ChannelRecord& rec = channels_[ch.uid_ - 1];
   ensure_submittable(rec);
   // Batches admit atomically: either the tenant has tokens and quota
   // headroom for the whole burst, or the typed rejection refuses all of it
@@ -363,39 +364,38 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::span<const 
   return submit_batch(ch, std::vector<JobSpec>(specs.begin(), specs.end()));
 }
 
-void Engine::finish_job(detail::JobState& st, const JobResult& result) {
-  // `result` may alias the device's own bookkeeping, so copy first and
-  // only forget() once nothing reads through the reference anymore.
-  st.result = result;
+void Engine::finish_job(detail::JobState& st, JobResult result) {
+  st.result = std::move(result);
   st.done = true;
   ++completed_jobs_;
+  const JobResult& r = st.result;
 
   // Every job belongs to a channel record (records outlive their handles).
-  ChannelRecord& rec = channels_.at(st.channel_uid);
+  ChannelRecord& rec = channels_[st.channel_uid - 1];
   // Tenant in-flight is released before callbacks fire, so a callback that
   // resubmits (decrypt round-trip) replaces this job's slot instead of
   // stacking on top of it.
   tenants_.on_complete(rec.tenant);
   ChannelStats& s = rec.stats;
   ++s.completed;
-  if (!result.auth_ok) ++s.failed;
-  s.rejections += result.rejections;
+  if (!r.auth_ok) ++s.failed;
+  s.rejections += r.rejections;
   // A job rejected unrecoverably (e.g. its channel was closed while it
   // queued) completes with accept_cycle still 0: it has no retry or
   // service latency to account.
-  if (result.accept_cycle >= result.submit_cycle && result.accept_cycle > 0) {
-    s.retry_latency_cycles += result.accept_cycle - result.submit_cycle;
-    s.service_latency_cycles += result.complete_cycle - result.accept_cycle;
+  if (r.accept_cycle >= r.submit_cycle && r.accept_cycle > 0) {
+    s.retry_latency_cycles += r.accept_cycle - r.submit_cycle;
+    s.service_latency_cycles += r.complete_cycle - r.accept_cycle;
   }
-  s.last_complete_cycle = std::max(s.last_complete_cycle, result.complete_cycle);
+  s.last_complete_cycle = std::max(s.last_complete_cycle, r.complete_cycle);
   st.spec.reset();  // retained only while recovery might need it
-  if (devices_[st.device]) devices_[st.device]->forget(st.device_job);
 
-  // Fire callbacks exactly once: detach the list before invoking so a
+  // Fire callbacks exactly once: detach them before invoking so a
   // callback registering further work cannot re-trigger this batch.
-  auto callbacks = std::move(st.callbacks);
-  st.callbacks.clear();
-  for (auto& fn : callbacks) fn(st.result);
+  auto first = std::exchange(st.first_callback, nullptr);
+  auto more = std::exchange(st.more_callbacks, {});
+  if (first) first(r);
+  for (auto& fn : more) fn(r);
 }
 
 void Engine::collect_completed(std::size_t device_index) {
@@ -403,9 +403,9 @@ void Engine::collect_completed(std::size_t device_index) {
   // device's in-flight list, move finished jobs to done_[device_index],
   // and close the gaps in one pass (no re-entrancy can happen on a worker,
   // so no erase-and-rescan is needed). Side effects (stats, callbacks,
-  // forget) wait for deliver_completed() on the caller's thread, and so
-  // does the result copy: taken here, ahead of the forget() that frees the
-  // device's copy, it raised peak RSS measurably. The per-device elements
+  // take_result) wait for deliver_completed() on the caller's thread, and
+  // so does moving the result out: the device's buffers change owner there,
+  // one job at a time, with no copy. The per-device elements
   // of completions_seen_, inflight_ and done_ are touched only by this
   // device's owning worker during the round (and by the caller's thread
   // between rounds), so no synchronization is needed.
@@ -441,35 +441,39 @@ void Engine::collect_completed(std::size_t device_index) {
 
 void Engine::deliver_completed() {
   // The round has retired, so the pool is parked and every done_ list is
-  // safely readable. Each list is ascending by JobId (in-flight lists are
-  // kept sorted and compaction preserves order); merge them into
-  // finish_queue_, which stays sorted, so delivery follows engine-wide
-  // submission order whichever device finished first. finish_queue_ is a
-  // member, not a local: a callback may re-enter the engine (submit,
-  // step, Completion::wait on a job that finished in this very round) and
-  // the nested round must be able to finish the rest of the batch — its
-  // own batch merges in ahead of any later-submitted job still queued
-  // here. Each job is popped (and leaves the in-flight count) before its
+  // safely readable. Append them to the undelivered tail of finish_queue_
+  // and sort that by JobId, in place (std::inplace_merge would allocate a
+  // buffer per round), so delivery follows engine-wide submission order
+  // whichever device finished first. finish_queue_ is a member, not a
+  // local: a callback may re-enter the engine (submit, step,
+  // Completion::wait on a job that finished in this very round) and the
+  // nested round must be able to finish the rest of the batch — its own
+  // batch sorts in ahead of any later-submitted job still queued here.
+  // Each job is popped (and leaves the in-flight count) before its
   // callbacks run, so it fires exactly once and a callback observing
   // idle()/inflight() sees its still-unfired siblings counted.
-  const auto by_id = [](const std::shared_ptr<detail::JobState>& a,
-                        const std::shared_ptr<detail::JobState>& b) { return a->id < b->id; };
+  bool added = false;
   for (auto& batch : done_) {
     if (batch.empty()) continue;
-    const std::size_t mid = finish_queue_.size();
     finish_queue_.insert(finish_queue_.end(), std::make_move_iterator(batch.begin()),
                          std::make_move_iterator(batch.end()));
     batch.clear();
-    std::inplace_merge(finish_queue_.begin(),
-                       finish_queue_.begin() + static_cast<std::ptrdiff_t>(mid),
-                       finish_queue_.end(), by_id);
+    added = true;
   }
-  while (!finish_queue_.empty()) {
-    std::shared_ptr<detail::JobState> st = std::move(finish_queue_.front());
-    finish_queue_.pop_front();
+  if (added)
+    std::sort(finish_queue_.begin() + static_cast<std::ptrdiff_t>(finish_head_),
+              finish_queue_.end(),
+              [](const std::shared_ptr<detail::JobState>& a,
+                 const std::shared_ptr<detail::JobState>& b) { return a->id < b->id; });
+  while (finish_head_ < finish_queue_.size()) {
+    std::shared_ptr<detail::JobState> st = std::move(finish_queue_[finish_head_++]);
+    if (finish_head_ == finish_queue_.size()) {
+      finish_queue_.clear();
+      finish_head_ = 0;
+    }
     --inflight_count_;
-    const JobResult* r = devices_[st->device]->result(st->device_job);
-    finish_job(*st, *r);  // never null: the owning worker saw it complete
+    // Never nullopt: the owning worker saw the job complete.
+    finish_job(*st, *devices_[st->device]->take_result(st->device_job));
   }
 }
 
@@ -607,7 +611,7 @@ sim::Cycle Engine::min_busy_cycle() const {
 
 bool Engine::last_image_holder(std::size_t index) const {
   if (!device_alive(index)) return false;
-  for (const auto& [uid, rec] : channels_) {
+  for (const ChannelRecord& rec : channels_) {
     if (!rec.open || rec.orphaned) continue;
     const reconfig::CoreImage img = image_for_mode(rec.info.mode);
     if (devices_[index]->slots_with_image(img) == 0) continue;
@@ -782,7 +786,7 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   // Migrate the device's channels to survivors (uid order: deterministic).
   // Keys were broadcast at provision time and are replayed onto added
   // devices, so the survivor already holds each channel's key.
-  for (auto& [uid, rec] : channels_) {
+  for (ChannelRecord& rec : channels_) {
     if (!rec.open || rec.device != index) continue;
     auto placed =
         place_channel(rec.info.mode, rec.info.key_id, rec.info.tag_len, rec.info.nonce_len);
@@ -808,7 +812,7 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   inflight_[index].clear();
   std::vector<std::shared_ptr<detail::JobState>> lost;
   for (std::shared_ptr<detail::JobState>& st : stranded) {
-    const ChannelRecord& rec = channels_.at(st->channel_uid);
+    const ChannelRecord& rec = channels_[st->channel_uid - 1];
     if (st->spec && rec.open && !rec.orphaned) {
       JobSpec spec = *st->spec;  // keep the retained copy: devices can fail twice
       spec.channel = rec.info;
@@ -834,7 +838,7 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
     JobResult r;
     r.complete = true;
     r.auth_ok = false;
-    finish_job(*st, r);
+    finish_job(*st, std::move(r));
   }
 
   // Tombstone the slot; indices of the survivors are untouched.

@@ -367,7 +367,9 @@ class Engine {
   /// failed: stepping can never finish it (stranded; remove_device()
   /// migrates and resubmits).
   bool inflight_only_on_failed() const;
-  void finish_job(detail::JobState& st, const JobResult& result);
+  /// Deliver `result` (moved out of the device through take_result, or
+  /// made up for a lost job): stats, tenant release, callbacks.
+  void finish_job(detail::JobState& st, JobResult result);
   const ChannelStats* channel_stats(std::uint64_t uid) const;
   /// The one stepping primitive: run `op` on every live device via the
   /// worker pool, each thread then moving its devices' finished jobs into
@@ -411,8 +413,11 @@ class Engine {
   /// per-tenant counters).
   qos::TenantTable tenants_;
 
-  std::map<std::uint64_t, ChannelRecord> channels_;
-  std::uint64_t next_channel_uid_ = 1;
+  /// Every channel ever opened, indexed by uid - 1: uids are dense and a
+  /// record outlives its handle (closed, migrated or orphaned records stay),
+  /// so a lookup is one index. A deque, so records never move: a handle's
+  /// info() and stats() references stay valid as channels open.
+  std::deque<ChannelRecord> channels_;
   /// Round-robin cursors, one per core image: a Whirlpool channel landing
   /// on the fleet's one image-holding device must not warp the rotation
   /// the AES-mode channels are following (and vice versa).
@@ -444,10 +449,13 @@ class Engine {
   std::vector<sim::Cycle> horizon_;
 
   std::unique_ptr<WorkerPool> pool_;  // size 0 or 1 = serial stepping
-  /// Collected completions awaiting finish_job, ascending JobId. A member
-  /// so a callback that re-enters the engine can finish jobs from the same
-  /// round's batch, with a nested round's batch merging in order.
-  std::deque<std::shared_ptr<detail::JobState>> finish_queue_;
+  /// Collected completions awaiting finish_job, ascending JobId from
+  /// finish_head_ on (the entries before it are delivered; the vector is
+  /// cleared, keeping its capacity, once all are). A member so a callback
+  /// that re-enters the engine can finish jobs from the same round's batch,
+  /// with a nested round's batch sorting in among them.
+  std::vector<std::shared_ptr<detail::JobState>> finish_queue_;
+  std::size_t finish_head_ = 0;
 };
 
 }  // namespace mccp::host

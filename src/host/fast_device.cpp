@@ -74,6 +74,7 @@ FastDevice::FastDevice(const top::MccpConfig& config, std::string name)
     core_image_[i] = config.slot_images[i];
   core_target_ = core_image_;
   core_swap_until_.assign(config.num_cores, 0);
+  running_.reserve(config.num_cores);
 }
 
 std::optional<std::uint64_t> FastDevice::begin_reconfiguration(std::size_t slot,
@@ -123,13 +124,13 @@ std::optional<ChannelInfo> FastDevice::open_channel(ChannelMode mode, top::KeyId
     last_rr_ = top::make_error(top::ControlError::kBadParameters);
     return std::nullopt;
   }
-  for (std::uint8_t id = 0; id < 64; ++id) {
-    if (!channels_.count(id)) {
-      ChannelInfo info{id, mode, key, static_cast<std::uint8_t>(tag_len),
-                       static_cast<std::uint8_t>(nonce_len)};
-      channels_[id] = info;
+  for (std::uint8_t id = 0; id < channels_.size(); ++id) {
+    if (!channels_[id]) {
+      channels_[id] = mode;
+      ++open_channels_;
       last_rr_ = top::make_ok(id);
-      return info;
+      return ChannelInfo{id, mode, key, static_cast<std::uint8_t>(tag_len),
+                         static_cast<std::uint8_t>(nonce_len)};
     }
   }
   last_rr_ = top::make_error(top::ControlError::kChannelsExhausted);
@@ -137,10 +138,12 @@ std::optional<ChannelInfo> FastDevice::open_channel(ChannelMode mode, top::KeyId
 }
 
 bool FastDevice::close_channel(std::uint8_t channel_id) {
-  if (!channels_.erase(channel_id)) {
+  if (channel_id >= channels_.size() || !channels_[channel_id]) {
     last_rr_ = top::make_error(top::ControlError::kNoChannel);
     return false;
   }
+  channels_[channel_id].reset();
+  --open_channels_;
   last_rr_ = top::make_ok(channel_id);
   return true;
 }
@@ -164,8 +167,8 @@ void FastDevice::schedule_pending() {
   // placing packets until that head cannot get a core this round.
   while (Job* head = book_.head()) {
     Job& job = *head;
-    if (!channels_.count(job.spec.channel.id) ||
-        channels_.at(job.spec.channel.id).mode != job.spec.channel.mode) {
+    const std::uint8_t channel = job.spec.channel.id;
+    if (channel >= channels_.size() || channels_[channel] != job.spec.channel.mode) {
       // SimDevice's unrecoverable-submit path: the job fails after one
       // ENCRYPT/DECRYPT round trip, with no core time charged.
       book_.pop_head();
@@ -179,20 +182,21 @@ void FastDevice::schedule_pending() {
     // reconfiguration of the highest-index idle slot (auto_reconfig; low
     // indices stay AES so CCM pairs keep finding cores) or fail it fast.
     const reconfig::CoreImage need = image_for_mode(job.spec.channel.mode);
-    std::vector<std::size_t> free_cores;
+    const std::size_t n = core_free_.size();
+    std::size_t first_free = n;  // first idle core hosting `need`
     std::size_t total_free = 0;  // idle cores of ANY personality (adaptive CCM)
     // Acquirable = some slot's committed-or-landing image is `need`
     // (core_target_ is exactly that, matching Mccp::image_acquirable —
     // a slot mid-swap AWAY from `need` does not count).
     bool acquirable = false;
-    for (std::size_t i = 0; i < core_free_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (core_target_[i] == need) acquirable = true;
       if (core_free_[i] <= now_) {
         ++total_free;
-        if (image_at(i, now_) == need) free_cores.push_back(i);
+        if (first_free == n && image_at(i, now_) == need) first_free = i;
       }
     }
-    if (free_cores.empty()) {
+    if (first_free == n) {
       if (!acquirable) {
         if (!config_.auto_reconfig) {
           // Seam-style failure: SimDevice's personality gate rejects
@@ -204,7 +208,7 @@ void FastDevice::schedule_pending() {
           book_.fail(job.id, now_);
           return;
         }
-        for (std::size_t i = core_free_.size(); i-- > 0;)
+        for (std::size_t i = n; i-- > 0;)
           if (begin_reconfiguration(i, need, config_.bitstream_store)) break;
         // Every slot busy: retry once a completion frees one.
       }
@@ -219,21 +223,21 @@ void FastDevice::schedule_pending() {
         job.spec.channel.mode == ChannelMode::kCcm &&
         (config_.ccm_mapping == top::CcmMapping::kPairPreferred ||
          (config_.ccm_mapping == top::CcmMapping::kAdaptive &&
-          total_free * 2 > core_free_.size()));
+          total_free * 2 > n));
     // Pair selection mirrors Mccp::find_idle_pair: the first RING-ADJACENT
     // pair of idle AES-image cores, in index order (split CCM streams
     // through the inter-core shift registers, so only neighbours qualify);
     // no adjacent pair -> single-core fallback, like the simulator.
-    std::vector<std::size_t> cores{free_cores[0]};
-    if (want_pair && core_free_.size() >= 2) {
+    CoreSet cores{{first_free, 0}, 1};
+    if (want_pair && n >= 2) {
       auto aes_idle = [&](std::size_t i) {
         return core_free_[i] <= now_ &&
                image_at(i, now_) == reconfig::CoreImage::kAesEncryptWithKs;
       };
-      for (std::size_t i = 0; i < core_free_.size(); ++i) {
-        std::size_t j = (i + 1) % core_free_.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        std::size_t j = (i + 1) % n;
         if (aes_idle(i) && aes_idle(j)) {
-          cores = {i, j};
+          cores = {{i, j}, 2};
           break;
         }
       }
@@ -244,9 +248,9 @@ void FastDevice::schedule_pending() {
   }
 }
 
-void FastDevice::start_job(Job& job, const std::vector<std::size_t>& cores) {
+void FastDevice::start_job(Job& job, CoreSet cores) {
   const ChannelInfo& ch = job.spec.channel;
-  const bool split = cores.size() == 2;
+  const bool split = cores.size == 2;
 
   // Key Scheduler accounting: a core pays the word-serial round-key
   // expansion unless its key cache already holds this key generation.
@@ -290,17 +294,17 @@ void FastDevice::start_job(Job& job, const std::vector<std::size_t>& cores) {
   res.accept_cycle = accept;
 
   job.done_at = done;
-  running_.push_back(&job);
+  running_.push_back(job.id);
 }
 
 void FastDevice::compute_running() {
   ccm_jobs_.clear();
   ccm_results_.clear();
-  for (Job* running : running_) {
-    Job& job = *running;
+  for (DeviceJobId id : running_) {
+    Job& job = book_.job(id);
     if (job.computed) continue;
     job.computed = true;
-    JobResult& res = book_.result_at(job.id);
+    JobResult& res = book_.result_at(id);
     const JobSpec& s = job.spec;
     if (s.channel.mode != ChannelMode::kCcm) {
       compute(job, res);
@@ -389,13 +393,14 @@ void FastDevice::step() {
   // is an event too (nothing else would wake the scheduler).
   sim::Cycle next = 0;
   bool have_next = false;
-  for (const Job* job : running_) {
-    if (!have_next || job->done_at < next) {
-      next = job->done_at;
+  for (DeviceJobId id : running_) {
+    const sim::Cycle done_at = book_.job(id).done_at;
+    if (!have_next || done_at < next) {
+      next = done_at;
       have_next = true;
     }
   }
-  if (book_.head() != nullptr) {
+  if (book_.has_pending()) {
     for (sim::Cycle until : core_swap_until_) {
       if (until > now_ && (!have_next || until < next)) {
         next = until;
@@ -406,11 +411,11 @@ void FastDevice::step() {
   now_ = have_next ? std::max(now_ + 1, next) : now_ + 1;
 
   for (auto it = running_.begin(); it != running_.end();) {
-    Job& job = **it;
+    Job& job = book_.job(*it);
     if (job.done_at <= now_) {
       if (!job.computed) compute_running();
+      book_.complete(*it, job.done_at);  // last: resets the record `job` refers to
       it = running_.erase(it);
-      book_.complete(job.id, job.done_at);  // last: drops the record `job` refers to
     } else {
       ++it;
     }

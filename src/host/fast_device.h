@@ -44,6 +44,7 @@
 // streaming interleave.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,9 +63,6 @@ namespace mccp::host {
 class FastDevice final : public Device {
  public:
   explicit FastDevice(const top::MccpConfig& config, std::string name = "fast0");
-  // running_ points into book_, so a copy would point into the original.
-  FastDevice(const FastDevice&) = delete;
-  FastDevice& operator=(const FastDevice&) = delete;
 
   std::string name() const override { return name_; }
 
@@ -85,7 +83,7 @@ class FastDevice final : public Device {
   bool idle() const override { return book_.idle(); }
   const JobResult* result(DeviceJobId id) const override { return book_.result(id); }
   std::uint64_t completions() const override { return book_.completions(); }
-  void forget(DeviceJobId id) override { book_.forget(id); }
+  std::optional<JobResult> take_result(DeviceJobId id) override { return book_.take_result(id); }
 
   // -- slot personalities & partial reconfiguration ---------------------------
   /// Old image until the swap's end cycle passes (same commit semantics as
@@ -107,7 +105,7 @@ class FastDevice final : public Device {
   sim::Cycle now() const override { return now_; }
   std::size_t num_cores() const override { return config_.num_cores; }
   std::size_t inflight() const override { return book_.inflight(); }
-  std::size_t open_channel_count() const override { return channels_.size(); }
+  std::size_t open_channel_count() const override { return open_channels_; }
 
  private:
   struct Key {
@@ -133,6 +131,15 @@ class FastDevice final : public Device {
     std::optional<sim::Cycle> first_denied;
   };
 
+  /// The one core a packet runs on, or the ring-adjacent pair a split CCM
+  /// packet streams across.
+  struct CoreSet {
+    std::array<std::size_t, 2> ids{};
+    std::size_t size = 1;
+    const std::size_t* begin() const { return ids.data(); }
+    const std::size_t* end() const { return ids.data() + size; }
+  };
+
   /// Try to place pending jobs (priority order) onto free cores, booking
   /// core occupancy (the result is computed later, by compute_running).
   void schedule_pending();
@@ -141,7 +148,7 @@ class FastDevice final : public Device {
   reconfig::CoreImage image_at(std::size_t c, sim::Cycle t) const {
     return core_swap_until_[c] > t ? core_image_[c] : core_target_[c];
   }
-  void start_job(Job& job, const std::vector<std::size_t>& cores);
+  void start_job(Job& job, CoreSet cores);
   /// Compute every running job whose result is not computed yet, as one
   /// batch: the CCM jobs side by side through crypto::ccm_batch, the rest
   /// through compute().
@@ -155,7 +162,9 @@ class FastDevice final : public Device {
 
   std::map<top::KeyId, std::shared_ptr<const Key>> keys_;
   std::uint64_t next_generation_ = 1;
-  std::map<std::uint8_t, ChannelInfo> channels_;
+  /// The MCCP's 64 channel slots: the mode each open channel registered.
+  std::array<std::optional<ChannelMode>, 64> channels_{};
+  std::size_t open_channels_ = 0;
 
   /// Per-core modelled state: busy horizon and cached key (id, generation)
   /// for Key Scheduler accounting.
@@ -174,9 +183,9 @@ class FastDevice final : public Device {
   /// Pending jobs (awaiting a core) and running ones, their results and
   /// the completion count.
   JobBook<Job> book_;
-  /// Jobs placed on cores and awaiting retirement (at most one per core),
-  /// pointing into book_'s node-stable store.
-  std::vector<Job*> running_;
+  /// Ids of the jobs placed on cores and awaiting retirement (at most one
+  /// per core; capacity reserved at construction).
+  std::vector<DeviceJobId> running_;
   std::uint8_t last_rr_ = 0;
   /// compute_running's CCM batch and the result slots it fills, kept so
   /// batches reuse their capacity.

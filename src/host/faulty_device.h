@@ -152,7 +152,12 @@ class FaultyDevice final : public Device {
   /// and a masked completion never becomes visible later).
   std::uint64_t completions() const override { return inner_->completions(); }
 
-  void forget(DeviceJobId id) override { inner_->forget(id); }
+  /// Forwarded unmasked, like completions(): the Engine takes only jobs
+  /// result() already showed it complete, and a kill scheduled since then
+  /// must not strand a job it has collected.
+  std::optional<JobResult> take_result(DeviceJobId id) override {
+    return inner_->take_result(id);
+  }
 
   reconfig::CoreImage slot_image(std::size_t slot) const override {
     return inner_->slot_image(slot);

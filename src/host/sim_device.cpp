@@ -34,11 +34,12 @@ bool SimDevice::drain_retrieved() {
   drained_words_out_ = words_out;
   retrieved_since_drain_ = false;
   bool drained = false;
-  for (Job* job : active_) {
-    if (job->state == Job::State::kRetrieved) {
-      drained |= drain_outputs(*job);
-      if (fully_drained(*job)) {
-        job->state = Job::State::kDrained;
+  for (DeviceJobId id : active_) {
+    Job& job = book_.job(id);
+    if (job.state == Job::State::kRetrieved) {
+      drained |= drain_outputs(job);
+      if (fully_drained(job)) {
+        job.state = Job::State::kDrained;
         drained = true;
       }
     }
@@ -132,7 +133,7 @@ void SimDevice::on_accept(Job& job, std::uint8_t request_id) {
   if (info == nullptr) throw std::logic_error("SimDevice: accepted request has no info");
   job.lanes = info->lanes;
   job.state = Job::State::kAccepted;
-  active_.push_back(&job);
+  active_.push_back(job.id);
   book_.result_at(job.id).accept_cycle = now();
 
   // Now that the core mapping is known, format the per-lane streams
@@ -214,8 +215,8 @@ void SimDevice::finalize(Job& job) {
       res.tag = std::move(parsed.tag);
     }
   }
-  active_.erase(std::find(active_.begin(), active_.end(), &job));
-  book_.complete(job.id, now());  // last: drops the record `job` refers to
+  active_.erase(std::find(active_.begin(), active_.end(), job.id));
+  book_.complete(job.id, now());  // last: resets the record `job` refers to
 }
 
 bool SimDevice::pump() {
@@ -227,11 +228,12 @@ bool SimDevice::pump() {
     std::uint8_t rr = run_control(top::encode_retrieve());
     if (!top::is_error(rr)) {
       std::uint8_t req = top::return_id(rr);
-      for (Job* job : active_) {
-        if (job->state == Job::State::kAccepted && job->request_id == req) {
-          job->auth_ok = !top::is_auth_fail(rr);
-          job->state = job->auth_ok ? Job::State::kRetrieved : Job::State::kDrained;
-          retrieved_since_drain_ |= job->auth_ok;
+      for (DeviceJobId id : active_) {
+        Job& job = book_.job(id);
+        if (job.state == Job::State::kAccepted && job.request_id == req) {
+          job.auth_ok = !top::is_auth_fail(rr);
+          job.state = job.auth_ok ? Job::State::kRetrieved : Job::State::kDrained;
+          retrieved_since_drain_ |= job.auth_ok;
           break;
         }
       }
@@ -240,10 +242,11 @@ bool SimDevice::pump() {
   }
 
   // Priority 2: close out fully drained requests.
-  for (Job* job : active_) {
-    if (job->state == Job::State::kDrained) {
-      std::uint8_t rr = run_control(top::encode_transfer_done(job->request_id));
-      if (top::is_ok(rr)) finalize(*job);
+  for (DeviceJobId id : active_) {
+    Job& job = book_.job(id);
+    if (job.state == Job::State::kDrained) {
+      std::uint8_t rr = run_control(top::encode_transfer_done(job.request_id));
+      if (top::is_ok(rr)) finalize(job);
       // kBadParameters: cores not fully retired yet; retry next pump.
       return true;
     }

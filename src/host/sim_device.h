@@ -49,7 +49,7 @@ class SimDevice final : public Device {
   bool idle() const override { return book_.idle(); }
   const JobResult* result(DeviceJobId id) const override { return book_.result(id); }
   std::uint64_t completions() const override { return book_.completions(); }
-  void forget(DeviceJobId id) override { book_.forget(id); }
+  std::optional<JobResult> take_result(DeviceJobId id) override { return book_.take_result(id); }
 
   // -- slot personalities (forwarded to the simulated scheduler) --------------
   reconfig::CoreImage slot_image(std::size_t slot) const override {
@@ -87,7 +87,7 @@ class SimDevice final : public Device {
 
  private:
   struct Job {
-    DeviceJobId id;
+    DeviceJobId id = 0;
     JobSpec spec;
     std::uint8_t header_blocks = 0, data_blocks = 0;
     enum class State { kPending, kAccepted, kRetrieved, kDrained } state = State::kPending;
@@ -118,13 +118,12 @@ class SimDevice final : public Device {
   /// Pending jobs (awaiting an ENCRYPT/DECRYPT slot) and accepted ones,
   /// their results and the completion count.
   JobBook<Job> book_;
-  /// Jobs accepted by the device and not yet finalized: the only ones the
-  /// interrupt/drain/transfer-done scans need to touch (bounded by the
-  /// core count, never by the backlog depth). Held as pointers into the
-  /// book's node-stable store because the drain scan runs every single
-  /// cycle of every control-instruction wait — a map lookup per job per
-  /// cycle was a measurable slice of simulated wall-clock.
-  std::vector<Job*> active_;
+  /// Ids of the jobs accepted by the device and not yet finalized: the
+  /// only ones the interrupt/drain/transfer-done scans need to touch
+  /// (bounded by the core count, never by the backlog depth). The drain
+  /// scan runs every cycle of every control-instruction wait, so each id
+  /// resolves to its record by ring index, not by a search.
+  std::vector<DeviceJobId> active_;
   /// Drain gate: drain_retrieved() can only act when the crossbar moved a
   /// word into some outbox (words_out() advanced past the value seen at the
   /// last drain) or a job entered kRetrieved since then (its lanes may

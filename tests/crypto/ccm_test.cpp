@@ -6,6 +6,7 @@
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/cbc_mac.h"
 
 namespace mccp::crypto {
 namespace {
@@ -96,6 +97,26 @@ TEST(Ccm, EmptyAadEncodesEmpty) { EXPECT_TRUE(ccm_encode_aad({}).empty()); }
 TEST(Ccm, AadBlocksCountTheEncodingWithoutBuildingIt) {
   for (std::size_t len : {0x0, 0x1, 0xD, 0xE, 0xF, 0x10, 0x11, 0xFEFF, 0xFF00, 0xFF01}) {
     EXPECT_EQ(ccm_aad_blocks(len), ccm_encode_aad(Bytes(len, 0)).size() / 16) << len;
+  }
+}
+
+TEST(Ccm, SealTagCoversTheEncodedAadAtEveryLength) {
+  // The seal streams the AAD encoding through a fixed buffer; the tag must
+  // equal T ^ E(Ctr_0) with T the CBC-MAC of B0, ccm_encode_aad(aad) and the
+  // padded payload, built the long way, across short and long forms and
+  // buffer boundaries.
+  Rng rng(38);
+  const AesRoundKeys keys = aes_expand_key(rng.bytes(16));
+  const CcmParams p{16, 13};
+  const Bytes nonce = rng.bytes(13), pt = rng.bytes(40);
+  for (std::size_t len : {1, 14, 15, 16, 253, 254, 255, 256, 510, 4000, 0xFEFF, 0xFF00, 0x1000F}) {
+    const Bytes aad = rng.bytes(len);
+    CbcMac mac(keys);
+    mac.update(ccm_b0(p, nonce, aad.size(), pt.size()));
+    mac.update_padded(ccm_encode_aad(aad));
+    mac.update_padded(pt);
+    const Block128 tag = mac.mac() ^ aes_encrypt_block(keys, ccm_ctr_block(p, nonce, 0));
+    EXPECT_EQ(ccm_seal(keys, p, nonce, aad, pt).tag, Bytes(tag.b.begin(), tag.b.end())) << len;
   }
 }
 

@@ -4,7 +4,10 @@
 // submit cycle, one core serves the lowest priority value first and FIFO
 // within a priority, completions() counts exactly the results that turned
 // complete, forget() drops only completed results, and submit_batch() is
-// submit() in order.
+// submit() in order. The JobBook slot ring behind both backends is checked
+// through the same seam: it grows under a deep backlog, priority buckets
+// drain and refill, refusals and out-of-order forgets leave their
+// neighbours intact, and a reused slot never shows an earlier job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +17,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "crypto/aes.h"
+#include "crypto/gcm.h"
 #include "host/fast_device.h"
 #include "host/faulty_device.h"
 #include "host/sim_device.h"
@@ -44,7 +49,7 @@ class DeviceLifecycle : public ::testing::TestWithParam<Kind> {
   /// (tag 8, nonce 13) channel open.
   std::unique_ptr<Device> device(std::size_t num_cores = 1) {
     auto dev = make_device(GetParam(), num_cores);
-    dev->provision_key(1, Bytes(16, 7));
+    dev->provision_key(1, key_);
     auto gcm_ch = dev->open_channel(ChannelMode::kGcm, 1, 16, 12);
     auto ccm_ch = dev->open_channel(ChannelMode::kCcm, 1, 8, 13);
     EXPECT_TRUE(gcm_ch && ccm_ch);
@@ -99,6 +104,21 @@ class DeviceLifecycle : public ::testing::TestWithParam<Kind> {
     while (!dev.idle()) dev.step();
   }
 
+  /// A GCM seal's complete result must be exactly the software reference
+  /// under key_: ciphertext and a 16-byte tag, no busy rejections unless
+  /// the caller allows them.
+  void expect_sealed(const Device& dev, DeviceJobId id, const JobSpec& spec) {
+    const JobResult* r = dev.result(id);
+    ASSERT_NE(r, nullptr) << id;
+    ASSERT_TRUE(r->complete) << id;
+    EXPECT_TRUE(r->auth_ok) << id;
+    const crypto::GcmSealed ref = crypto::gcm_seal(crypto::aes_expand_key(key_), spec.iv_or_nonce,
+                                                   spec.aad, spec.payload, 16);
+    EXPECT_EQ(r->payload, ref.ciphertext) << id;
+    EXPECT_EQ(r->tag, ref.tag) << id;
+  }
+
+  Bytes key_ = Bytes(16, 7);
   Rng rng_{2026};
   ChannelInfo gcm_, ccm_;
 };
@@ -250,6 +270,152 @@ TEST_P(DeviceLifecycle, SubmitBatchMatchesOneSubmitAtATime) {
     EXPECT_EQ(a->accept_cycle, b->accept_cycle) << id;
     EXPECT_EQ(a->complete_cycle, b->complete_cycle) << id;
     EXPECT_EQ(a->rejections, b->rejections) << id;
+  }
+}
+
+TEST_P(DeviceLifecycle, SlotRingGrowsUnderABacklogAndInflightStaysExact) {
+  // 100 jobs queued on one core: several times the ring's first capacity,
+  // with results read and forgotten while it grows behind them.
+  auto dev = device(/*num_cores=*/1);
+  std::vector<JobSpec> specs;
+  std::vector<DeviceJobId> ids;
+  for (int i = 0; i < 100; ++i) {
+    specs.push_back(gcm(32 + 16 * (i % 4)));
+    ids.push_back(dev->submit(specs.back()));
+    ASSERT_EQ(dev->inflight(), static_cast<std::size_t>(i + 1)) << "nothing has completed yet";
+    ASSERT_FALSE(dev->idle());
+  }
+  std::size_t forgotten = 0;
+  std::vector<sim::Cycle> completed_at;
+  while (!dev->idle()) {
+    dev->step();
+    ASSERT_EQ(dev->inflight(), ids.size() - dev->completions());
+    // Forget every other completed job as soon as it lands, and keep
+    // submitting while the backlog drains, so the ring wraps and grows
+    // with taken slots between live ones.
+    for (std::size_t k = forgotten; k < ids.size() && dev->result(ids[k]) &&
+                                    dev->result(ids[k])->complete;
+         ++k, ++forgotten) {
+      expect_sealed(*dev, ids[k], specs[k]);
+      completed_at.push_back(dev->result(ids[k])->complete_cycle);
+      if (k % 2 == 0) dev->forget(ids[k]);
+      if (ids.size() < 160) {
+        specs.push_back(gcm(48));
+        ids.push_back(dev->submit(specs.back()));
+      }
+    }
+  }
+  EXPECT_EQ(dev->completions(), ids.size());
+  EXPECT_EQ(dev->inflight(), 0u);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    if (k % 2 == 0 && k < forgotten) {
+      EXPECT_EQ(dev->result(ids[k]), nullptr) << k;
+    } else {
+      expect_sealed(*dev, ids[k], specs[k]);
+    }
+  }
+  ASSERT_EQ(completed_at.size(), ids.size());
+  for (std::size_t k = 1; k < completed_at.size(); ++k)
+    EXPECT_LT(completed_at[k - 1], completed_at[k]) << "one core serves FIFO within a priority";
+}
+
+TEST_P(DeviceLifecycle, PriorityBucketsDrainAndRefill) {
+  auto dev = device(/*num_cores=*/1);
+  // Two waves over the same priorities: every bucket drains to empty in
+  // the first and must serve in order again in the second.
+  for (int wave = 0; wave < 2; ++wave) {
+    const std::vector<unsigned> priorities = {200, 5, 128, 5, 200, 0, 128};
+    std::vector<DeviceJobId> ids;
+    for (unsigned p : priorities) ids.push_back(dev->submit(gcm(32, p)));
+    run_until_idle(*dev);
+    std::vector<std::size_t> order(ids.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return priorities[a] < priorities[b]; });
+    for (std::size_t k = 1; k < order.size(); ++k)
+      EXPECT_LT(dev->result(ids[order[k - 1]])->accept_cycle,
+                dev->result(ids[order[k]])->accept_cycle)
+          << "wave " << wave << ", service position " << k;
+    for (DeviceJobId id : ids) dev->forget(id);
+    EXPECT_EQ(dev->inflight(), 0u);
+  }
+}
+
+TEST_P(DeviceLifecycle, RefusalsBetweenLiveIdsAndOutOfOrderForgets) {
+  auto dev = device(/*num_cores=*/2);
+  std::vector<JobSpec> specs;
+  std::vector<DeviceJobId> ids;
+  std::vector<bool> refused;
+  for (int i = 0; i < 24; ++i) {
+    const bool refuse = i % 5 == 2;
+    specs.push_back(refuse ? (i % 2 ? bad_iv() : bad_tag()) : gcm(32 + 16 * (i % 3)));
+    refused.push_back(refuse);
+    ids.push_back(dev->submit(specs.back()));
+  }
+  for (std::size_t k = 1; k < ids.size(); ++k) ASSERT_EQ(ids[k], ids[k - 1] + 1);
+  EXPECT_EQ(dev->inflight(), 24u - 5u) << "refusals never count in flight";
+  // A refusal completes at once, in the middle of live ids; forgetting it
+  // leaves its still-running neighbours untouched.
+  dev->forget(ids[7]);
+  EXPECT_EQ(dev->result(ids[7]), nullptr);
+  ASSERT_NE(dev->result(ids[6]), nullptr);
+  ASSERT_NE(dev->result(ids[8]), nullptr);
+  EXPECT_FALSE(dev->result(ids[8])->complete);
+  run_until_idle(*dev);
+
+  // Forget in a scrambled order; every id not yet forgotten keeps its own
+  // result.
+  std::vector<std::size_t> order;
+  for (std::size_t k = 0; k < ids.size(); ++k) order.push_back((k * 7 + 3) % ids.size());
+  std::vector<bool> gone(ids.size(), false);
+  gone[7] = true;
+  for (std::size_t k : order) {
+    dev->forget(ids[k]);
+    gone[k] = true;
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      if (gone[j]) {
+        ASSERT_EQ(dev->result(ids[j]), nullptr) << j;
+      } else if (refused[j]) {
+        const JobResult* r = dev->result(ids[j]);
+        ASSERT_TRUE(r && r->complete && !r->auth_ok && r->payload.empty()) << j;
+      } else {
+        expect_sealed(*dev, ids[j], specs[j]);
+      }
+    }
+  }
+  EXPECT_EQ(dev->submit(gcm(16)), ids.back() + 1) << "ids never recycle";
+}
+
+TEST_P(DeviceLifecycle, AReusedSlotNeverShowsAnEarlierJob) {
+  auto dev = device(/*num_cores=*/1);
+  // First occupants: a backlog on one core, so later jobs were denied a
+  // core (busy rejections) and carry seal tags or failed verifies.
+  std::vector<DeviceJobId> first;
+  for (int i = 0; i < 40; ++i) first.push_back(dev->submit(i % 2 ? ccm_verify(48) : gcm(96)));
+  run_until_idle(*dev);
+  std::uint32_t denied = 0;
+  for (DeviceJobId id : first) denied += dev->result(id)->rejections;
+  EXPECT_GT(denied, 0u) << "the backlog must have been denied cores";
+  for (DeviceJobId id : first) dev->forget(id);
+
+  // Rotate the key, then refill the same slots one job at a time on an
+  // idle core: nothing of the first occupants may show through, neither
+  // the spec, the result, the key bundle nor the busy-denial stamp.
+  key_ = rng_.bytes(16);
+  dev->provision_key(1, key_);
+  for (int i = 0; i < 40; ++i) {
+    dev->advance_to(dev->now() + 1000);
+    const JobSpec spec = gcm(16 * (1 + i % 3));
+    const DeviceJobId id = dev->submit(spec);
+    EXPECT_EQ(dev->result(id)->payload.size(), 0u) << "an empty result until complete";
+    EXPECT_TRUE(dev->result(id)->tag.empty());
+    EXPECT_FALSE(dev->result(id)->complete);
+    run_until_idle(*dev);
+    const JobResult* r = dev->result(id);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->rejections, 0u) << "job " << i << " was never denied a core";
+    expect_sealed(*dev, id, spec);
+    dev->forget(id);
   }
 }
 

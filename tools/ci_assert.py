@@ -25,8 +25,9 @@ Each CI step runs its benches with --json and then one check here:
       the reconfig_churn, device_failure and tenant_storm invariants.
   ci_assert.py threaded-speedup SERIAL THREADED
       4 worker threads reproduce the serial run at >= 1.5x its speed.
-  ci_assert.py threaded-overhead SERIAL THREADED
-      4 worker threads reproduce the serial run in <= 1.5x its wall clock:
+  ci_assert.py threaded-overhead SERIAL THREADED SERIAL THREADED SERIAL THREADED
+      three interleaved pairs: 4 worker threads reproduce the serial run in
+      every pair, and the median threaded/serial wall-clock ratio is <= 1.5x:
       a pool that cannot speed a run up must not collapse it either.
   ci_assert.py multibuffer CRYPTO
       crypto_primitives: on every hardware kernel tier, four CCM seals per
@@ -249,13 +250,21 @@ def threaded_speedup(serial, threaded):
 THREADED_OVERHEAD = 1.5
 
 
-def threaded_overhead(serial, threaded):
-    serial_equals_threaded(serial, threaded)
-    ratio = threaded["wall_ms"] / serial["wall_ms"]
-    require(ratio <= THREADED_OVERHEAD, f"threaded run collapsed: {threaded['wall_ms']:.1f} ms is "
-            f"{ratio:.2f}x the serial {serial['wall_ms']:.1f} ms > {THREADED_OVERHEAD}x")
-    return (f"threaded overhead ({serial['backend']}): {serial['wall_ms']:.1f} ms serial, "
-            f"{threaded['wall_ms']:.1f} ms threaded = {ratio:.2f}x")
+def threaded_overhead(*paired):
+    # One pair is too noisy on a shared runner (single pairs have read 1.85x
+    # where the median of ten sat near 1.1x), so the limit is on the median
+    # ratio of three interleaved pairs.
+    require(len(paired) == 6, "expected three SERIAL THREADED pairs, got", len(paired), "reports")
+    pairs = list(zip(paired[::2], paired[1::2]))
+    for serial, threaded in pairs:
+        serial_equals_threaded(serial, threaded)
+    ratios = sorted(t["wall_ms"] / s["wall_ms"] for s, t in pairs)
+    median = ratios[1]
+    shown = ", ".join(f"{r:.2f}x" for r in ratios)
+    require(median <= THREADED_OVERHEAD, f"threaded run collapsed: median threaded/serial wall "
+            f"ratio {median:.2f}x > {THREADED_OVERHEAD}x (pairs {shown})")
+    return (f"threaded overhead ({pairs[0][0]['backend']}): median {median:.2f}x serial wall "
+            f"over 3 pairs ({shown})")
 
 
 # Four CCM seals side by side over one at a time, on a hardware tier.
@@ -356,6 +365,11 @@ def _cases():
     """(check, passing reports, failing reports, expected failure text): one
     case per gate, so each gate is shown able to fail on its own."""
     s, t = _scenario, _tenants
+
+    def overhead(*walls):
+        """SERIAL THREADED report pairs with the given (serial, threaded) wall_ms."""
+        return tuple(s(wall_ms=w) for pair in walls for w in pair)
+
     bad_cls = [_cls("a"), _cls("b", completed=9)]
     ok3, sim3 = (s(),) * 3, (s(), s(), s(backend="sim"))
     storm = (s(tenants=t()),) * 3
@@ -418,12 +432,19 @@ def _cases():
          (s(wall_ms=30.0), s(wall_ms=20.0, classes=bad_cls)), "serial vs threaded"),
         ("threaded-speedup", (s(wall_ms=30.0), s(wall_ms=20.0)),
          (s(wall_ms=30.0), s(wall_ms=20.0, makespan_cycles=1)), "on makespan_cycles"),
-        ("threaded-overhead", (s(wall_ms=20.0), s(wall_ms=30.0)),
-         (s(wall_ms=20.0), s(wall_ms=30.5)), "collapsed"),
-        ("threaded-overhead", (s(wall_ms=20.0), s(wall_ms=10.0)),
-         (s(wall_ms=20.0), s(wall_ms=10.0, classes=bad_cls)), "serial vs threaded"),
-        ("threaded-overhead", (s(wall_ms=20.0), s(wall_ms=10.0)),
-         (s(wall_ms=20.0), s(wall_ms=10.0, makespan_cycles=1)), "on makespan_cycles"),
+        ("threaded-overhead", overhead((20.0, 30.0), (20.0, 10.0), (20.0, 40.0)),
+         overhead((20.0, 30.0), (20.0, 30.5), (20.0, 31.0)), "collapsed"),
+        # One slow pair of three passes; two fail the median.
+        ("threaded-overhead", overhead((20.0, 37.0), (20.0, 22.0), (20.0, 24.0)),
+         overhead((20.0, 37.0), (20.0, 31.0), (20.0, 24.0)), "median"),
+        ("threaded-overhead", overhead((20.0, 10.0),) * 3,
+         overhead((20.0, 10.0), (20.0, 10.0)), "three SERIAL THREADED pairs"),
+        ("threaded-overhead", overhead((20.0, 10.0),) * 3,
+         overhead((20.0, 10.0), (20.0, 10.0)) + (s(wall_ms=20.0), s(wall_ms=10.0, classes=bad_cls)),
+         "serial vs threaded"),
+        ("threaded-overhead", overhead((20.0, 10.0),) * 3,
+         (s(wall_ms=20.0), s(wall_ms=10.0, makespan_cycles=1)) + overhead((20.0, 10.0),) * 2,
+         "on makespan_cycles"),
         # portable at 1.0x is exempt; a hardware tier below 1.3x is not.
         ("multibuffer", (_crypto(portable=1.0, aesni=1.8, vaes=2.7),),
          (_crypto(portable=1.0, aesni=1.8, vaes=1.29),), "vaes: CCM seal x4"),
