@@ -44,6 +44,10 @@ constexpr int gf128_digit_iterations(int digit_bits) {
 static_assert(gf128_digit_iterations(3) == 43,
               "paper Sec. V.A: digit-serial multiplication in 43 clock cycles");
 
+/// Powers of H a Gf128Table caches for the CLMUL GHASH kernels: enough for
+/// one 16-block aggregated reduction.
+inline constexpr std::size_t kClmulPowers = 16;
+
 /// Precomputed multiplication by a fixed field element H (Shoup's 8-bit
 /// table method). Table M holds poly(b)·H for every byte value b, where
 /// poly(b) maps bit (7-j) of b to x^j; a 128-bit operand X = Σ poly(x_i)·x^{8i}
@@ -64,11 +68,13 @@ class Gf128Table {
 
   const Block128& h() const { return h_; }
 
-  /// H^1..H^4 in the byte-reflected layout the CLMUL GHASH kernels consume
-  /// (16 bytes each), or nullptr when the CPU cannot build them. Cached by
-  /// load() eagerly — gated on *hardware* support, not the dispatch
-  /// override, so a table built while the portable tier is forced still
-  /// serves a later tier flip.
+  /// H^16..H^1, highest power first, in the byte-reflected layout the CLMUL
+  /// GHASH kernels consume (16 bytes each), or nullptr when the CPU cannot
+  /// build them. The last n entries are H^n..H^1: the multipliers of an
+  /// n-block aggregated step, in block order. Cached by load() eagerly —
+  /// gated on *hardware* support, not the dispatch override, so a table
+  /// built while the portable tier is forced still serves a later tier
+  /// flip.
   const std::uint8_t* clmul_powers() const { return clmul_ready_ ? clmul_pow_.data() : nullptr; }
 
  private:
@@ -80,15 +86,16 @@ class Gf128Table {
 
   Block128 h_{};
   std::array<Half, 256> m_{};
-  alignas(16) std::array<std::uint8_t, 64> clmul_pow_{};
+  alignas(16) std::array<std::uint8_t, 16 * kClmulPowers> clmul_pow_{};
   bool clmul_ready_ = false;
 };
 
 namespace detail {
 /// Implemented next to the CLMUL kernels (crypto/kernels_x86.cpp); declared
 /// here so Gf128Table::load() can fill the power cache without gf128.h
-/// depending on kernels.h. Returns false when the CPU lacks PCLMULQDQ.
-bool build_clmul_powers(const Block128& h, std::uint8_t* out64);
+/// depending on kernels.h. Fills 16 * kClmulPowers bytes; returns false
+/// when the CPU lacks PCLMULQDQ.
+bool build_clmul_powers(const Block128& h, std::uint8_t* out);
 }  // namespace detail
 
 }  // namespace mccp::crypto

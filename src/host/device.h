@@ -110,7 +110,10 @@ static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) >
 ///    the channel's registered tag_len: the simulated formatter masks the
 ///    verify by the submitted length and the fast path by the channel's,
 ///    so an over-long tag with the right prefix failed on SimDevice and
-///    verified on FastDevice.
+///    verified on FastDevice;
+///  * a GCM submit with an empty IV (a channel opened with nonce_len 0):
+///    GCM has no J0 for it, the simulated formatter throws on it and
+///    crypto::gcm_seal refuses it.
 /// Backends call this at the submit seam and fail the job immediately
 /// (complete, !auth_ok) instead. AES-mode shapes only the simulated FIFOs
 /// cannot carry (payloads not whole blocks or over
@@ -121,6 +124,8 @@ inline bool refused_at_submit(const JobSpec& spec) {
   const bool bad_tag = spec.decrypt && spec.tag.size() != spec.channel.tag_len;
   switch (spec.channel.mode) {
     case ChannelMode::kGcm:
+      return spec.iv_or_nonce.empty() || spec.iv_or_nonce.size() != spec.channel.nonce_len ||
+             bad_tag;
     case ChannelMode::kCcm:
       return spec.iv_or_nonce.size() != spec.channel.nonce_len || bad_tag;
     case ChannelMode::kCbcMac:
