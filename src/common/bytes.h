@@ -16,6 +16,8 @@ namespace mccp {
 
 using Bytes = std::vector<std::uint8_t>;
 using ByteSpan = std::span<const std::uint8_t>;
+/// A writable byte range: the buffer an in-place transform works on.
+using MutableByteSpan = std::span<std::uint8_t>;
 
 /// A 128-bit block, stored big-endian (byte 0 is the most significant byte
 /// of the block, as in the AES and GCM specifications).
@@ -88,6 +90,14 @@ inline bool ct_equal(ByteSpan a, ByteSpan c) {
   std::uint8_t acc = 0;
   for (std::size_t i = 0; i < a.size(); ++i) acc |= static_cast<std::uint8_t>(a[i] ^ c[i]);
   return acc == 0;
+}
+
+/// Zero `s` through a volatile pointer to memset, so the wipe of a buffer
+/// that is freed or handed back next (unverified plaintext) cannot be
+/// optimised away.
+inline void secure_wipe(MutableByteSpan s) {
+  static void* (*const volatile wipe_memset)(void*, int, std::size_t) = std::memset;
+  if (!s.empty()) wipe_memset(s.data(), 0, s.size());
 }
 
 }  // namespace mccp

@@ -107,30 +107,47 @@ Block128 ccm_header_mac(const CryptoKernels& k, const CcmJob& job) {
   return x;
 }
 
+/// The one buffer a job is computed in: an in-place job's own, or
+/// `output`, which ccm_start fills with a copy of the input.
+MutableByteSpan job_buffer(CcmJob& job) {
+  return job.in_place.empty() ? MutableByteSpan(job.output) : job.in_place;
+}
+
 /// Start a job: its header MAC, and its full payload blocks as a kernel
-/// lane from Ctr_1 (the inc32 walk, as ctr_transform).
+/// lane from Ctr_1 (the inc32 walk, as ctr_transform), in place.
 CcmLane ccm_start(const CryptoKernels& k, CcmJob& job) {
-  job.output.resize(job.input.size());
+  if (job.in_place.empty()) job.output.assign(job.input.begin(), job.input.end());
+  const MutableByteSpan buf = job_buffer(job);
   return CcmLane{.keys = job.keys,
                  .mac = ccm_header_mac(k, job),
                  .ctr = ccm_ctr_block(job.params, job.nonce, 1),
                  .decrypt = job.decrypt,
-                 .in = job.input.data(),
-                 .out = job.output.data(),
-                 .nblocks = job.input.size() / 16};
+                 .in = buf.data(),
+                 .out = buf.data(),
+                 .nblocks = buf.size() / 16};
+}
+
+/// A failed open: zero its buffer (the unverified plaintext, or the
+/// ciphertext of an open never computed) before `output` lets it go.
+void ccm_fail(CcmJob& job) {
+  secure_wipe(job_buffer(job));
+  job.output.clear();
+  job.ok = false;
 }
 
 /// Finish a job after its lane ran: the zero-padded tail, then the tag
 /// T ^ E(K, Ctr_0), truncated to tag_len — sealed, or checked.
 void ccm_finish(const CryptoKernels& k, CcmJob& job, CcmLane& lane) {
+  const MutableByteSpan buf = job_buffer(job);
   const std::size_t done = 16 * lane.nblocks;
-  const std::size_t n = job.input.size();
-  if (done < n) {
-    k.ctr_xor(*job.keys, lane.ctr, /*wide_counter=*/true, job.input.data() + done,
-              job.output.data() + done, n - done);
-    const Block128 tail = Block128::from_span(
-        job.decrypt ? ByteSpan(job.output.data() + done, n - done) : job.input.subspan(done));
-    k.cbc_mac_blocks(*job.keys, lane.mac, tail.b.data(), 1);
+  if (done < buf.size()) {
+    // The MAC covers the plaintext tail: a seal's before the keystream
+    // overwrites it in place, an open's after.
+    const MutableByteSpan tail = buf.subspan(done);
+    Block128 plain = Block128::from_span(tail);
+    k.ctr_xor(*job.keys, lane.ctr, /*wide_counter=*/true, tail.data(), tail.data(), tail.size());
+    if (job.decrypt) plain = Block128::from_span(tail);
+    k.cbc_mac_blocks(*job.keys, lane.mac, plain.b.data(), 1);
   }
   const Block128 full =
       lane.mac ^ k.aes_encrypt(*job.keys, ccm_ctr_block(job.params, job.nonce, 0));
@@ -141,7 +158,7 @@ void ccm_finish(const CryptoKernels& k, CcmJob& job, CcmLane& lane) {
     return;
   }
   job.ok = ct_equal(tag, job.tag);
-  if (!job.ok) job.output.clear();
+  if (!job.ok) ccm_fail(job);
 }
 
 }  // namespace
@@ -171,7 +188,10 @@ void ccm_batch(std::span<CcmJob> jobs) {
     job.output.clear();
     job.sealed_tag.clear();
     job.ok = false;
-    if (job.decrypt && job.tag.size() != job.params.tag_len) continue;
+    if (job.decrypt && job.tag.size() != job.params.tag_len) {
+      ccm_fail(job);
+      continue;
+    }
     Group& g = groups[(job.keys->rounds() - 10) / 2];
     g.lanes[g.n] = ccm_start(k, job);
     g.jobs[g.n++] = &job;

@@ -3,8 +3,10 @@
 // ccm_batch seals and opens many independent packets in one call: their
 // payloads run side by side through the multi-lane CCM kernel (up to
 // kMaxCcmLanes per kernel call), the software form of the MCCP running
-// independent packets on independent cores. ccm_seal / ccm_open are
-// batches of one.
+// independent packets on independent cores. Every job is computed in one
+// buffer: an in-place job's own (host::FastDevice seals and opens in the
+// job's payload buffer), or a copy of an out-of-place job's input.
+// ccm_seal / ccm_open are out-of-place batches of one.
 //
 // Besides the seal/open API this header exposes the *formatting
 // function* (B0 block, encoded AAD, counter blocks) as standalone helpers.
@@ -53,8 +55,11 @@ struct CcmSealed {
 };
 
 /// One packet of a ccm_batch: seal `input` (plaintext) or, when `decrypt`,
-/// open it (ciphertext) against `tag`. The call fills the results. The
-/// spans and `keys` must outlive the call.
+/// open it (ciphertext) against `tag`. An out-of-place job (seal/open)
+/// leaves `input` as it is and puts the result in `output`; an in-place
+/// job (seal_in_place/open_in_place) overwrites its buffer with the result
+/// and leaves `output` empty. The call fills the results. The spans and
+/// `keys` must outlive the call.
 struct CcmJob {
   static CcmJob seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,
                      ByteSpan plaintext) {
@@ -73,6 +78,18 @@ struct CcmJob {
     job.tag = tag;
     return job;
   }
+  static CcmJob seal_in_place(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
+                              ByteSpan aad, MutableByteSpan data) {
+    CcmJob job = seal(keys, p, nonce, aad, data);
+    job.in_place = data;
+    return job;
+  }
+  static CcmJob open_in_place(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
+                              ByteSpan aad, MutableByteSpan data, ByteSpan tag) {
+    CcmJob job = open(keys, p, nonce, aad, data, tag);
+    job.in_place = data;
+    return job;
+  }
 
   const AesRoundKeys* keys = nullptr;
   CcmParams params;
@@ -80,9 +97,13 @@ struct CcmJob {
   ByteSpan nonce;
   ByteSpan aad;
   ByteSpan input;
+  /// An in-place job's buffer: `input`'s own bytes, which the call
+  /// overwrites with the ciphertext, or the plaintext, or zeros when the
+  /// open fails. Empty for an out-of-place job.
+  MutableByteSpan in_place;
   ByteSpan tag;  // open only
 
-  Bytes output;       // ciphertext, or plaintext (empty when the tag fails)
+  Bytes output;       // out of place: ciphertext, or plaintext (empty when the open fails)
   Bytes sealed_tag;   // seal only: tag_len bytes
   bool ok = false;    // seal: true; open: the tag verified
 };
@@ -91,14 +112,18 @@ struct CcmJob {
 /// order. Jobs of equal AES round count share kernel calls. Throws
 /// std::invalid_argument, before any job runs, on bad parameters, a nonce
 /// of the wrong length or a message too long for the nonce length. An open
-/// whose tag is not tag_len bytes fails (!ok) without being computed.
+/// whose tag is not tag_len bytes fails (!ok) without being computed. A
+/// failed open never leaves unverified plaintext behind: its buffer is
+/// wiped to zeros before `output` is cleared.
 void ccm_batch(std::span<CcmJob> jobs);
 
-/// Authenticated encryption. Throws std::invalid_argument on bad parameters.
+/// Authenticated encryption of a copy of `plaintext`. Throws
+/// std::invalid_argument on bad parameters.
 CcmSealed ccm_seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,
                    ByteSpan plaintext);
 
-/// Authenticated decryption; nullopt when the tag does not verify.
+/// Authenticated decryption of a copy of `ciphertext`; nullopt when the
+/// tag does not verify (the unverified plaintext is wiped first).
 std::optional<Bytes> ccm_open(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
                               ByteSpan aad, ByteSpan ciphertext, ByteSpan tag);
 

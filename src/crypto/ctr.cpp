@@ -18,20 +18,30 @@ Block128 inc16(Block128 ctr, unsigned step) {
   return ctr;
 }
 
-Bytes ctr_transform(const AesRoundKeys& keys, const Block128& initial_ctr, ByteSpan data) {
-  Bytes out(data.size());
-  if (!data.empty())
-    active_kernels().ctr_xor(keys, initial_ctr, /*wide_counter=*/true, data.data(), out.data(),
-                             data.size());
+namespace {
+
+/// `data` copied and run through the keystream in place.
+Bytes transform_copy(const AesRoundKeys& keys, const Block128& initial_ctr, bool wide_counter,
+                     ByteSpan data) {
+  Bytes out(data.begin(), data.end());
+  active_kernels().ctr_xor(keys, initial_ctr, wide_counter, out.data(), out.data(), out.size());
   return out;
 }
 
+}  // namespace
+
+Bytes ctr_transform(const AesRoundKeys& keys, const Block128& initial_ctr, ByteSpan data) {
+  return transform_copy(keys, initial_ctr, /*wide_counter=*/true, data);
+}
+
 Bytes ctr_transform_inc16(const AesRoundKeys& keys, const Block128& initial_ctr, ByteSpan data) {
-  Bytes out(data.size());
-  if (!data.empty())
-    active_kernels().ctr_xor(keys, initial_ctr, /*wide_counter=*/false, data.data(), out.data(),
-                             data.size());
-  return out;
+  return transform_copy(keys, initial_ctr, /*wide_counter=*/false, data);
+}
+
+void ctr_transform_inc16_in_place(const AesRoundKeys& keys, const Block128& initial_ctr,
+                                  MutableByteSpan data) {
+  active_kernels().ctr_xor(keys, initial_ctr, /*wide_counter=*/false, data.data(), data.data(),
+                           data.size());
 }
 
 }  // namespace mccp::crypto

@@ -26,10 +26,16 @@ Bytes ctr_transform(const AesRoundKeys& keys, const Block128& initial_ctr, ByteS
 
 /// The same transform with the MCCP INC core's counter semantics: only the
 /// low 16 bits increment (inc16), so the counter wraps at 0xFFFF instead
-/// of carrying into byte 13. This is what the simulated hardware computes;
-/// host::FastDevice uses it so both backends stay bit-identical even on
-/// counter wrap. Identical to ctr_transform whenever the initial counter's
-/// low 16 bits stay at least `blocks` below 0x10000.
+/// of carrying into byte 13. This is what the simulated hardware computes.
+/// Identical to ctr_transform whenever the initial counter's low 16 bits
+/// stay at least `blocks` below 0x10000. It copies `data` and runs
+/// ctr_transform_inc16_in_place on the copy.
 Bytes ctr_transform_inc16(const AesRoundKeys& keys, const Block128& initial_ctr, ByteSpan data);
+
+/// The inc16 transform in place: data[i] ^= E(K, ctr + i). host::FastDevice
+/// runs it on the job's own payload buffer, so both backends stay
+/// bit-identical even on counter wrap.
+void ctr_transform_inc16_in_place(const AesRoundKeys& keys, const Block128& initial_ctr,
+                                  MutableByteSpan data);
 
 }  // namespace mccp::crypto

@@ -1,6 +1,5 @@
 #include "crypto/gcm.h"
 
-#include <cstring>
 #include <stdexcept>
 
 #include "crypto/ctr.h"
@@ -17,10 +16,6 @@ GcmKey::GcmKey(const AesRoundKeys& round_keys)
     : keys(round_keys), htable(gcm_hash_subkey(round_keys)) {}
 
 namespace {
-
-/// memset through a volatile pointer, so the wipe of a buffer that is
-/// freed next cannot be optimised away.
-void* (*const volatile wipe_memset)(void*, int, std::size_t) = std::memset;
 
 /// The fast path for a 96-bit IV: J0 = IV || 0^31 || 1.
 Block128 j0_from_iv96(ByteSpan iv) {
@@ -54,46 +49,58 @@ Block128 gcm_length_block(std::size_t aad_len_bytes, std::size_t ct_len_bytes) {
 
 namespace {
 
-/// out = in ^ keystream from the counter after J0, and GHASH over the AAD
-/// and the ciphertext (an open hashes its input before the keystream can
-/// overwrite it); returns the full 16-byte tag GHASH(A, C) ^ E(K, J0).
+/// data ^= keystream from the counter after J0, and GHASH over the AAD and
+/// the ciphertext (an open hashes `data` before the keystream overwrites
+/// it); returns the full 16-byte tag GHASH(A, C) ^ E(K, J0).
 Block128 gcm_pass(const GcmKey& key, GcmCounter walk, bool decrypt, ByteSpan iv, ByteSpan aad,
-                  const std::uint8_t* in, std::uint8_t* out, std::size_t len) {
+                  MutableByteSpan data) {
   const CryptoKernels& k = active_kernels();
   const Block128 j0 = gcm_j0(key, iv);
   Ghash g(key.htable);
   g.update_padded(aad);
-  if (decrypt) g.update_padded(ByteSpan(in, len));
+  if (decrypt) g.update_padded(data);
   const bool wide = walk == GcmCounter::kInc32;
-  k.ctr_xor(key.keys, wide ? inc32(j0) : inc16(j0, 1), wide, in, out, len);
-  if (!decrypt) g.update_padded(ByteSpan(out, len));
-  g.update(gcm_length_block(aad.size(), len));
+  k.ctr_xor(key.keys, wide ? inc32(j0) : inc16(j0, 1), wide, data.data(), data.data(),
+            data.size());
+  if (!decrypt) g.update_padded(data);
+  g.update(gcm_length_block(aad.size(), data.size()));
   return g.digest() ^ k.aes_encrypt(key.keys, j0);
 }
 
-/// The open behind gcm_open and gcm_open_any_tag: the caller has checked
-/// the tag length.
-std::optional<Bytes> open_checked(const GcmKey& key, ByteSpan iv, ByteSpan aad,
-                                  ByteSpan ciphertext, ByteSpan tag, GcmCounter walk) {
-  if (iv.empty()) return std::nullopt;
-  Bytes plaintext(ciphertext.size());
-  const Block128 full = gcm_pass(key, walk, /*decrypt=*/true, iv, aad, ciphertext.data(),
-                                 plaintext.data(), ciphertext.size());
-  if (ct_equal(ByteSpan(full.b.data(), tag.size()), tag)) return plaintext;
-  wipe_memset(plaintext.data(), 0, plaintext.size());
-  return std::nullopt;
+/// gcm_open_in_place on a copy of the ciphertext.
+std::optional<Bytes> open_copy(const GcmKey& key, ByteSpan iv, ByteSpan aad,
+                               ByteSpan ciphertext, ByteSpan tag, GcmCounter walk) {
+  Bytes plaintext(ciphertext.begin(), ciphertext.end());
+  if (!gcm_open_in_place(key, iv, aad, plaintext, tag, walk)) return std::nullopt;
+  return plaintext;
 }
 
 }  // namespace
 
+Block128 gcm_seal_in_place(const GcmKey& key, ByteSpan iv, ByteSpan aad, MutableByteSpan data,
+                           GcmCounter walk) {
+  if (iv.empty()) throw std::invalid_argument("gcm: IV must be non-empty");
+  return gcm_pass(key, walk, /*decrypt=*/false, iv, aad, data);
+}
+
+bool gcm_open_in_place(const GcmKey& key, ByteSpan iv, ByteSpan aad, MutableByteSpan data,
+                       ByteSpan tag, GcmCounter walk) {
+  if (iv.empty() || tag.empty() || tag.size() > 16) {
+    secure_wipe(data);
+    return false;
+  }
+  const Block128 full = gcm_pass(key, walk, /*decrypt=*/true, iv, aad, data);
+  if (ct_equal(ByteSpan(full.b.data(), tag.size()), tag)) return true;
+  secure_wipe(data);
+  return false;
+}
+
 GcmSealed gcm_seal(const GcmKey& key, ByteSpan iv, ByteSpan aad, ByteSpan plaintext,
                    std::size_t tag_len, GcmCounter walk) {
   if (tag_len < 4 || tag_len > 16) throw std::invalid_argument("gcm: tag_len must be 4..16");
-  if (iv.empty()) throw std::invalid_argument("gcm: IV must be non-empty");
   GcmSealed out;
-  out.ciphertext.resize(plaintext.size());
-  const Block128 tag = gcm_pass(key, walk, /*decrypt=*/false, iv, aad, plaintext.data(),
-                                out.ciphertext.data(), plaintext.size());
+  out.ciphertext.assign(plaintext.begin(), plaintext.end());
+  const Block128 tag = gcm_seal_in_place(key, iv, aad, out.ciphertext, walk);
   out.tag.assign(tag.b.begin(), tag.b.begin() + static_cast<std::ptrdiff_t>(tag_len));
   return out;
 }
@@ -101,13 +108,12 @@ GcmSealed gcm_seal(const GcmKey& key, ByteSpan iv, ByteSpan aad, ByteSpan plaint
 std::optional<Bytes> gcm_open(const GcmKey& key, ByteSpan iv, ByteSpan aad, ByteSpan ciphertext,
                               ByteSpan tag, GcmCounter walk) {
   if (tag.size() < 4 || tag.size() > 16) return std::nullopt;
-  return open_checked(key, iv, aad, ciphertext, tag, walk);
+  return open_copy(key, iv, aad, ciphertext, tag, walk);
 }
 
 std::optional<Bytes> gcm_open_any_tag(const GcmKey& key, ByteSpan iv, ByteSpan aad,
                                       ByteSpan ciphertext, ByteSpan tag, GcmCounter walk) {
-  if (tag.empty() || tag.size() > 16) return std::nullopt;
-  return open_checked(key, iv, aad, ciphertext, tag, walk);
+  return open_copy(key, iv, aad, ciphertext, tag, walk);
 }
 
 GcmSealed gcm_seal(const AesRoundKeys& keys, ByteSpan iv, ByteSpan aad, ByteSpan plaintext,

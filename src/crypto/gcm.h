@@ -1,11 +1,13 @@
 // AES-GCM: Galois/Counter Mode (NIST SP 800-38D).
 //
-// One seal and one open serve every caller. Each runs its payload through
-// the kernel tier's CTR keystream into one preallocated output and its
-// GHASH (16 blocks per reduction on `vaes`, 8 on `aesni`) over the
+// One seal and one open serve every caller, and both work in place: each
+// runs the caller's one buffer through the kernel tier's CTR keystream and
+// its GHASH (16 blocks per reduction on `vaes`, 8 on `aesni`) over the
 // ciphertext, and takes the counter walk as a parameter: the spec's inc32,
 // or the MCCP INC core's inc16, which host::FastDevice uses to match the
-// simulated hardware.
+// simulated hardware. host::FastDevice seals and opens in the job's own
+// payload buffer; the Bytes-returning gcm_seal/gcm_open copy their input
+// and run the same in-place pass on the copy.
 //
 // Like the CCM header, the IV-to-J0 derivation and length-block formatting
 // are exposed so the radio substrate can pre-format packets exactly the way
@@ -58,28 +60,41 @@ Block128 gcm_j0(const GcmKey& key, ByteSpan iv);
 /// The final GHASH length block: len64(aad_bits) || len64(ct_bits).
 Block128 gcm_length_block(std::size_t aad_len_bytes, std::size_t ct_len_bytes);
 
+/// Authenticated encryption in place: `data` holds the plaintext and is
+/// overwritten with the ciphertext. Returns the full 16-byte tag; a
+/// shorter tag is its prefix. Throws std::invalid_argument on an empty IV.
+Block128 gcm_seal_in_place(const GcmKey& key, ByteSpan iv, ByteSpan aad, MutableByteSpan data,
+                           GcmCounter walk = GcmCounter::kInc32);
+
+/// Authenticated decryption in place, for a tag of any 1..16 bytes (the
+/// range of the MCCP GCM core's 4-bit tag_len field): `data` holds the
+/// ciphertext, which is hashed and decrypted, then the tag is compared in
+/// constant time. True when it verifies and `data` holds the plaintext.
+/// Otherwise false, and `data` is wiped to zeros — also for a tag outside
+/// 1..16 bytes or an empty IV — so it never holds unverified plaintext.
+bool gcm_open_in_place(const GcmKey& key, ByteSpan iv, ByteSpan aad, MutableByteSpan data,
+                       ByteSpan tag, GcmCounter walk = GcmCounter::kInc32);
+
 struct GcmSealed {
   Bytes ciphertext;
   Bytes tag;  // tag_len bytes (<= 16)
 };
 
-/// Authenticated encryption; tag_len in [4, 16] bytes (SP 800-38D permits
-/// 12..16 plus 4 and 8 for special applications). Throws
-/// std::invalid_argument on a bad tag_len or an empty IV.
+/// gcm_seal_in_place on a copy of `plaintext`; tag_len in [4, 16] bytes
+/// (SP 800-38D permits 12..16 plus 4 and 8 for special applications).
+/// Throws std::invalid_argument on a bad tag_len or an empty IV.
 GcmSealed gcm_seal(const GcmKey& key, ByteSpan iv, ByteSpan aad, ByteSpan plaintext,
                    std::size_t tag_len = 16, GcmCounter walk = GcmCounter::kInc32);
 
-/// Authenticated decryption: the ciphertext is hashed and decrypted, then
-/// the tag is compared in constant time. nullopt when the tag does not
-/// verify, is not 4..16 bytes long, or the IV is empty; the unverified
-/// plaintext is wiped, never returned.
+/// gcm_open_in_place on a copy of `ciphertext`, for a 4..16-byte tag:
+/// nullopt when the tag does not verify, is not 4..16 bytes long, or the IV
+/// is empty; the unverified plaintext is wiped, never returned.
 std::optional<Bytes> gcm_open(const GcmKey& key, ByteSpan iv, ByteSpan aad, ByteSpan ciphertext,
                               ByteSpan tag, GcmCounter walk = GcmCounter::kInc32);
 
-/// gcm_open for a tag of any 1..16 bytes, the range of the MCCP GCM core's
-/// 4-bit tag_len field: host::FastDevice serves 1..3-byte tags, which
-/// SP 800-38D does not allow, so everything else calls gcm_open. (A seal
-/// with such a tag is gcm_seal's full tag, truncated.)
+/// gcm_open for a tag of any 1..16 bytes: host::FastDevice serves 1..3-byte
+/// tags, which SP 800-38D does not allow. (A seal with such a tag is
+/// gcm_seal's full tag, truncated.)
 std::optional<Bytes> gcm_open_any_tag(const GcmKey& key, ByteSpan iv, ByteSpan aad,
                                       ByteSpan ciphertext, ByteSpan tag, GcmCounter walk);
 

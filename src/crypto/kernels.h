@@ -13,10 +13,12 @@
 // its serial CBC-MAC chain with its CTR keystream — the way the paper runs
 // independent packets on independent cores and pairs a CTR core with a
 // CBC-MAC core — and GHASH makes one reduction per 16 blocks on `vaes` and
-// per 8 on `aesni`. Outputs are bit-identical by construction (the
-// instructions implement the same field math), and the cross-kernel suite in
-// tests/crypto/kernel_dispatch_test.cpp plus the tier-parametrized KAT and
-// backend-differential suites enforce it.
+// per 8 on `aesni`. The GCM, CCM and CTR callers run these kernels in
+// place (`in` == `out`) on one buffer: host::FastDevice's job payload, or a
+// copy of the input for the out-of-place crypto:: calls. Outputs are
+// bit-identical by construction (the instructions implement the same field
+// math), and the cross-kernel suite in tests/crypto/kernel_dispatch_test.cpp
+// plus the tier-parametrized KAT and backend-differential suites enforce it.
 //
 // Dispatch never touches the calibrated cost model: modeled cycles,
 // `device_cycles` and completion stamps are computed from block counts, not

@@ -22,6 +22,19 @@ bool hw_tag_ok(const Block128& computed, ByteSpan tag, std::size_t tag_len) {
   return ct_equal(ByteSpan(computed.b.data(), tag_len), tag);
 }
 
+/// Hand a job's payload buffer, which the kernels have transformed in
+/// place, to its result; a failed job's (already wiped by the failed open)
+/// is dropped instead.
+void yield_payload(Bytes& payload, JobResult& res) {
+  if (res.auth_ok) {
+    res.payload = std::move(payload);
+    return;
+  }
+  payload.clear();
+  res.payload.clear();
+  res.tag.clear();
+}
+
 }  // namespace
 
 FastDevice::FastDevice(const top::MccpConfig& config, std::string name)
@@ -265,37 +278,37 @@ void FastDevice::start_job(Job& job, CoreSet cores) {
 
 void FastDevice::compute_running() {
   ccm_jobs_.clear();
-  ccm_results_.clear();
+  ccm_ids_.clear();
   for (DeviceJobId id : running_) {
     Job& job = book_.job(id);
     if (job.computed) continue;
     job.computed = true;
-    JobResult& res = book_.result_at(id);
-    const JobSpec& s = job.spec;
+    JobSpec& s = job.spec;
     if (s.channel.mode != ChannelMode::kCcm) {
-      compute(job, res);
+      compute(job, book_.result_at(id));
       continue;
     }
     const crypto::AesRoundKeys& keys = job.key->expanded;
     const crypto::CcmParams p{s.channel.tag_len, s.channel.nonce_len};
     ccm_jobs_.push_back(
-        s.decrypt ? crypto::CcmJob::open(keys, p, s.iv_or_nonce, s.aad, s.payload, s.tag)
-                  : crypto::CcmJob::seal(keys, p, s.iv_or_nonce, s.aad, s.payload));
-    ccm_results_.push_back(&res);
+        s.decrypt
+            ? crypto::CcmJob::open_in_place(keys, p, s.iv_or_nonce, s.aad, s.payload, s.tag)
+            : crypto::CcmJob::seal_in_place(keys, p, s.iv_or_nonce, s.aad, s.payload));
+    ccm_ids_.push_back(id);
   }
   if (ccm_jobs_.empty()) return;
   crypto::ccm_batch(ccm_jobs_);
   for (std::size_t i = 0; i < ccm_jobs_.size(); ++i) {
-    JobResult& res = *ccm_results_[i];
+    JobResult& res = book_.result_at(ccm_ids_[i]);
     res.auth_ok = ccm_jobs_[i].ok;
-    res.payload = std::move(ccm_jobs_[i].output);  // empty when the tag failed
     res.tag = std::move(ccm_jobs_[i].sealed_tag);
+    yield_payload(book_.job(ccm_ids_[i]).spec.payload, res);
   }
 }
 
-void FastDevice::compute(const Job& job, JobResult& res) {
+void FastDevice::compute(Job& job, JobResult& res) {
   const ChannelInfo& ch = job.spec.channel;
-  const JobSpec& s = job.spec;
+  JobSpec& s = job.spec;
   res.auth_ok = true;
   switch (ch.mode) {
     case ChannelMode::kGcm: {
@@ -307,53 +320,43 @@ void FastDevice::compute(const Job& job, JobResult& res) {
       const crypto::GcmKey& key = job.key->gcm;
       constexpr auto kWalk = crypto::GcmCounter::kInc16;
       if (s.decrypt) {
-        auto pt = crypto::gcm_open_any_tag(key, s.iv_or_nonce, s.aad, s.payload, s.tag, kWalk);
-        if (pt)
-          res.payload = std::move(*pt);
-        else
-          res.auth_ok = false;
+        res.auth_ok =
+            crypto::gcm_open_in_place(key, s.iv_or_nonce, s.aad, s.payload, s.tag, kWalk);
       } else {
-        auto sealed = crypto::gcm_seal(key, s.iv_or_nonce, s.aad, s.payload, 16, kWalk);
-        sealed.tag.resize(ch.tag_len);
-        res.payload = std::move(sealed.ciphertext);
-        res.tag = std::move(sealed.tag);
+        const Block128 tag =
+            crypto::gcm_seal_in_place(key, s.iv_or_nonce, s.aad, s.payload, kWalk);
+        res.tag.assign(tag.b.begin(), tag.b.begin() + ch.tag_len);
       }
       break;
     }
     case ChannelMode::kCcm:
-      break;  // batched by compute_running
-    case ChannelMode::kCtr: {
+      return;  // batched by compute_running
+    case ChannelMode::kCtr:
       // The INC core's 16-bit counter walk, matching the simulated
       // hardware on wrap (differential-tested with a 0xFFFF counter).
-      const crypto::AesRoundKeys& keys = job.key->expanded;
-      res.payload =
-          crypto::ctr_transform_inc16(keys, Block128::from_span(s.iv_or_nonce), s.payload);
+      crypto::ctr_transform_inc16_in_place(job.key->expanded, Block128::from_span(s.iv_or_nonce),
+                                           s.payload);
       break;
-    }
     case ChannelMode::kCbcMac: {
-      const crypto::AesRoundKeys& keys = job.key->expanded;
-      crypto::CbcMac mac(keys);
+      crypto::CbcMac mac(job.key->expanded);
       mac.update_padded(s.payload);
-      if (s.decrypt) {
-        res.auth_ok = hw_tag_ok(mac.mac(), s.tag, ch.tag_len);
-        // The simulated verify core streams no output; SimDevice surfaces a
-        // zero placeholder of message length, so mirror that exactly.
-        if (res.auth_ok) res.payload = Bytes(s.payload.size(), 0);
-      } else {
+      if (!s.decrypt) {
         res.tag.assign(mac.mac().b.begin(), mac.mac().b.begin() + ch.tag_len);
+        return;
       }
+      res.auth_ok = hw_tag_ok(mac.mac(), s.tag, ch.tag_len);
+      // The simulated verify core streams no output; SimDevice surfaces a
+      // zero placeholder of message length, so mirror that exactly.
+      std::fill(s.payload.begin(), s.payload.end(), 0);
       break;
     }
     case ChannelMode::kWhirlpool: {
       auto digest = crypto::whirlpool(s.payload);
       res.payload.assign(digest.begin(), digest.end());
-      break;
+      return;
     }
   }
-  if (!res.auth_ok) {
-    res.payload.clear();
-    res.tag.clear();
-  }
+  yield_payload(s.payload, res);
 }
 
 void FastDevice::step() {

@@ -24,7 +24,10 @@
 // whose result is not computed yet, and then every uncomputed running job
 // of the device is computed as one batch: its CCM jobs go through
 // crypto::ccm_batch side by side (the multi-lane kernel, the software form
-// of independent packets on independent cores), the rest one by one. A
+// of independent packets on independent cores), the rest one by one. GCM,
+// CCM and CTR results are computed in the job's own payload buffer, which
+// then becomes the result's payload: no second buffer per packet, as the
+// MCCP streams a packet from its input FIFO through a core and out. A
 // result becomes visible only when `complete` flips (Device::result() is
 // partial until then), so batching changes no observable state, and every
 // stamp still comes from the cost model. Each job holds the key bundle in
@@ -40,8 +43,11 @@
 // rate model the simulator charges — the slot is unavailable for the swap
 // while its siblings keep serving.
 //
-// Not modelled yet (ROADMAP open item): the crossbar's beat-level
-// streaming interleave.
+// The crossbar is folded into the cost model, not stepped: a packet's I/O
+// beats are part of its calibrated occupancy, measured with its core
+// streaming alone (FastDeviceCalibration in tests/host/fast_device_test.cpp).
+// Cores streaming at the same time do not contend for the crossbar's
+// round-robin arbiter here, as they do on SimDevice.
 #pragma once
 
 #include <array>
@@ -155,7 +161,9 @@ class FastDevice final : public Device {
   void compute_running();
   /// Functional result of one non-CCM job via the fast kernels; mirrors
   /// SimDevice::finalize output conventions exactly (differential-tested).
-  void compute(const Job& job, JobResult& res);
+  /// GCM, CTR and a CBC-MAC verify's placeholder are computed in the job's
+  /// payload buffer, which then moves into `res`.
+  void compute(Job& job, JobResult& res);
 
   std::string name_;
   top::MccpConfig config_;
@@ -187,10 +195,10 @@ class FastDevice final : public Device {
   /// per core; capacity reserved at construction).
   std::vector<DeviceJobId> running_;
   std::uint8_t last_rr_ = 0;
-  /// compute_running's CCM batch and the result slots it fills, kept so
-  /// batches reuse their capacity.
+  /// compute_running's CCM batch (in place, in each job's payload buffer)
+  /// and the ids of its jobs, kept so batches reuse their capacity.
   std::vector<crypto::CcmJob> ccm_jobs_;
-  std::vector<JobResult*> ccm_results_;
+  std::vector<DeviceJobId> ccm_ids_;
   sim::Cycle now_ = 0;
 };
 

@@ -3,9 +3,11 @@
 // T-table/Shoup reference across AES block ops, CTR keystreams (both
 // counter widths, including the inc16 and inc32 wraps inside a batch),
 // GHASH (every aggregation width and tail), GCM seal/open (both counter
-// walks, tampered and wrong-length tags), CCM (the multi-lane kernel and batches of mixed keys, directions
-// and lengths, every tail length, tampered inputs) and the CBC-MAC chain,
-// over all key sizes and non-block-aligned tails.
+// walks, tampered and wrong-length tags), CCM (the multi-lane kernel and
+// batches of mixed keys, directions and lengths, every tail length,
+// tampered inputs), the in-place seal/open cores against the out-of-place
+// calls, and the CBC-MAC chain, over all key sizes and non-block-aligned
+// tails.
 #include "crypto/kernels.h"
 
 #include <gtest/gtest.h>
@@ -770,7 +772,8 @@ TEST(KernelDispatch, GcmInc16WalkFromDerivedJ0) {
 TEST(KernelDispatch, GcmOpenNeverReturnsUnverifiedPlaintext) {
   // On every tier and both walks, an open whose tag does not verify — a
   // flipped tag, ciphertext or AAD bit, a tag of the wrong length, an
-  // empty IV — returns nothing at all, whatever the payload length.
+  // empty IV — returns nothing at all, whatever the payload length, and
+  // an in-place open leaves zeros in its buffer.
   Rng rng(122);
   const GcmKey key(aes_expand_key(rng.bytes(16)));
   for (const auto& tier : concrete_tiers()) {
@@ -783,27 +786,180 @@ TEST(KernelDispatch, GcmOpenNeverReturnsUnverifiedPlaintext) {
         ASSERT_TRUE(opened.has_value()) << tier;
         ASSERT_EQ(*opened, pt) << tier;
         const auto where = ::testing::Message() << tier << " len=" << len;
+        auto expect_refused = [&](ByteSpan v, ByteSpan a, ByteSpan ct, ByteSpan tag) {
+          EXPECT_FALSE(gcm_open(key, v, a, ct, tag, walk)) << where;
+          Bytes buf(ct.begin(), ct.end());
+          EXPECT_FALSE(gcm_open_in_place(key, v, a, buf, tag, walk)) << where;
+          EXPECT_EQ(buf, Bytes(ct.size(), 0)) << where;
+        };
         for (std::size_t i = 0; i < sealed.tag.size(); i += 5) {
           Bytes bad = sealed.tag;
           bad[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
-          EXPECT_FALSE(gcm_open(key, iv, aad, sealed.ciphertext, bad, walk)) << where;
+          expect_refused(iv, aad, sealed.ciphertext, bad);
         }
         if (!pt.empty()) {
           Bytes bad = sealed.ciphertext;
           bad[len / 2] ^= 0x20;
-          EXPECT_FALSE(gcm_open(key, iv, aad, bad, sealed.tag, walk)) << where;
+          expect_refused(iv, aad, bad, sealed.tag);
         }
         if (!aad.empty()) {
           Bytes bad = aad;
           bad.back() ^= 0x01;
-          EXPECT_FALSE(gcm_open(key, iv, bad, sealed.ciphertext, sealed.tag, walk)) << where;
+          expect_refused(iv, bad, sealed.ciphertext, sealed.tag);
         }
         const ByteSpan tag(sealed.tag);
         EXPECT_FALSE(gcm_open(key, iv, aad, sealed.ciphertext, tag.first(3), walk)) << where;
         Bytes long_tag = sealed.tag;
         long_tag.push_back(0);
-        EXPECT_FALSE(gcm_open(key, iv, aad, sealed.ciphertext, long_tag, walk)) << where;
-        EXPECT_FALSE(gcm_open(key, {}, aad, sealed.ciphertext, sealed.tag, walk)) << where;
+        expect_refused(iv, aad, sealed.ciphertext, long_tag);
+        expect_refused({}, aad, sealed.ciphertext, sealed.tag);
+      }
+    }
+  }
+}
+
+TEST(Ccm, OpenNeverReturnsUnverifiedPlaintext) {
+  // The CCM mirror of the GCM case: on every tier, an open whose tag does
+  // not verify — a flipped tag, ciphertext or AAD bit, a tag of the wrong
+  // length — returns nothing, out of place or in place, and an in-place
+  // open leaves zeros in its buffer.
+  Rng rng(123);
+  const AesRoundKeys keys = aes_expand_key(rng.bytes(16));
+  const CcmParams params[] = {{.tag_len = 16, .nonce_len = 13}, {.tag_len = 4, .nonce_len = 7}};
+  for (const auto& tier : concrete_tiers()) {
+    ScopedKernel k(tier);
+    for (const CcmParams& p : params) {
+      for (std::size_t len : {0u, 7u, 16u, 255u, 256u, 4096u + 3u}) {
+        const Bytes nonce = rng.bytes(p.nonce_len), aad = rng.bytes(len % 29);
+        const Bytes pt = rng.bytes(len);
+        const CcmSealed sealed = ccm_seal(keys, p, nonce, aad, pt);
+        const auto opened = ccm_open(keys, p, nonce, aad, sealed.ciphertext, sealed.tag);
+        ASSERT_TRUE(opened.has_value()) << tier;
+        ASSERT_EQ(*opened, pt) << tier;
+        const auto where = ::testing::Message() << tier << " tag_len=" << p.tag_len
+                                                << " len=" << len;
+        auto expect_refused = [&](ByteSpan a, ByteSpan ct, ByteSpan tag) {
+          EXPECT_FALSE(ccm_open(keys, p, nonce, a, ct, tag)) << where;
+          Bytes buf(ct.begin(), ct.end());
+          CcmJob jobs[] = {CcmJob::open(keys, p, nonce, a, ct, tag),
+                           CcmJob::open_in_place(keys, p, nonce, a, buf, tag)};
+          ccm_batch(jobs);
+          for (const CcmJob& job : jobs) {
+            EXPECT_FALSE(job.ok) << where;
+            EXPECT_TRUE(job.output.empty()) << where;
+          }
+          EXPECT_EQ(buf, Bytes(ct.size(), 0)) << where;
+        };
+        for (std::size_t i = 0; i < sealed.tag.size(); i += 3) {
+          Bytes bad = sealed.tag;
+          bad[i] ^= static_cast<std::uint8_t>(1u << (i % 8));
+          expect_refused(aad, sealed.ciphertext, bad);
+        }
+        if (!pt.empty()) {
+          Bytes bad = sealed.ciphertext;
+          bad[len / 2] ^= 0x20;
+          expect_refused(aad, bad, sealed.tag);
+        }
+        if (!aad.empty()) {
+          Bytes bad = aad;
+          bad.back() ^= 0x01;
+          expect_refused(bad, sealed.ciphertext, sealed.tag);
+        }
+        expect_refused(aad, sealed.ciphertext, ByteSpan(sealed.tag).first(p.tag_len - 2));
+        Bytes long_tag = sealed.tag;
+        long_tag.push_back(0);
+        expect_refused(aad, sealed.ciphertext, long_tag);
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, InPlaceSweep) {
+  // The in-place cores FastDevice runs on the job's own payload buffer —
+  // GCM seal/open (both walks), CCM seal/open through ccm_batch and the
+  // inc16 CTR transform — on every tier against the out-of-place calls
+  // and the portable tier: sweep_blocks() whole blocks with every tail of
+  // 0..15 bytes, AES-128/192/256, 8- and 12-byte GCM IVs, and tampered
+  // opens. Each CCM batch mixes in-place and out-of-place jobs, seals and
+  // opens.
+  Rng rng(124);
+  const CcmParams ccm_params[] = {{.tag_len = 16, .nonce_len = 13},
+                                  {.tag_len = 8, .nonce_len = 12},
+                                  {.tag_len = 4, .nonce_len = 7}};
+  std::size_t case_no = 0;
+  for (std::size_t key_len : {16u, 24u, 32u}) {
+    const GcmKey key(aes_expand_key(rng.bytes(key_len)));
+    for (std::size_t nblocks : sweep_blocks()) {
+      for (std::size_t tail = 0; tail < 16; ++tail, ++case_no) {
+        const std::size_t len = 16 * nblocks + tail;
+        const Bytes pt = rng.bytes(len), aad = rng.bytes(case_no % 23);
+        const Bytes iv = rng.bytes(case_no % 3 == 2 ? 8 : 12);
+        const GcmCounter walk = case_no % 2 == 0 ? GcmCounter::kInc32 : GcmCounter::kInc16;
+        const CcmParams& p = ccm_params[case_no % std::size(ccm_params)];
+        const Bytes nonce = rng.bytes(p.nonce_len);
+        const Block128 ctr = rng.block();
+        GcmSealed gcm_want;
+        CcmSealed ccm_want;
+        Bytes ctr_want;
+        {
+          ScopedKernel k("portable");
+          gcm_want = gcm_seal(key, iv, aad, pt, 16, walk);
+          ccm_want = ccm_seal(key.keys, p, nonce, aad, pt);
+          ctr_want = ctr_transform_inc16(key.keys, ctr, pt);
+        }
+        Bytes bad_tag = ccm_want.tag;
+        bad_tag[case_no % bad_tag.size()] ^= 0x10;
+        for (const auto& tier : concrete_tiers()) {
+          ScopedKernel k(tier);
+          const auto where = ::testing::Message() << tier << " key=" << key_len << " len=" << len
+                                                  << " iv=" << iv.size() << " case=" << case_no;
+          // GCM: out of place, then in place.
+          const GcmSealed gcm_got = gcm_seal(key, iv, aad, pt, 16, walk);
+          ASSERT_EQ(gcm_got.ciphertext, gcm_want.ciphertext) << where;
+          ASSERT_EQ(gcm_got.tag, gcm_want.tag) << where;
+          Bytes buf = pt;
+          ASSERT_EQ(gcm_seal_in_place(key, iv, aad, buf, walk).to_bytes(), gcm_want.tag) << where;
+          ASSERT_EQ(buf, gcm_want.ciphertext) << where;
+          ASSERT_EQ(gcm_open(key, iv, aad, gcm_want.ciphertext, gcm_want.tag, walk), pt) << where;
+          ASSERT_TRUE(gcm_open_in_place(key, iv, aad, buf, gcm_want.tag, walk)) << where;
+          ASSERT_EQ(buf, pt) << where;
+          buf = gcm_want.ciphertext;
+          Bytes gcm_bad = gcm_want.tag;
+          gcm_bad[case_no % 16] ^= 0x01;
+          ASSERT_FALSE(gcm_open(key, iv, aad, buf, gcm_bad, walk)) << where;
+          ASSERT_FALSE(gcm_open_in_place(key, iv, aad, buf, gcm_bad, walk)) << where;
+          ASSERT_EQ(buf, Bytes(len, 0)) << where;
+
+          // CCM: one batch of seals and opens, in place and out of place,
+          // a tampered one of each.
+          Bytes seal_buf = pt, open_buf = ccm_want.ciphertext, bad_buf = ccm_want.ciphertext;
+          std::vector<CcmJob> jobs{
+              CcmJob::seal_in_place(key.keys, p, nonce, aad, seal_buf),
+              CcmJob::open(key.keys, p, nonce, aad, ccm_want.ciphertext, ccm_want.tag),
+              CcmJob::open_in_place(key.keys, p, nonce, aad, open_buf, ccm_want.tag),
+              CcmJob::seal(key.keys, p, nonce, aad, pt),
+              CcmJob::open_in_place(key.keys, p, nonce, aad, bad_buf, bad_tag),
+              CcmJob::open(key.keys, p, nonce, aad, ccm_want.ciphertext, bad_tag)};
+          ccm_batch(jobs);
+          ASSERT_TRUE(jobs[0].ok && jobs[1].ok && jobs[2].ok && jobs[3].ok) << where;
+          ASSERT_EQ(seal_buf, ccm_want.ciphertext) << where;
+          ASSERT_EQ(jobs[0].sealed_tag, ccm_want.tag) << where;
+          ASSERT_TRUE(jobs[0].output.empty()) << where;
+          ASSERT_EQ(jobs[1].output, pt) << where;
+          ASSERT_EQ(open_buf, pt) << where;
+          ASSERT_TRUE(jobs[2].output.empty()) << where;
+          ASSERT_EQ(jobs[3].output, ccm_want.ciphertext) << where;
+          ASSERT_EQ(jobs[3].sealed_tag, ccm_want.tag) << where;
+          ASSERT_FALSE(jobs[4].ok || jobs[5].ok) << where;
+          ASSERT_EQ(bad_buf, Bytes(len, 0)) << where;
+          ASSERT_TRUE(jobs[5].output.empty()) << where;
+
+          // The inc16 CTR transform.
+          buf = pt;
+          ctr_transform_inc16_in_place(key.keys, ctr, buf);
+          ASSERT_EQ(buf, ctr_want) << where;
+          ASSERT_EQ(ctr_transform_inc16(key.keys, ctr, pt), ctr_want) << where;
+        }
       }
     }
   }

@@ -14,6 +14,7 @@
 // sim-vs-fast differential the portable reference does.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "common/hex.h"
@@ -393,6 +394,39 @@ TEST_P(BackendDifferential, GcmFailedOpenSurfacesNothing) {
       EXPECT_FALSE(r.auth_ok) << where;
       EXPECT_TRUE(r.payload.empty() && r.tag.empty()) << where;
       EXPECT_EQ(r.complete_cycle, r.submit_cycle) << where << " (refused at submit)";
+    }
+  }
+}
+
+TEST_P(BackendDifferential, CcmFailedOpenSurfacesNothing) {
+  // The CCM form of the case above: FastDevice opens CCM in the job's own
+  // payload buffer, and a flipped tag, ciphertext or AAD bit, or a short
+  // tag still completes with !auth_ok and an empty payload and tag on both
+  // backends.
+  Workload w{ChannelMode::kCcm, 16, 320, 24, 8, 13};
+  Rng rng(11'600);
+  Bytes key = rng.bytes(16), nonce = iv_for(rng, w), aad = rng.bytes(w.aad_len);
+  JobResult sealed = run_encrypt(Backend::kFast, w, key, nonce, aad, rng.bytes(w.payload_len));
+  ASSERT_TRUE(sealed.auth_ok);
+  Bytes bad_tag = sealed.tag, bad_ct = sealed.payload, bad_aad = aad;
+  bad_tag[3] ^= 0x10;
+  bad_ct[310] ^= 0x01;
+  bad_aad[0] ^= 0x80;
+  Bytes short_tag(sealed.tag.begin(), sealed.tag.end() - 2);
+  for (Backend backend : {Backend::kSim, Backend::kFast}) {
+    EXPECT_TRUE(run_decrypt(backend, w, key, nonce, aad, sealed.payload, sealed.tag).auth_ok);
+    for (const auto& [what, a, ct, tag] :
+         {std::tuple{"tag", aad, sealed.payload, bad_tag},
+          std::tuple{"ciphertext", aad, bad_ct, sealed.tag},
+          std::tuple{"aad", bad_aad, sealed.payload, sealed.tag},
+          std::tuple{"tag length", aad, sealed.payload, short_tag}}) {
+      JobResult r = run_decrypt(backend, w, key, nonce, a, ct, tag);
+      const auto where = ::testing::Message() << "backend=" << static_cast<int>(backend)
+                                              << " tampered " << what;
+      EXPECT_TRUE(r.complete) << where;
+      EXPECT_FALSE(r.auth_ok) << where;
+      EXPECT_TRUE(r.payload.empty()) << where;
+      EXPECT_TRUE(r.tag.empty()) << where;
     }
   }
 }
