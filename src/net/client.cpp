@@ -18,6 +18,10 @@ namespace mccp::net {
 
 namespace {
 
+/// Queued bytes at which send_frame() flushes instead of waiting for the
+/// next poll(), so a caller that submits without polling still sends.
+constexpr std::size_t kTxFlushBytes = 64 * 1024;
+
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -58,6 +62,7 @@ Client::Client(const ClientConfig& config) : config_(config) {
     hello.tenant = config.tenant;
     hello.client_name = config.name;
     send_frame(hello);
+    flush_tx();
 
     const std::int64_t deadline = now_ms() + config.io_timeout_ms;
     while (!welcomed_) {
@@ -75,7 +80,7 @@ Client::~Client() {
   if (fd_ < 0) return;
   try {
     send_frame(GoodbyeFrame{});
-    flush_tx(false);
+    flush_tx();
   } catch (...) {
   }
   ::close(fd_);
@@ -181,8 +186,9 @@ void Client::submit_batch(std::uint32_t channel, std::vector<SubmitJob> jobs, Co
 
 std::size_t Client::poll(int timeout_ms) {
   dispatched_ = 0;
-  flush_tx(false);
+  flush_tx();
   pump(timeout_ms);
+  flush_tx();  // jobs submitted from completion callbacks leave now
   return dispatched_;
 }
 
@@ -191,7 +197,7 @@ void Client::drain(int timeout_ms) {
   while (!pending_.empty() || tx_head_ < tx_.size()) {
     if (now_ms() >= deadline) fail("drain timed out with " + std::to_string(pending_.size()) +
                                    " jobs still in flight");
-    flush_tx(false);
+    flush_tx();
     pump(50);
   }
 }
@@ -200,10 +206,10 @@ void Client::drain(int timeout_ms) {
 
 void Client::send_frame(const Frame& frame) {
   encode_frame(frame, tx_);
-  flush_tx(false);
+  if (tx_.size() - tx_head_ >= kTxFlushBytes) flush_tx();
 }
 
-void Client::flush_tx(bool may_block) {
+void Client::flush_tx() {
   for (;;) {
     if (tx_head_ == tx_.size()) {
       tx_.clear();
@@ -216,13 +222,9 @@ void Client::flush_tx(bool may_block) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!may_block) return;
-      // The server may have paused reads on us (backpressure); keep
-      // consuming completions so it can drain us back under budget.
-      pump(50);
-      continue;
-    }
+    // Socket full (the server may have paused reads on us): the rest
+    // stays queued, and the caller's wait loop keeps reading meanwhile.
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     fail("send failed (" + std::string(std::strerror(errno)) + ")");
   }
 }
@@ -233,7 +235,7 @@ bool Client::pump(int timeout_ms) {
   int rc = ::poll(&pfd, 1, timeout_ms);
   if (rc < 0 && errno != EINTR) fail("poll failed");
   if (rc <= 0) return false;
-  if (pfd.revents & POLLOUT) flush_tx(false);
+  if (pfd.revents & POLLOUT) flush_tx();
   if (!(pfd.revents & (POLLIN | POLLHUP | POLLERR))) return true;
 
   std::uint8_t buf[65536];
@@ -245,13 +247,18 @@ bool Client::pump(int timeout_ms) {
   }
   rx_.insert(rx_.end(), buf, buf + n);
 
+  // Frames decode in place from rx_head_; the consumed prefix is erased
+  // once per recv. A callback that makes a blocking control call pumps
+  // re-entrantly and carries on from the same head.
   for (;;) {
-    Decoded d = decode_frame(rx_);
+    Decoded d = decode_frame(std::span<const std::uint8_t>(rx_).subspan(rx_head_));
     if (d.status == DecodeStatus::kNeedMore) break;
     if (d.status == DecodeStatus::kBad) fail("undecodable frame from server: " + d.error);
-    rx_.erase(rx_.begin(), rx_.begin() + static_cast<std::ptrdiff_t>(d.consumed));
+    rx_head_ += d.consumed;
     dispatch(std::move(d.frame));
   }
+  rx_.erase(rx_.begin(), rx_.begin() + static_cast<std::ptrdiff_t>(rx_head_));
+  rx_head_ = 0;
   return true;
 }
 
@@ -315,7 +322,7 @@ Frame Client::wait_reply(std::uint64_t request_id) {
   const std::int64_t deadline = now_ms() + config_.io_timeout_ms;
   while (!reply_.has_value()) {
     if (now_ms() >= deadline) fail("no reply to request " + std::to_string(request_id));
-    flush_tx(false);
+    flush_tx();
     pump(50);
   }
   want_request_ = 0;

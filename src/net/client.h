@@ -9,11 +9,24 @@
 // SUBMIT frames with a per-job callback, and poll()/drain() pump the
 // socket and fire callbacks as COMPLETION frames arrive.
 //
+// Batched sends: every outgoing frame is appended to one FIFO send queue.
+// The queue goes out, in as few send() calls as the socket takes and in
+// the order the frames were queued, at:
+//   * the start of each poll(), and again at its end, so a job submitted
+//     from a completion callback leaves in the same poll();
+//   * each step of drain();
+//   * each blocking control call (provision_key, open_channel,
+//     close_channel, stats_snapshot) before it waits for its reply;
+//   * the destructor, after the GOODBYE frame is queued;
+//   * any submit or control frame that brings the queue to 64 KiB.
+// A send the socket cannot take yet stays queued for the next of these.
+//
 // Deadlock note: the server applies backpressure by not reading a
 // flooding client's socket, so a client that only ever writes can wedge
-// with both directions full. Every blocking send here therefore also
-// drains the read side — completions are consumed (freeing server egress
-// and in-flight budget) while the submit backlog trickles out.
+// with both directions full. No send here blocks: what the socket cannot
+// take stays queued, and every waiting loop (poll, drain, control replies)
+// keeps reading — completions are consumed (freeing server egress and
+// in-flight budget) while the submit backlog trickles out.
 //
 // A Client is single-threaded: all calls from one thread. Concurrency
 // comes from many Clients (see net/swarm.h).
@@ -85,7 +98,8 @@ class Client {
   std::size_t inflight() const { return pending_.size(); }
 
   /// Pump I/O once: flush queued sends, read what's available, dispatch
-  /// completion callbacks. timeout_ms 0 polls, > 0 blocks until activity.
+  /// completion callbacks, then flush what the callbacks queued.
+  /// timeout_ms 0 polls, > 0 blocks until activity.
   /// Returns the number of completions dispatched.
   std::size_t poll(int timeout_ms);
   /// Pump until every in-flight job completed (throws on timeout).
@@ -93,7 +107,7 @@ class Client {
 
  private:
   void send_frame(const Frame& frame);
-  void flush_tx(bool may_block);
+  void flush_tx();
   /// One bounded poll()+recv pass; dispatches frames. Returns false on
   /// timeout with no activity.
   bool pump(int timeout_ms);
@@ -108,6 +122,7 @@ class Client {
   WelcomeFrame welcome_;
   bool welcomed_ = false;
   std::vector<std::uint8_t> rx_;
+  std::size_t rx_head_ = 0;  // decoded, not yet erased
   std::vector<std::uint8_t> tx_;
   std::size_t tx_head_ = 0;
   std::uint32_t next_request_ = 1;

@@ -128,26 +128,13 @@ std::string Reader::str8() {
   return s;
 }
 
-void Writer::u16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v));
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::bytes8(const Bytes& b) {
+void Writer::bytes8(ByteSpan b) {
   if (b.size() > 255) throw std::length_error("net: bytes8 field exceeds 255 bytes");
   u8(static_cast<std::uint8_t>(b.size()));
   out_.insert(out_.end(), b.begin(), b.end());
 }
 
-void Writer::bytes32(const Bytes& b) {
+void Writer::bytes32(ByteSpan b) {
   if (b.size() > kMaxFrameBytes) throw std::length_error("net: bytes32 field exceeds frame cap");
   u32(static_cast<std::uint32_t>(b.size()));
   out_.insert(out_.end(), b.begin(), b.end());
@@ -183,6 +170,17 @@ SubmitJob decode_submit_job(Reader& r) {
   job.payload = r.bytes32();
   job.tag = r.bytes8();
   return job;
+}
+
+void encode_completion_body(Writer& w, const CompletionView& c) {
+  w.u64(c.job_id);
+  w.u8(c.auth_ok ? 1 : 0);
+  w.u32(c.rejections);
+  w.u64(c.submit_cycle);
+  w.u64(c.accept_cycle);
+  w.u64(c.complete_cycle);
+  w.bytes32(c.payload);
+  w.bytes8(c.tag);
 }
 
 struct Encoder {
@@ -243,14 +241,14 @@ struct Encoder {
     for (const SubmitJob& job : f.jobs) encode_submit_job(w, job);
   }
   void operator()(const CompletionFrame& f) const {
-    w.u64(f.job_id);
-    w.u8(f.auth_ok ? 1 : 0);
-    w.u32(f.rejections);
-    w.u64(f.submit_cycle);
-    w.u64(f.accept_cycle);
-    w.u64(f.complete_cycle);
-    w.bytes32(f.payload);
-    w.bytes8(f.tag);
+    encode_completion_body(w, {.job_id = f.job_id,
+                               .auth_ok = f.auth_ok,
+                               .rejections = f.rejections,
+                               .submit_cycle = f.submit_cycle,
+                               .accept_cycle = f.accept_cycle,
+                               .complete_cycle = f.complete_cycle,
+                               .payload = f.payload,
+                               .tag = f.tag});
   }
   void operator()(const StatsSubscribeFrame& f) const {
     w.u32(f.request_id);
@@ -268,14 +266,15 @@ struct Encoder {
   void operator()(const GoodbyeFrame&) const {}
 };
 
-}  // namespace
-
-void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
+/// Append the length prefix and opcode, let `body` write the rest, then
+/// patch the prefix; a frame over kMaxFrameBytes is taken back out.
+template <typename Body>
+void encode_framed(Op op, std::vector<std::uint8_t>& out, Body&& body) {
   const std::size_t header_at = out.size();
   Writer w(out);
   w.u32(0);  // length placeholder
-  w.u8(static_cast<std::uint8_t>(frame_op(frame)));
-  std::visit(Encoder{w}, frame);
+  w.u8(static_cast<std::uint8_t>(op));
+  body(w);
 
   const std::size_t length = out.size() - header_at - 4;
   if (length > kMaxFrameBytes) {
@@ -285,6 +284,16 @@ void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
   for (int i = 0; i < 4; ++i)
     out[header_at + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(length >> (8 * i));
+}
+
+}  // namespace
+
+void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
+  encode_framed(frame_op(frame), out, [&frame](Writer& w) { std::visit(Encoder{w}, frame); });
+}
+
+void encode_completion(const CompletionView& c, std::vector<std::uint8_t>& out) {
+  encode_framed(Op::kCompletion, out, [&c](Writer& w) { encode_completion_body(w, c); });
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {

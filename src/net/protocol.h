@@ -217,6 +217,23 @@ const char* op_name(Op op);
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out);
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
+/// A COMPLETION's fields with its payload and tag borrowed, so a finished
+/// job is encoded straight from the bytes that hold its result.
+struct CompletionView {
+  std::uint64_t job_id = 0;
+  bool auth_ok = false;
+  std::uint32_t rejections = 0;
+  std::uint64_t submit_cycle = 0;
+  std::uint64_t accept_cycle = 0;
+  std::uint64_t complete_cycle = 0;
+  ByteSpan payload;
+  ByteSpan tag;
+};
+
+/// Append one COMPLETION frame. encode_frame writes a CompletionFrame
+/// through the same body encoder, so the two produce identical bytes.
+void encode_completion(const CompletionView& c, std::vector<std::uint8_t>& out);
+
 // ---- decode -----------------------------------------------------------------
 
 enum class DecodeStatus : std::uint8_t {
@@ -271,20 +288,29 @@ class Reader {
   bool ok_ = true;
 };
 
-/// Little-endian appender; the encode_* counterpart of Reader.
+/// Little-endian appender; the encode_* counterpart of Reader. Each
+/// fixed-width field grows the buffer once and is stored whole.
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void bytes8(const Bytes& b);   // u8 length prefix; throws above 255
-  void bytes32(const Bytes& b);  // u32 length prefix
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
+  void bytes8(ByteSpan b);   // u8 length prefix; throws above 255
+  void bytes32(ByteSpan b);  // u32 length prefix
   void str8(const std::string& s);
 
  private:
+  template <typename T>
+  void put_le(T v) {
+    const std::size_t at = out_.size();
+    out_.resize(at + sizeof(T));
+    std::uint8_t* p = out_.data() + at;
+    for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
   std::vector<std::uint8_t>& out_;
 };
 

@@ -234,8 +234,11 @@ void Server::read_session(Session& s) {
   }
   s.rx.insert(s.rx.end(), buf, buf + n);
 
+  // Frames decode in place from a moving head; the consumed prefix is
+  // erased once per recv, and a trailing partial frame stays for the next.
+  std::size_t head = 0;
   while (!s.dead && !s.closing) {
-    Decoded d = decode_frame(s.rx);
+    Decoded d = decode_frame(std::span<const std::uint8_t>(s.rx).subspan(head));
     if (d.status == DecodeStatus::kNeedMore) break;
     if (d.status == DecodeStatus::kBad) {
       // Typed ERROR where possible, then drop — the byte stream is
@@ -244,10 +247,11 @@ void Server::read_session(Session& s) {
       s.closing = true;
       break;
     }
-    s.rx.erase(s.rx.begin(), s.rx.begin() + static_cast<std::ptrdiff_t>(d.consumed));
+    head += d.consumed;
     frames_received_.fetch_add(1);
     handle_frame(s, std::move(d.frame));
   }
+  s.rx.erase(s.rx.begin(), s.rx.begin() + static_cast<std::ptrdiff_t>(head));
 }
 
 void Server::handle_frame(Session& s, Frame frame) {
@@ -425,16 +429,16 @@ void Server::handle_submit_jobs(Session& s, std::uint32_t channel,
       Session& owner = *sit->second;
       if (owner.inflight > 0) --owner.inflight;
       if (owner.dead) return;
-      CompletionFrame c;
-      c.job_id = job_id;
-      c.auth_ok = r.auth_ok;
-      c.rejections = r.rejections;
-      c.submit_cycle = r.submit_cycle;
-      c.accept_cycle = r.accept_cycle;
-      c.complete_cycle = r.complete_cycle;
-      c.payload = r.payload;
-      c.tag = r.tag;
-      send_frame(owner, c);
+      encode_completion({.job_id = job_id,
+                         .auth_ok = r.auth_ok,
+                         .rejections = r.rejections,
+                         .submit_cycle = r.submit_cycle,
+                         .accept_cycle = r.accept_cycle,
+                         .complete_cycle = r.complete_cycle,
+                         .payload = r.payload,
+                         .tag = r.tag},
+                        owner.egress);
+      note_egress(owner);
       completions_sent_.fetch_add(1);
     });
   }
@@ -443,7 +447,11 @@ void Server::handle_submit_jobs(Session& s, std::uint32_t channel,
 void Server::send_frame(Session& s, const Frame& frame) {
   if (s.dead) return;
   encode_frame(frame, s.egress);
-  std::size_t bytes = s.egress_bytes();
+  note_egress(s);
+}
+
+void Server::note_egress(const Session& s) {
+  const std::size_t bytes = s.egress_bytes();
   std::size_t peak = peak_session_egress_.load();
   while (bytes > peak && !peak_session_egress_.compare_exchange_weak(peak, bytes)) {
   }

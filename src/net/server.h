@@ -110,6 +110,8 @@ class Server {
   void handle_frame(Session& s, Frame frame);
   void handle_submit_jobs(Session& s, std::uint32_t channel, std::vector<SubmitJob> jobs);
   void send_frame(Session& s, const Frame& frame);
+  /// Raise peak_session_egress() to `s`'s queued bytes after an append.
+  void note_egress(const Session& s);
   void send_error(Session& s, ErrorCode code, std::uint64_t ref, const std::string& message);
   void flush_session(Session& s);
   void drop_session(Session& s);

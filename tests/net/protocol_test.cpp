@@ -295,6 +295,73 @@ TEST(Protocol, ReaderLatchesOnUnderflow) {
   EXPECT_FALSE(r.exhausted());
 }
 
+TEST(Protocol, CompletionWireLayoutIsPinned) {
+  // The COMPLETION layout of docs/PROTOCOL.md, byte by byte and built
+  // without the Writer: every fixed-width field little-endian.
+  CompletionFrame c;
+  c.job_id = 0x0102030405060708ull;
+  c.auth_ok = true;
+  c.rejections = 0x0A0B0C0Du;
+  c.submit_cycle = 0x1112131415161718ull;
+  c.accept_cycle = 0x2122232425262728ull;
+  c.complete_cycle = 0x3132333435363738ull;
+  c.payload = {0xA1, 0xA2, 0xA3};
+  c.tag = {0xB1, 0xB2};
+
+  std::vector<std::uint8_t> want;
+  auto le = [&want](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) want.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  le(1 + 8 + 1 + 4 + 3 * 8 + 4 + 3 + 1 + 2, 4);  // length: opcode + body
+  want.push_back(0x0B);
+  le(c.job_id, 8);
+  want.push_back(1);
+  le(c.rejections, 4);
+  le(c.submit_cycle, 8);
+  le(c.accept_cycle, 8);
+  le(c.complete_cycle, 8);
+  le(c.payload.size(), 4);
+  want.insert(want.end(), c.payload.begin(), c.payload.end());
+  want.push_back(static_cast<std::uint8_t>(c.tag.size()));
+  want.insert(want.end(), c.tag.begin(), c.tag.end());
+  EXPECT_EQ(encode_frame(Frame{c}), want);
+}
+
+TEST(Protocol, EncodeCompletionMatchesEncodeFrame) {
+  // The server encodes a finished job straight from its result bytes; the
+  // frame it appends must be the one encode_frame writes for the same
+  // fields, after whatever the egress buffer already holds.
+  CompletionFrame failed;  // auth failure: empty payload, no tag
+  failed.job_id = 77;
+  failed.rejections = 2;
+  std::vector<CompletionFrame> cases = {failed};
+  for (const Frame& f : sample_frames())
+    if (const auto* c = std::get_if<CompletionFrame>(&f)) cases.push_back(*c);
+  ASSERT_EQ(cases.size(), 2u);
+
+  for (const CompletionFrame& c : cases) {
+    std::vector<std::uint8_t> via_frame = {0xEE};
+    encode_frame(Frame{c}, via_frame);
+    std::vector<std::uint8_t> via_view = {0xEE};
+    encode_completion({.job_id = c.job_id,
+                       .auth_ok = c.auth_ok,
+                       .rejections = c.rejections,
+                       .submit_cycle = c.submit_cycle,
+                       .accept_cycle = c.accept_cycle,
+                       .complete_cycle = c.complete_cycle,
+                       .payload = c.payload,
+                       .tag = c.tag},
+                      via_view);
+    EXPECT_EQ(via_view, via_frame) << "job " << c.job_id;
+  }
+
+  // Over the frame cap: throws and leaves the buffer as it was.
+  const Bytes huge(kMaxFrameBytes, 0);
+  std::vector<std::uint8_t> out = {0xEE};
+  EXPECT_THROW(encode_completion({.job_id = 1, .payload = huge, .tag = {}}, out), std::length_error);
+  EXPECT_EQ(out, std::vector<std::uint8_t>{0xEE});
+}
+
 TEST(Protocol, MutationFuzzNeverCrashesOrOverReads) {
   // Deterministic fuzz: take valid encodings, flip bytes / truncate /
   // splice with seeded randomness, and require the decoder to return one

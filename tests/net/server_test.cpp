@@ -11,12 +11,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "crypto/gcm.h"
 #include "net/client.h"
 #include "net/protocol.h"
@@ -662,6 +664,213 @@ TEST(NetServer, HalfClosedClientStillReceivesItsCompletions) {
   second.hello();
   std::optional<Frame> w2 = second.next_frame();
   EXPECT_TRUE(w2 && std::holds_alternative<WelcomeFrame>(*w2));
+}
+
+// GCM seals with seeded IVs, AAD and 64..1500-byte payloads, and their
+// in-process results through host::Engine on the test servers' fleet shape.
+struct SealSet {
+  Bytes key;
+  std::vector<SubmitJob> jobs;
+  std::vector<host::JobResult> expected;
+};
+
+SealSet make_seals(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  SealSet set;
+  set.key = rng.bytes(16);
+  host::EngineConfig ec;
+  ec.backend = host::Backend::kFast;
+  ec.device.num_cores = 4;
+  host::Engine local(ec);
+  local.provision_key(1, set.key);
+  host::Channel ch = local.open_channel(top::ChannelMode::kGcm, 1, 16, 12);
+  std::vector<host::Completion> done;
+  for (std::size_t i = 0; i < n; ++i) {
+    SubmitJob j;
+    j.job_id = i + 1;
+    j.iv = rng.bytes(12);
+    j.aad = rng.bytes(rng.next_below(33));
+    j.payload = rng.bytes(64 + rng.next_below(1437));
+    done.push_back(local.submit_encrypt(ch, j.iv, j.aad, j.payload));
+    set.jobs.push_back(std::move(j));
+  }
+  local.wait_all();
+  for (const host::Completion& c : done) set.expected.push_back(c.result());
+  return set;
+}
+
+TEST(NetServer, SplitStreamDecodesEveryFrameOnce) {
+  // The server decodes each recv's frames by offset and keeps a trailing
+  // partial frame for the next read. HELLO, PROVISION_KEY, OPEN_CHANNEL and
+  // 240 SUBMITs arrive as one write of at least 64 KiB that ends mid-frame,
+  // then the rest in seeded chunks of 1..4096 bytes; every job must
+  // complete exactly once with its in-process result.
+  constexpr std::size_t kJobs = 240;
+  const SealSet seals = make_seals(kJobs, 0x5EED);
+  TestServer server(fast_fleet(4));
+  RawConn conn(server->port());
+
+  std::vector<std::uint8_t> stream;
+  HelloFrame hello;
+  hello.client_name = "split";
+  encode_frame(hello, stream);
+  ProvisionKeyFrame pk;
+  pk.request_id = 1;
+  pk.key_id = 1;
+  pk.key = seals.key;
+  encode_frame(pk, stream);
+  OpenChannelFrame oc;
+  oc.request_id = 2;
+  oc.mode = static_cast<std::uint8_t>(top::ChannelMode::kGcm);
+  oc.key_id = 1;
+  oc.tag_len = 16;
+  oc.nonce_len = 12;
+  encode_frame(oc, stream);
+  // Channel ids are session-scoped and start at 1: the SUBMITs can name
+  // the channel before its OPEN_OK comes back.
+  std::size_t cut = 0;
+  for (const SubmitJob& j : seals.jobs) {
+    const std::size_t start = stream.size();
+    encode_frame(SubmitFrame{1, j}, stream);
+    if (cut == 0 && stream.size() > 65536) cut = start + (stream.size() - start) / 2;
+  }
+  ASSERT_GE(cut, 65536u) << "the first write must hold at least 64 KiB";
+  ASSERT_LT(cut, stream.size());
+
+  const std::uint64_t frames_expected = 3 + kJobs;
+  std::thread sender([&] {
+    conn.send_bytes({stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(cut)});
+    Rng chunks(0xC4A1);
+    for (std::size_t at = cut; at < stream.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + chunks.next_below(4096), stream.size() - at);
+      conn.send_bytes({stream.begin() + static_cast<std::ptrdiff_t>(at),
+                       stream.begin() + static_cast<std::ptrdiff_t>(at + n)});
+      at += n;
+    }
+  });
+
+  std::optional<Frame> f = conn.next_frame(5000);
+  ASSERT_TRUE(f && std::holds_alternative<WelcomeFrame>(*f));
+  f = conn.next_frame(5000);
+  ASSERT_TRUE(f && std::holds_alternative<AckFrame>(*f));
+  f = conn.next_frame(5000);
+  ASSERT_TRUE(f && std::holds_alternative<OpenOkFrame>(*f));
+  EXPECT_EQ(std::get<OpenOkFrame>(*f).channel, 1u);
+
+  std::vector<int> seen(kJobs, 0);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    f = conn.next_frame(5000);
+    if (!f || !std::holds_alternative<CompletionFrame>(*f)) {
+      ADD_FAILURE() << "completion " << i << " of " << kJobs << " missing";
+      break;
+    }
+    const CompletionFrame& c = std::get<CompletionFrame>(*f);
+    ASSERT_GE(c.job_id, 1u);
+    ASSERT_LE(c.job_id, kJobs);
+    const std::size_t k = c.job_id - 1;
+    ++seen[k];
+    EXPECT_TRUE(c.auth_ok) << "job " << c.job_id;
+    EXPECT_EQ(c.payload, seals.expected[k].payload) << "job " << c.job_id;
+    EXPECT_EQ(c.tag, seals.expected[k].tag) << "job " << c.job_id;
+  }
+  sender.join();
+  for (std::size_t k = 0; k < kJobs; ++k) EXPECT_EQ(seen[k], 1) << "job " << k + 1;
+  EXPECT_EQ(server->frames_received(), frames_expected);
+  EXPECT_EQ(server->errors_sent(), 0u);
+}
+
+// Polls `server` until frames_received() reaches `want` or 5 s pass.
+std::uint64_t await_frames(Server& server, std::uint64_t want) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.frames_received() < want && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return server.frames_received();
+}
+
+TEST(NetClient, QueuedSubmitsLeaveWithTheNextBlockingCall) {
+  // submit() only queues: nothing reaches the server until a call that
+  // flushes. A blocking control call sends the queued SUBMITs ahead of its
+  // own frame, and drain() then sees every completion fire exactly once.
+  constexpr std::size_t kJobs = 48;
+  const SealSet seals = make_seals(kJobs, 0xB47C);
+  TestServer server(fast_fleet(4));
+  ClientConfig cc;
+  cc.port = server->port();
+  Client client(cc);
+  client.provision_key(1, seals.key);
+  const OpenOkFrame ch = client.open_channel(0, 1, 16, 12);
+  const std::uint64_t frames_before = server->frames_received();
+
+  std::vector<int> fired(kJobs, 0);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    client.submit(ch.channel, seals.jobs[i], [&, i](const CompletionFrame& c) {
+      ++fired[i];
+      EXPECT_TRUE(c.auth_ok) << "job " << i + 1;
+      EXPECT_EQ(c.payload, seals.expected[i].payload) << "job " << i + 1;
+      EXPECT_EQ(c.tag, seals.expected[i].tag) << "job " << i + 1;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server->frames_received(), frames_before) << "submit() sent before any flush point";
+  EXPECT_EQ(client.inflight(), kJobs);
+
+  // STATS_SUBSCRIBE queues behind the SUBMITs, so its ACK proves they
+  // reached the server first.
+  client.stats_snapshot();
+  EXPECT_GE(server->frames_received(), frames_before + kJobs + 1);
+  client.drain();
+  EXPECT_EQ(client.inflight(), 0u);
+  for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(fired[i], 1) << "job " << i + 1;
+}
+
+TEST(NetClient, QueueFlushesItselfAt64KiB) {
+  // A caller that submits and never polls still sends once 64 KiB are
+  // queued; the frames below that mark wait for the next flush point.
+  TestServer server(fast_fleet(4));
+  ClientConfig cc;
+  cc.port = server->port();
+  Client client(cc);
+  client.provision_key(1, Bytes(16, 0x42));
+  const OpenOkFrame ch = client.open_channel(0, 1, 16, 12);
+  const std::uint64_t frames_before = server->frames_received();
+
+  // 2 KiB payloads: the 32nd SUBMIT takes the queue past 64 KiB.
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    SubmitJob j;
+    j.job_id = (1ull << 32) + i;
+    j.iv = Bytes(12, static_cast<std::uint8_t>(i));
+    j.payload = Bytes(2048, 0x6B);
+    client.submit(ch.channel, std::move(j), nullptr);
+  }
+  EXPECT_EQ(await_frames(*server, frames_before + 32), frames_before + 32);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server->frames_received(), frames_before + 32) << "frames below 64 KiB were sent";
+  client.drain();
+  EXPECT_EQ(server->frames_received(), frames_before + 40);
+}
+
+TEST(NetClient, DestructorDeliversQueuedSubmitsAndGoodbye) {
+  // A Client destroyed right after submit() still delivers what it
+  // queued: the destructor queues GOODBYE behind the SUBMITs and flushes.
+  TestServer server(fast_fleet(4));
+  std::uint64_t frames_before = 0;
+  {
+    ClientConfig cc;
+    cc.port = server->port();
+    Client client(cc);
+    client.provision_key(1, Bytes(16, 0x42));
+    const OpenOkFrame ch = client.open_channel(0, 1, 16, 12);
+    frames_before = server->frames_received();
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      SubmitJob j;
+      j.job_id = (1ull << 32) + i;
+      j.iv = Bytes(12, static_cast<std::uint8_t>(i));
+      j.payload = Bytes(256, 0x11);
+      client.submit(ch.channel, std::move(j), nullptr);
+    }
+  }
+  EXPECT_EQ(await_frames(*server, frames_before + 4), frames_before + 4);
 }
 
 }  // namespace
