@@ -87,10 +87,10 @@ int main() {
               "device clock");
   for (std::size_t d = 0; d < engine.num_devices(); ++d) {
     auto* dev = engine.sim_device(d);
+    const top::Mccp& mccp = dev->mccp();
     std::printf("%-8s %-7zu %-10llu %-14zu %llu cycles\n", dev->name().c_str(),
-                dev->num_cores(),
-                static_cast<unsigned long long>(dev->mccp().requests_completed()),
-                dev->num_cores() - dev->mccp().idle_core_count(),
+                mccp.num_cores(), static_cast<unsigned long long>(mccp.requests_completed()),
+                mccp.num_cores() - mccp.idle_core_count(),
                 static_cast<unsigned long long>(dev->now()));
   }
 

@@ -17,6 +17,11 @@
 // returns immediately, `step()` advances the device one scheduling round,
 // and `result()` exposes the job's live state.
 //
+// The seam is 19 virtual members. Counters and flags (jobs in flight, open
+// channels, reconfigurations, per-image slot counts, failure) come back in
+// one `DeviceStats` value from stats(); per-slot detail stays behind the
+// backends (SimDevice::mccp(), FastDevice's slot queries).
+//
 // Threading contract: a Device is a single-threaded clock domain and
 // implementations need NO internal synchronization. The driver guarantees
 // that at most one thread touches a given device at any time — in the
@@ -28,6 +33,7 @@
 // state across devices.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -117,9 +123,9 @@ static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) >
 /// Backends call this at the submit seam and fail the job immediately
 /// (complete, !auth_ok) instead. AES-mode shapes only the simulated FIFOs
 /// cannot carry (payloads not whole blocks or over
-/// core::kMaxInstructionBlocks blocks, AAD over that many header blocks)
-/// are not refused here: FastDevice serves them, and SimDevice refuses
-/// them itself.
+/// core::kMaxInstructionBlocks blocks, AAD over that many header blocks,
+/// GCM, CCM or CTR opens longer than a core's output FIFO) are not refused
+/// here: FastDevice serves them, and SimDevice refuses them itself.
 inline bool refused_at_submit(const JobSpec& spec) {
   const bool bad_tag = spec.decrypt && spec.tag.size() != spec.channel.tag_len;
   switch (spec.channel.mode) {
@@ -144,6 +150,41 @@ inline reconfig::CoreImage image_for_mode(ChannelMode mode) {
   return mode == ChannelMode::kWhirlpool ? reconfig::CoreImage::kWhirlpool
                                          : reconfig::CoreImage::kAesEncryptWithKs;
 }
+
+/// One device's counters and flags, read together: a plain value built in
+/// O(cores) with no heap. Per-image arrays are indexed by image_index().
+struct DeviceStats {
+  /// Jobs queued or on the device; a job leaves at completion, and a
+  /// submit refused at the seam never enters.
+  std::size_t inflight = 0;
+  std::size_t open_channels = 0;
+  /// Swaps started, and the slot-cycles they spent (will spend) unavailable.
+  std::uint64_t reconfigurations = 0;
+  std::uint64_t reconfig_stall_cycles = 0;
+  /// Of those swaps, the ones that landed each image.
+  std::array<std::uint64_t, reconfig::kNumCoreImages> reconfigurations_to{};
+  /// Slots committed to each image now (a slot mid-swap counts for neither).
+  std::array<std::size_t, reconfig::kNumCoreImages> slots_with_image{};
+  /// The device has died (fault, hot-unplug): its clock stops, in-flight
+  /// jobs never complete, control calls are rejected. Backends never fail
+  /// by themselves; FaultyDevice injects it, and real transports would.
+  bool failed = false;
+
+  /// Fleet sums: counts add, `failed` when either side failed.
+  DeviceStats& operator+=(const DeviceStats& o) {
+    inflight += o.inflight;
+    open_channels += o.open_channels;
+    reconfigurations += o.reconfigurations;
+    reconfig_stall_cycles += o.reconfig_stall_cycles;
+    for (std::size_t i = 0; i < reconfig::kNumCoreImages; ++i) {
+      reconfigurations_to[i] += o.reconfigurations_to[i];
+      slots_with_image[i] += o.slots_with_image[i];
+    }
+    failed = failed || o.failed;
+    return *this;
+  }
+  bool operator==(const DeviceStats&) const = default;
+};
 
 class Device {
  public:
@@ -236,21 +277,7 @@ class Device {
   /// that has not completed.
   void forget(DeviceJobId id) { take_result(id); }
 
-  // -- slot personalities & partial reconfiguration (paper SVII.B) ------------
-  /// The core image slot `slot` currently hosts. While a swap is in flight
-  /// the OLD image is reported (the region only commits on completion).
-  virtual reconfig::CoreImage slot_image(std::size_t slot) const = 0;
-  /// True while slot `slot`'s bitstream transfer is running (the slot is
-  /// unschedulable; sibling slots keep working).
-  virtual bool slot_reconfiguring(std::size_t slot) const = 0;
-  /// Slots whose committed personality is `img` right now (in-flight swaps
-  /// count for neither image).
-  virtual std::size_t slots_with_image(reconfig::CoreImage img) const {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < num_cores(); ++i)
-      if (!slot_reconfiguring(i) && slot_image(i) == img) ++n;
-    return n;
-  }
+  // -- partial reconfiguration (paper SVII.B) ---------------------------------
   /// Begin swapping slot `slot` to `image` from `store`. The slot must be
   /// idle and not already reconfiguring; it is unavailable for the
   /// returned number of cycles and comes back with the new personality.
@@ -261,27 +288,11 @@ class Device {
   virtual std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot,
                                                              reconfig::CoreImage image,
                                                              reconfig::BitstreamStore store) = 0;
-  /// Swaps started on this device + the slot-cycles they spent (will
-  /// spend) unavailable — the fleet-level reconfiguration accounting the
-  /// workload reports aggregate.
-  virtual std::uint64_t reconfigurations() const = 0;
-  virtual std::uint64_t reconfig_stall_cycles() const = 0;
-  /// Of those, swaps that landed `img` specifically (per-class workload
-  /// accounting attributes swaps to the image a class's mode needs).
-  virtual std::uint64_t reconfigurations_to(reconfig::CoreImage img) const = 0;
 
   // -- introspection ----------------------------------------------------------
   virtual sim::Cycle now() const = 0;
-  virtual std::size_t num_cores() const = 0;
-  virtual std::size_t inflight() const = 0;
-  virtual std::size_t open_channel_count() const = 0;
-  /// True once the device has died (hardware fault, hot-unplug). A failed
-  /// device freezes: its clock stops, in-flight jobs never complete, and
-  /// control calls are rejected. Backends themselves never fail — the
-  /// FaultyDevice decorator injects this for fleet-recovery testing — but
-  /// the Engine checks it at the seam so real transports can report real
-  /// faults the same way.
-  virtual bool failed() const { return false; }
+  /// The device's counters and flags, read in one call (see DeviceStats).
+  virtual DeviceStats stats() const = 0;
 };
 
 }  // namespace mccp::host

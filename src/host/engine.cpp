@@ -13,6 +13,10 @@ namespace {
 /// and stranded-work checks still run at a bounded cadence even across a
 /// long inert stretch (e.g. a bitstream transfer).
 constexpr sim::Cycle kQuietStride = 1 << 20;
+
+bool hosts_image(const Device& d, reconfig::CoreImage img) {
+  return d.stats().slots_with_image[reconfig::image_index(img)] > 0;
+}
 }  // namespace
 
 // ---- Completion -------------------------------------------------------------
@@ -147,7 +151,8 @@ void Engine::provision_key(top::KeyId id, const Bytes& session_key) {
 }
 
 std::size_t Engine::device_load(std::size_t i) const {
-  return devices_[i]->inflight() + devices_[i]->open_channel_count();
+  const DeviceStats s = devices_[i]->stats();
+  return s.inflight + s.open_channels;
 }
 
 std::size_t Engine::pick_device(ChannelMode mode) const {
@@ -160,7 +165,7 @@ std::size_t Engine::pick_device(ChannelMode mode) const {
   const reconfig::CoreImage img = image_for_mode(mode);
   std::vector<std::size_t> cands;
   for (std::size_t i = 0; i < devices_.size(); ++i)
-    if (placeable(i) && devices_[i]->slots_with_image(img) > 0) cands.push_back(i);
+    if (placeable(i) && hosts_image(*devices_[i], img)) cands.push_back(i);
   if (cands.empty())
     for (std::size_t i = 0; i < devices_.size(); ++i)
       if (placeable(i)) cands.push_back(i);
@@ -451,7 +456,7 @@ void Engine::deliver_completed() {
   // batch sorts in ahead of any later-submitted job still queued here.
   // Each job is popped (and leaves the in-flight count) before its
   // callbacks run, so it fires exactly once and a callback observing
-  // idle()/inflight() sees its still-unfired siblings counted.
+  // idle()/device_stats() sees its still-unfired siblings counted.
   bool added = false;
   for (auto& batch : done_) {
     if (batch.empty()) continue;
@@ -578,7 +583,7 @@ void Engine::wait_all(sim::Cycle max_cycles) {
 bool Engine::inflight_only_on_failed() const {
   if (inflight_count_ == 0) return false;
   for (std::size_t d = 0; d < devices_.size(); ++d)
-    if (devices_[d] && !inflight_[d].empty() && !devices_[d]->failed()) return false;
+    if (devices_[d] && !inflight_[d].empty() && !devices_[d]->stats().failed) return false;
   return true;
 }
 
@@ -602,7 +607,7 @@ sim::Cycle Engine::min_busy_cycle() const {
   bool any = false;
   sim::Cycle m = 0;
   for (const auto& d : devices_) {
-    if (!d || d->inflight() == 0) continue;
+    if (!d || d->stats().inflight == 0) continue;
     m = any ? std::min(m, d->now()) : d->now();
     any = true;
   }
@@ -614,42 +619,20 @@ bool Engine::last_image_holder(std::size_t index) const {
   for (const ChannelRecord& rec : channels_) {
     if (!rec.open || rec.orphaned) continue;
     const reconfig::CoreImage img = image_for_mode(rec.info.mode);
-    if (devices_[index]->slots_with_image(img) == 0) continue;
+    if (!hosts_image(*devices_[index], img)) continue;
     bool elsewhere = false;
     for (std::size_t i = 0; i < devices_.size() && !elsewhere; ++i)
-      if (i != index && device_alive(i) && devices_[i]->slots_with_image(img) > 0)
-        elsewhere = true;
+      if (i != index && device_alive(i) && hosts_image(*devices_[i], img)) elsewhere = true;
     if (!elsewhere) return true;
   }
   return false;
 }
 
-std::size_t Engine::inflight() const {
-  std::size_t n = 0;
+DeviceStats Engine::device_stats() const {
+  DeviceStats sum;
   for (const auto& d : devices_)
-    if (d) n += d->inflight();
-  return n;
-}
-
-std::uint64_t Engine::reconfigurations() const {
-  std::uint64_t n = 0;
-  for (const auto& d : devices_)
-    if (d) n += d->reconfigurations();
-  return n;
-}
-
-std::uint64_t Engine::reconfig_stall_cycles() const {
-  std::uint64_t n = 0;
-  for (const auto& d : devices_)
-    if (d) n += d->reconfig_stall_cycles();
-  return n;
-}
-
-std::uint64_t Engine::reconfigurations_to(reconfig::CoreImage img) const {
-  std::uint64_t n = 0;
-  for (const auto& d : devices_)
-    if (d) n += d->reconfigurations_to(img);
-  return n;
+    if (d) sum += d->stats();
+  return sum;
 }
 
 // ---- dynamic membership -----------------------------------------------------
@@ -664,7 +647,7 @@ std::size_t Engine::alive_devices() const {
 std::vector<std::size_t> Engine::failed_devices() const {
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < devices_.size(); ++i)
-    if (devices_[i] && devices_[i]->failed()) out.push_back(i);
+    if (devices_[i] && devices_[i]->stats().failed) out.push_back(i);
   return out;
 }
 
@@ -757,7 +740,7 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
     ~ClearFlag() { flag = false; }
   } clear_removal{removal_in_progress_};
 
-  rep.was_failed = devices_[index]->failed();
+  rep.was_failed = devices_[index]->stats().failed;
   const sim::Cycle drain_start = max_cycle();
   const std::uint64_t completed_before = completed_jobs_;
 
@@ -766,14 +749,14 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
     // stepping the fleet retires its in-flight list. Completion callbacks
     // may legally resubmit onto it meanwhile (decrypt round-trips); those
     // drain too.
-    while (!inflight_[index].empty() && !devices_[index]->failed()) {
+    while (!inflight_[index].empty() && !devices_[index]->stats().failed) {
       if (max_cycle() - drain_start > max_drain_cycles)
         throw EngineError("Engine::remove_device: drain of device " + devices_[index]->name() +
                           " exceeded " + std::to_string(max_drain_cycles) +
                           " cycles; still draining — retry or raise max_drain_cycles");
       step();
     }
-    rep.was_failed = devices_[index]->failed();  // died mid-drain
+    rep.was_failed = devices_[index]->stats().failed;  // died mid-drain
   }
   if (rep.was_failed)
     // Flush completions the device produced before its kill cycle, so only

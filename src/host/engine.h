@@ -276,12 +276,12 @@ class Engine {
     return index < devices_.size() && devices_[index] != nullptr;
   }
   bool device_failed(std::size_t index) const {
-    return device_alive(index) && devices_[index]->failed();
+    return device_alive(index) && devices_[index]->stats().failed;
   }
   /// Slots currently holding a live device.
   std::size_t alive_devices() const;
-  /// Live devices reporting failed() — each wants a remove_device() to
-  /// recover its channels and stranded jobs.
+  /// Live devices whose stats() report `failed` — each wants a
+  /// remove_device() to recover its channels and stranded jobs.
   std::vector<std::size_t> failed_devices() const;
 
   // -- fleet introspection ------------------------------------------------------
@@ -306,15 +306,14 @@ class Engine {
   /// with no remaining holder in the fleet? Scale-down policies use this
   /// to prefer personality-redundant devices.
   bool last_image_holder(std::size_t index) const;
-  std::size_t inflight() const;
+  /// Every live device's stats() summed (DeviceStats::operator+=): jobs in
+  /// flight, open channels, and the fleet-wide partial-reconfiguration
+  /// accounting — swaps started and the slot-cycles they spent unavailable.
+  DeviceStats device_stats() const;
+  std::uint64_t reconfigurations() const { return device_stats().reconfigurations; }
   /// Jobs finished over the engine's lifetime (the STATS counter the
   /// networked service pushes to subscribed clients).
   std::uint64_t completed_jobs() const { return completed_jobs_; }
-  /// Fleet-wide partial-reconfiguration accounting: swaps started and the
-  /// slot-cycles they spent unavailable, summed over devices.
-  std::uint64_t reconfigurations() const;
-  std::uint64_t reconfig_stall_cycles() const;
-  std::uint64_t reconfigurations_to(reconfig::CoreImage img) const;
   Placement placement() const { return placement_; }
   /// Shards the pool splits a stepping round into (0 or 1 = serial mode).
   std::size_t num_workers() const { return pool_->size(); }
@@ -346,7 +345,7 @@ class Engine {
   }
   /// A device placement may target: alive, not draining, not failed.
   bool placeable(std::size_t i) const {
-    return device_alive(i) && !draining_[i] && !devices_[i]->failed();
+    return device_alive(i) && !draining_[i] && !devices_[i]->stats().failed;
   }
   std::size_t pick_device(ChannelMode mode) const;
   std::size_t device_load(std::size_t i) const;

@@ -70,8 +70,20 @@ std::optional<std::uint64_t> FastDevice::begin_reconfiguration(std::size_t slot,
   core_key_[slot].reset();           // the swapped-in region boots key-less
   ++reconfigurations_;
   reconfig_stall_cycles_ += cycles;
-  ++reconfig_to_[static_cast<std::size_t>(image)];
+  ++reconfig_to_[reconfig::image_index(image)];
   return cycles;
+}
+
+DeviceStats FastDevice::stats() const {
+  DeviceStats s;
+  s.inflight = book_.inflight();
+  s.open_channels = open_channels_;
+  s.reconfigurations = reconfigurations_;
+  s.reconfig_stall_cycles = reconfig_stall_cycles_;
+  s.reconfigurations_to = reconfig_to_;
+  for (std::size_t c = 0; c < config_.num_cores; ++c)
+    if (!slot_reconfiguring(c)) ++s.slots_with_image[reconfig::image_index(slot_image(c))];
+  return s;
 }
 
 void FastDevice::provision_key(top::KeyId id, Bytes session_key) {

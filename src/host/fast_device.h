@@ -91,27 +91,18 @@ class FastDevice final : public Device {
   std::uint64_t completions() const override { return book_.completions(); }
   std::optional<JobResult> take_result(DeviceJobId id) override { return book_.take_result(id); }
 
-  // -- slot personalities & partial reconfiguration ---------------------------
-  /// Old image until the swap's end cycle passes (same commit semantics as
-  /// the simulated region).
-  reconfig::CoreImage slot_image(std::size_t slot) const override {
-    return image_at(slot, now_);
-  }
-  bool slot_reconfiguring(std::size_t slot) const override {
-    return core_swap_until_[slot] > now_;
-  }
   std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot, reconfig::CoreImage image,
                                                      reconfig::BitstreamStore store) override;
-  std::uint64_t reconfigurations() const override { return reconfigurations_; }
-  std::uint64_t reconfig_stall_cycles() const override { return reconfig_stall_cycles_; }
-  std::uint64_t reconfigurations_to(reconfig::CoreImage img) const override {
-    return reconfig_to_[static_cast<std::size_t>(img)];
-  }
 
   sim::Cycle now() const override { return now_; }
-  std::size_t num_cores() const override { return config_.num_cores; }
-  std::size_t inflight() const override { return book_.inflight(); }
-  std::size_t open_channel_count() const override { return open_channels_; }
+  DeviceStats stats() const override;
+
+  // -- per-slot personalities (off the seam, which reports stats()) -----------
+  /// Old image until the swap's end cycle passes (same commit semantics as
+  /// the simulated region).
+  reconfig::CoreImage slot_image(std::size_t slot) const { return image_at(slot, now_); }
+  bool slot_reconfiguring(std::size_t slot) const { return core_swap_until_[slot] > now_; }
+  std::size_t num_cores() const { return config_.num_cores; }
 
  private:
   struct Key {
@@ -186,7 +177,7 @@ class FastDevice final : public Device {
   std::vector<sim::Cycle> core_swap_until_;
   std::uint64_t reconfigurations_ = 0;
   std::uint64_t reconfig_stall_cycles_ = 0;
-  std::uint64_t reconfig_to_[2] = {0, 0};  // indexed by CoreImage
+  std::array<std::uint64_t, reconfig::kNumCoreImages> reconfig_to_{};  // by image_index()
 
   /// Pending jobs (awaiting a core) and running ones, their results and
   /// the completion count.

@@ -58,11 +58,6 @@ class FaultyDevice final : public Device {
   Device* inner() { return inner_.get(); }
   const Device* inner() const { return inner_.get(); }
 
-  bool failed() const override {
-    check();
-    return dead_;
-  }
-
   std::string name() const override { return inner_->name(); }
 
   void provision_key(top::KeyId id, Bytes session_key) override {
@@ -159,16 +154,6 @@ class FaultyDevice final : public Device {
     return inner_->take_result(id);
   }
 
-  reconfig::CoreImage slot_image(std::size_t slot) const override {
-    return inner_->slot_image(slot);
-  }
-  bool slot_reconfiguring(std::size_t slot) const override {
-    // Frozen mid-swap stays mid-swap: the slot never comes back.
-    return inner_->slot_reconfiguring(slot);
-  }
-  std::size_t slots_with_image(reconfig::CoreImage img) const override {
-    return inner_->slots_with_image(img);
-  }
   std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot, reconfig::CoreImage image,
                                                      reconfig::BitstreamStore store) override {
     check();
@@ -177,11 +162,6 @@ class FaultyDevice final : public Device {
     check();
     return cycles;
   }
-  std::uint64_t reconfigurations() const override { return inner_->reconfigurations(); }
-  std::uint64_t reconfig_stall_cycles() const override { return inner_->reconfig_stall_cycles(); }
-  std::uint64_t reconfigurations_to(reconfig::CoreImage img) const override {
-    return inner_->reconfigurations_to(img);
-  }
 
   sim::Cycle now() const override {
     check();
@@ -189,9 +169,14 @@ class FaultyDevice final : public Device {
     // cycle inside the wrapped device never happened externally.
     return dead_ ? kill_at_ : inner_->now();
   }
-  std::size_t num_cores() const override { return inner_->num_cores(); }
-  std::size_t inflight() const override { return inner_->inflight(); }
-  std::size_t open_channel_count() const override { return inner_->open_channel_count(); }
+  /// The inner device's counters, with `failed` from the kill check. A
+  /// slot frozen mid-swap stays mid-swap: it never comes back.
+  DeviceStats stats() const override {
+    check();
+    DeviceStats s = inner_->stats();
+    s.failed = dead_;
+    return s;
+  }
 
  private:
   void check() const {

@@ -8,6 +8,7 @@
 #include "crypto/ccm.h"
 #include "crypto/whirlpool.h"
 #include "host/cost_model.h"
+#include "sim/fifo.h"
 
 namespace mccp::host {
 
@@ -60,6 +61,20 @@ std::optional<ChannelInfo> SimDevice::open_channel(ChannelMode mode, top::KeyId 
                      static_cast<std::uint8_t>(nonce_len & 0xF)};
 }
 
+DeviceStats SimDevice::stats() const {
+  DeviceStats s;
+  s.inflight = book_.inflight();
+  s.open_channels = open_channels_;
+  s.reconfigurations = mccp_.reconfigurations_done();
+  s.reconfig_stall_cycles = mccp_.reconfig_stall_cycles();
+  for (reconfig::CoreImage img :
+       {reconfig::CoreImage::kAesEncryptWithKs, reconfig::CoreImage::kWhirlpool}) {
+    s.reconfigurations_to[reconfig::image_index(img)] = mccp_.reconfigurations_to(img);
+    s.slots_with_image[reconfig::image_index(img)] = mccp_.cores_hosting(img);
+  }
+  return s;
+}
+
 bool SimDevice::close_channel(std::uint8_t channel_id) {
   bool ok = top::is_ok(run_control(top::encode_close(channel_id)));
   if (ok && open_channels_ > 0) --open_channels_;
@@ -86,25 +101,31 @@ std::pair<std::uint8_t, std::uint8_t> block_fields(const ChannelInfo& ch, std::s
   return {0, 0};
 }
 
-/// AES-mode packets the stream formatters (core/stream_format.cpp) reject:
-/// a payload that is not whole 16-byte blocks or exceeds the instruction's
-/// block count, AAD that formats to more header blocks than that count
-/// carries, an empty CBC-MAC message, a GCM tag outside 4..16 bytes.
-/// FastDevice serves them (its documented extension); the simulated
-/// controller cannot format them, so they are refused here at submit
-/// instead of throwing out of pump() once a core accepts them.
+/// Largest GCM, CCM or CTR open SimDevice accepts, in blocks: one core's
+/// output FIFO. Longer ones made the CU throw an instruction overrun (GCM,
+/// one-core CCM; CTR from 130) or never completed (pair CCM).
+constexpr std::size_t kMaxOpenBlocks = sim::kCoreFifoDepth / 4;
+
+/// AES-mode packets the simulated chip cannot serve: a payload that is not
+/// whole 16-byte blocks or exceeds the instruction's block count, AAD that
+/// formats to more header blocks than that count carries, an empty CBC-MAC
+/// message, a GCM tag outside 4..16 bytes (all rejected by the stream
+/// formatters, core/stream_format.cpp), an open over kMaxOpenBlocks.
+/// FastDevice serves them (its documented extension); here they are
+/// refused at submit instead of failing once a core accepts them.
 bool unformattable(const JobSpec& spec) {
   const std::size_t n = spec.payload.size();
   const bool fits = n % 16 == 0 && n / 16 <= core::kMaxInstructionBlocks &&
                     header_blocks(spec.channel.mode, spec.aad.size()) <=
                         core::kMaxInstructionBlocks;
+  const bool long_open = spec.decrypt && n / 16 > kMaxOpenBlocks;
   switch (spec.channel.mode) {
     case ChannelMode::kGcm: {
       const std::size_t tag_len = spec.decrypt ? spec.tag.size() : spec.channel.tag_len;
-      return !fits || tag_len < 4 || tag_len > 16;
+      return !fits || long_open || tag_len < 4 || tag_len > 16;
     }
     case ChannelMode::kCcm:
-    case ChannelMode::kCtr: return !fits;
+    case ChannelMode::kCtr: return !fits || long_open;
     case ChannelMode::kCbcMac: return !fits || n == 0;
     case ChannelMode::kWhirlpool: return false;  // refused_at_submit's limit
   }
@@ -116,9 +137,9 @@ bool unformattable(const JobSpec& spec) {
 DeviceJobId SimDevice::submit(JobSpec spec) {
   if (refused_at_submit(spec) || unformattable(spec)) {
     // Fail fast at the seam: accepted, this packet would deadlock the
-    // core (a GCM IV shorter or longer than the registered nonce_len),
-    // wrap the instruction's block count (an oversize Whirlpool message)
-    // or make the stream formatter throw.
+    // core (a GCM IV shorter or longer than the registered nonce_len, a
+    // long pair-CCM open), wrap the instruction's block count (an oversize
+    // Whirlpool message) or make the stream formatter or the CU throw.
     return book_.refuse(now());
   }
   Job& job = book_.enqueue(std::move(spec), now());

@@ -51,38 +51,17 @@ class SimDevice final : public Device {
   std::uint64_t completions() const override { return book_.completions(); }
   std::optional<JobResult> take_result(DeviceJobId id) override { return book_.take_result(id); }
 
-  // -- slot personalities (forwarded to the simulated scheduler) --------------
-  reconfig::CoreImage slot_image(std::size_t slot) const override {
-    return mccp_.core_image(slot);
-  }
-  bool slot_reconfiguring(std::size_t slot) const override {
-    return mccp_.core_reconfiguring(slot);
-  }
-  std::size_t slots_with_image(reconfig::CoreImage img) const override {
-    return mccp_.cores_hosting(img);
-  }
   std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot, reconfig::CoreImage image,
                                                      reconfig::BitstreamStore store) override {
     return mccp_.begin_core_reconfiguration(slot, image, store);
   }
-  std::uint64_t reconfigurations() const override { return mccp_.reconfigurations_done(); }
-  std::uint64_t reconfig_stall_cycles() const override { return mccp_.reconfig_stall_cycles(); }
-  std::uint64_t reconfigurations_to(reconfig::CoreImage img) const override {
-    return mccp_.reconfigurations_to(img);
-  }
 
   sim::Cycle now() const override { return mccp_.cycle(); }
-  std::size_t num_cores() const override { return mccp_.num_cores(); }
-  /// Jobs submitted but not yet finalized: pending ones still queued for an
-  /// ENCRYPT/DECRYPT slot plus accepted ones in any on-device state
-  /// (running, retrieved, draining) until TRANSFER_DONE retires them.
-  /// Completed jobs leave this count immediately, even while their results
-  /// are still held for `result()`; unrecoverable submits never enter it.
-  std::size_t inflight() const override { return book_.inflight(); }
-  std::size_t open_channel_count() const override { return open_channels_; }
+  DeviceStats stats() const override;
 
   // -- simulator plumbing (tests, benches, reconfiguration flows) -------------
   top::Mccp& mccp() { return mccp_; }
+  const top::Mccp& mccp() const { return mccp_; }
   top::KeyMemory& key_memory() { return key_memory_; }
 
  private:

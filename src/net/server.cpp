@@ -502,9 +502,10 @@ StatsFrame Server::stats_now() const {
   StatsFrame f;
   f.engine_cycle = engine_->max_cycle();
   f.completed_jobs = engine_->completed_jobs();
-  f.inflight = engine_->inflight();
-  f.reconfigurations = engine_->reconfigurations();
-  f.reconfig_stall_cycles = engine_->reconfig_stall_cycles();
+  const host::DeviceStats fleet = engine_->device_stats();
+  f.inflight = fleet.inflight;
+  f.reconfigurations = fleet.reconfigurations;
+  f.reconfig_stall_cycles = fleet.reconfig_stall_cycles;
   f.sessions = static_cast<std::uint32_t>(sessions_.size());
   f.devices = static_cast<std::uint16_t>(engine_->num_devices());
   return f;

@@ -32,6 +32,9 @@ enum class CoreImage : std::uint8_t {
   kAesEncryptWithKs,  // AES encryption core + key schedule (the default)
   kWhirlpool,         // Whirlpool hashing core (the paper's demo payload)
 };
+/// Arrays with one entry per image are indexed by image_index().
+inline constexpr std::size_t kNumCoreImages = 2;
+inline constexpr std::size_t image_index(CoreImage img) { return static_cast<std::size_t>(img); }
 
 const char* image_name(CoreImage img);
 

@@ -176,7 +176,7 @@ ScenarioReport ScenarioRunner::run() {
     recovery.push_back(std::move(ev));
   };
 
-  // A device reporting failed() is recovered immediately: remove it (the
+  // A device whose stats() report `failed` is recovered immediately: remove it (the
   // drain short-circuits on a dead device), migrating its channels and
   // resubmitting its stranded jobs from their retained specs.
   auto recover_failures = [&] {
@@ -398,8 +398,9 @@ ScenarioReport ScenarioRunner::run() {
   report.wall_ms =
       std::chrono::duration<double, std::milli>(WallClock::now() - wall_start).count();
   report.peak_inflight = peak_inflight;
-  report.reconfigurations = engine.reconfigurations();
-  report.reconfig_stall_cycles = engine.reconfig_stall_cycles();
+  const host::DeviceStats fleet = engine.device_stats();
+  report.reconfigurations = fleet.reconfigurations;
+  report.reconfig_stall_cycles = fleet.reconfig_stall_cycles;
   report.bitstream_store = store_spec_name(spec_.bitstream_store);
   report.recovery = std::move(recovery);
   report.devices_failed = devices_failed;
@@ -412,8 +413,8 @@ ScenarioReport ScenarioRunner::run() {
   }
   report.final_devices = engine.alive_devices();
   for (ClassState& st : states) {
-    st.report.image_reconfigurations =
-        engine.reconfigurations_to(host::image_for_mode(st.spec->profile.mode));
+    st.report.image_reconfigurations = fleet.reconfigurations_to[reconfig::image_index(
+        host::image_for_mode(st.spec->profile.mode))];
     report.classes.push_back(std::move(st.report));
   }
   report.queue_depth = std::move(queue_depth);

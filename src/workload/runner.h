@@ -95,8 +95,8 @@ struct ClassReport {
 /// many submitted packets had not yet completed when the *engine clock*
 /// passed `cycle`. This is the closed loop's own in-flight counter (the
 /// thing the `window` bound applies to) sampled at loop granularity — not
-/// the devices' internal queue depth, which `Device::inflight()` exposes
-/// per device.
+/// the devices' internal queue depth, which `Device::stats().inflight`
+/// reports per device.
 struct QueueSample {
   sim::Cycle cycle = 0;
   std::size_t inflight = 0;

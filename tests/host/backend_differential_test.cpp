@@ -14,6 +14,7 @@
 // sim-vs-fast differential the portable reference does.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "crypto/gcm.h"
 #include "crypto/whirlpool.h"
 #include "host/engine.h"
+#include "sim/fifo.h"
 #include "support/kernel_tiers.h"
 
 namespace mccp::host {
@@ -467,10 +469,10 @@ TEST_P(BackendDifferential, GcmDerivedJ0CounterWrapMatchesHardware) {
   // An 8-byte IV whose GHASH-derived J0 leaves the low 16 counter bits
   // just below 0xFFFF: the simulated INC core wraps them within the first
   // 16 blocks, and FastDevice's inc16 walk must seal and open identically.
-  // The payload stays at 32 blocks: a simulated GCM open of more than 128
-  // blocks stops with a CU instruction overrun whatever its IV (a known
-  // simulator fault, listed in ROADMAP.md).
-  Workload w{ChannelMode::kGcm, 16, 16 * 32, 16, 16, 8};
+  // The payload is the largest open SimDevice serves (sim::kCoreFifoDepth
+  // / 4 blocks): a longer one is refused at submit
+  // (SimRefusesOpensLongerThanACoreOutputFifo).
+  Workload w{ChannelMode::kGcm, 16, 16 * (sim::kCoreFifoDepth / 4), 16, 16, 8};
   Rng rng(11'600);
   Bytes key = rng.bytes(16);
   const crypto::GcmKey gk(crypto::aes_expand_key(key));
@@ -503,7 +505,7 @@ TEST_P(BackendDifferential, ChannelParamsWrapIdentically) {
     engine.provision_key(1, rng.bytes(16));
     Channel ch = engine.open_channel(ChannelMode::kGcm, 1, /*tag_len=*/20, /*nonce_len=*/12);
     ASSERT_TRUE(ch.valid());
-    EXPECT_EQ(engine.device(0).open_channel_count(), 1u);
+    EXPECT_EQ(engine.device(0).stats().open_channels, 1u);
     JobResult r = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(64)).wait();
     // ((20 - 1) & 0xF) + 1 = 4: the device registered a 4-byte tag.
     EXPECT_EQ(r.tag.size(), 4u) << static_cast<int>(backend);
@@ -511,6 +513,66 @@ TEST_P(BackendDifferential, ChannelParamsWrapIdentically) {
 }
 
 // --- beyond the simulated datapath's envelope --------------------------------
+
+TEST_P(BackendDifferential, SimRefusesOpensLongerThanACoreOutputFifo) {
+  // SimDevice serves a GCM, CCM or CTR open of up to sim::kCoreFifoDepth / 4
+  // = 128 blocks, bit-identical to FastDevice. Longer opens used to end the
+  // process (GCM and one-core CCM threw a CU instruction overrun at 129
+  // blocks, CTR at 130) or hang (pair CCM at 129); SimDevice now refuses
+  // them at submit (complete, !auth_ok, nothing returned) and the channel
+  // still closes cleanly, while FastDevice keeps serving them.
+  struct Shape {
+    ChannelMode mode;
+    top::CcmMapping mapping;
+  };
+  constexpr std::size_t kLimit = sim::kCoreFifoDepth / 4;
+  static_assert(kLimit == 128);
+  Rng rng(11'800);
+  for (Shape shape : {Shape{ChannelMode::kGcm, top::CcmMapping::kSingleCore},
+                      Shape{ChannelMode::kCcm, top::CcmMapping::kSingleCore},
+                      Shape{ChannelMode::kCcm, top::CcmMapping::kPairPreferred},
+                      Shape{ChannelMode::kCtr, top::CcmMapping::kSingleCore}}) {
+    for (std::size_t blocks = kLimit - 1; blocks <= kLimit + 2; ++blocks) {
+      const Workload w{shape.mode, 16, 16 * blocks, 16, 16,
+                       shape.mode == ChannelMode::kCcm ? 13u : 12u};
+      const Bytes key = rng.bytes(16), iv = iv_for(rng, w);
+      const Bytes aad = shape.mode == ChannelMode::kCtr ? Bytes{} : rng.bytes(w.aad_len);
+      const Bytes pt = rng.bytes(w.payload_len);
+      const JobResult sealed = run_encrypt(Backend::kFast, w, key, iv, aad, pt);
+      ASSERT_TRUE(sealed.auth_ok);
+      JobResult opened[2];
+      for (Backend backend : {Backend::kSim, Backend::kFast}) {
+        Engine engine({.num_devices = 1,
+                       .device = {.num_cores = 4, .ccm_mapping = shape.mapping},
+                       .backend = backend});
+        engine.provision_key(1, key);
+        Channel ch = engine.open_channel(w.mode, 1, w.tag_len, w.nonce_len);
+        ASSERT_TRUE(ch.valid());
+        ASSERT_NO_THROW(opened[backend == Backend::kSim ? 0 : 1] =
+                            engine.submit_decrypt(ch, iv, aad, sealed.payload, sealed.tag)
+                                .wait(10'000'000));
+        ASSERT_NO_THROW(ch.close());
+        EXPECT_EQ(engine.device(0).stats().open_channels, 0u);
+      }
+      const JobResult& sim = opened[0];
+      const JobResult& fast = opened[1];
+      const std::string where = "mode " + std::to_string(static_cast<int>(shape.mode)) +
+                                " mapping " + std::to_string(static_cast<int>(shape.mapping)) +
+                                ", " + std::to_string(blocks) + " blocks";
+      EXPECT_TRUE(fast.complete && fast.auth_ok) << where;
+      EXPECT_EQ(fast.payload, pt) << where;
+      ASSERT_TRUE(sim.complete) << where;
+      if (blocks <= kLimit) {
+        EXPECT_TRUE(sim.auth_ok) << where;
+        EXPECT_EQ(to_hex(sim.payload), to_hex(fast.payload)) << where;
+      } else {
+        EXPECT_FALSE(sim.auth_ok) << where << ": refused at submit";
+        EXPECT_TRUE(sim.payload.empty()) << where;
+        EXPECT_EQ(sim.complete_cycle, sim.submit_cycle) << where;
+      }
+    }
+  }
+}
 
 TEST_P(BackendDifferential, OddAndLargePayloadsMatchSoftwareReference) {
   // Non-block-multiple and >255-block payloads are outside what the

@@ -7,7 +7,8 @@
 // submit() in order. The JobBook slot ring behind both backends is checked
 // through the same seam: it grows under a deep backlog, priority buckets
 // drain and refill, refusals and out-of-order forgets leave their
-// neighbours intact, and a reused slot never shows an earlier job.
+// neighbours intact, and a reused slot never shows an earlier job. One
+// scripted run checks every DeviceStats field the seam reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,14 +23,24 @@
 #include "host/fast_device.h"
 #include "host/faulty_device.h"
 #include "host/sim_device.h"
+#include "support/device_slots.h"
 
 namespace mccp::host {
+
+// Lets EXPECT_EQ print a DeviceStats mismatch field by field.
+void PrintTo(const DeviceStats& s, std::ostream* os) {
+  *os << "{inflight " << s.inflight << ", open_channels " << s.open_channels
+      << ", reconfigurations " << s.reconfigurations << ", reconfig_stall_cycles "
+      << s.reconfig_stall_cycles << ", reconfigurations_to " << s.reconfigurations_to[0] << "/"
+      << s.reconfigurations_to[1] << ", slots_with_image " << s.slots_with_image[0] << "/"
+      << s.slots_with_image[1] << ", failed " << s.failed << "}";
+}
+
 namespace {
 
 enum class Kind { kSim, kFast, kFaultySim, kFaultyFast };
 
-std::unique_ptr<Device> make_device(Kind kind, std::size_t num_cores) {
-  const top::MccpConfig cfg{.num_cores = num_cores};
+std::unique_ptr<Device> make_device(Kind kind, const top::MccpConfig& cfg) {
   switch (kind) {
     case Kind::kSim: return std::make_unique<SimDevice>(cfg);
     case Kind::kFast: return std::make_unique<FastDevice>(cfg);
@@ -48,7 +59,7 @@ class DeviceLifecycle : public ::testing::TestWithParam<Kind> {
   /// A device with key 1 provisioned and a GCM (tag 16, IV 12) and a CCM
   /// (tag 8, nonce 13) channel open.
   std::unique_ptr<Device> device(std::size_t num_cores = 1) {
-    auto dev = make_device(GetParam(), num_cores);
+    auto dev = make_device(GetParam(), {.num_cores = num_cores});
     dev->provision_key(1, key_);
     auto gcm_ch = dev->open_channel(ChannelMode::kGcm, 1, 16, 12);
     auto ccm_ch = dev->open_channel(ChannelMode::kCcm, 1, 8, 13);
@@ -132,7 +143,7 @@ TEST_P(DeviceLifecycle, RefusedSubmitsCompleteFailedAtTheSubmitCycleAndIdsStayDe
                                         dev->submit(gcm(32)), dev->submit(bad_tag())};
   for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_EQ(ids[i], ids[0] + i);
   EXPECT_EQ(dev->completions(), before + 2) << "refusals count at once";
-  EXPECT_EQ(dev->inflight(), 2u) << "refusals never enter the in-flight count";
+  EXPECT_EQ(dev->stats().inflight, 2u) << "refusals never enter the in-flight count";
   for (DeviceJobId id : {ids[1], ids[3]}) {
     const JobResult* r = dev->result(id);
     ASSERT_NE(r, nullptr);
@@ -250,7 +261,7 @@ TEST_P(DeviceLifecycle, SubmitBatchMatchesOneSubmitAtATime) {
   for (const JobSpec& spec : specs) one_by_one.push_back(single->submit(spec));
   EXPECT_EQ(batched->submit_batch(specs), one_by_one);
   EXPECT_EQ(batched->completions(), single->completions());
-  EXPECT_EQ(batched->inflight(), single->inflight());
+  EXPECT_EQ(batched->stats().inflight, single->stats().inflight);
 
   while (!batched->idle() || !single->idle()) {
     batched->step();
@@ -282,14 +293,15 @@ TEST_P(DeviceLifecycle, SlotRingGrowsUnderABacklogAndInflightStaysExact) {
   for (int i = 0; i < 100; ++i) {
     specs.push_back(gcm(32 + 16 * (i % 4)));
     ids.push_back(dev->submit(specs.back()));
-    ASSERT_EQ(dev->inflight(), static_cast<std::size_t>(i + 1)) << "nothing has completed yet";
+    ASSERT_EQ(dev->stats().inflight, static_cast<std::size_t>(i + 1))
+        << "nothing has completed yet";
     ASSERT_FALSE(dev->idle());
   }
   std::size_t forgotten = 0;
   std::vector<sim::Cycle> completed_at;
   while (!dev->idle()) {
     dev->step();
-    ASSERT_EQ(dev->inflight(), ids.size() - dev->completions());
+    ASSERT_EQ(dev->stats().inflight, ids.size() - dev->completions());
     // Forget every other completed job as soon as it lands, and keep
     // submitting while the backlog drains, so the ring wraps and grows
     // with taken slots between live ones.
@@ -306,7 +318,7 @@ TEST_P(DeviceLifecycle, SlotRingGrowsUnderABacklogAndInflightStaysExact) {
     }
   }
   EXPECT_EQ(dev->completions(), ids.size());
-  EXPECT_EQ(dev->inflight(), 0u);
+  EXPECT_EQ(dev->stats().inflight, 0u);
   for (std::size_t k = 0; k < ids.size(); ++k) {
     if (k % 2 == 0 && k < forgotten) {
       EXPECT_EQ(dev->result(ids[k]), nullptr) << k;
@@ -337,7 +349,7 @@ TEST_P(DeviceLifecycle, PriorityBucketsDrainAndRefill) {
                 dev->result(ids[order[k]])->accept_cycle)
           << "wave " << wave << ", service position " << k;
     for (DeviceJobId id : ids) dev->forget(id);
-    EXPECT_EQ(dev->inflight(), 0u);
+    EXPECT_EQ(dev->stats().inflight, 0u);
   }
 }
 
@@ -353,7 +365,7 @@ TEST_P(DeviceLifecycle, RefusalsBetweenLiveIdsAndOutOfOrderForgets) {
     ids.push_back(dev->submit(specs.back()));
   }
   for (std::size_t k = 1; k < ids.size(); ++k) ASSERT_EQ(ids[k], ids[k - 1] + 1);
-  EXPECT_EQ(dev->inflight(), 24u - 5u) << "refusals never count in flight";
+  EXPECT_EQ(dev->stats().inflight, 24u - 5u) << "refusals never count in flight";
   // A refusal completes at once, in the middle of live ids; forgetting it
   // leaves its still-running neighbours untouched.
   dev->forget(ids[7]);
@@ -417,6 +429,95 @@ TEST_P(DeviceLifecycle, AReusedSlotNeverShowsAnEarlierJob) {
     expect_sealed(*dev, id, spec);
     dev->forget(id);
   }
+}
+
+TEST_P(DeviceLifecycle, StatsFollowAScriptedRunIdenticallyOnEveryBackend) {
+  // Provision, open three channels, force one auto_reconfig swap to
+  // Whirlpool, close a channel, then kill. Every field is checked against
+  // one expected value per step, so SimDevice and FastDevice must agree
+  // (each of these counters is exact in the cost model), and a wrapping
+  // FaultyDevice must report its inner device's counters, with `failed`
+  // flipping exactly at the kill cycle.
+  constexpr std::uint32_t kDivisor = 1024;  // compressed swap timescale
+  constexpr std::size_t kAes = reconfig::image_index(reconfig::CoreImage::kAesEncryptWithKs);
+  constexpr std::size_t kWhirlpool = reconfig::image_index(reconfig::CoreImage::kWhirlpool);
+  auto dev = make_device(GetParam(), {.num_cores = 4, .reconfig_time_divisor = kDivisor});
+  auto* faulty = dynamic_cast<FaultyDevice*>(dev.get());
+  auto expect_stats = [&](const DeviceStats& want, const char* step) {
+    const DeviceStats got = dev->stats();
+    EXPECT_EQ(got, want) << step;
+    if (faulty == nullptr) return;
+    DeviceStats inner = faulty->inner()->stats();
+    EXPECT_FALSE(inner.failed) << step << ": backends never fail by themselves";
+    inner.failed = got.failed;
+    EXPECT_EQ(got, inner) << step << ": the wrapper forwards its inner device's counters";
+  };
+
+  DeviceStats want;
+  want.slots_with_image[kAes] = 4;
+  expect_stats(want, "boot");
+  dev->provision_key(1, key_);
+  expect_stats(want, "provisioned");
+
+  const auto gcm_ch = dev->open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(gcm_ch.has_value());
+  gcm_ = *gcm_ch;
+  ASSERT_TRUE(dev->open_channel(ChannelMode::kCcm, 1, 8, 13).has_value());
+  const auto wp = dev->open_channel(ChannelMode::kWhirlpool, 1);
+  ASSERT_TRUE(wp.has_value());
+  want.open_channels = 3;
+  expect_stats(want, "three channels open");
+
+  // No slot hosts Whirlpool: the hash waits for an automatic swap of the
+  // highest-index slot. A slot mid-swap counts for neither image.
+  JobSpec hash;
+  hash.channel = *wp;
+  hash.payload = rng_.bytes(100);
+  const DeviceJobId id = dev->submit(std::move(hash));
+  want.inflight = 1;
+  expect_stats(want, "hash queued");
+  bool saw_swap = false;
+  while (!dev->idle()) {
+    dev->step();
+    const DeviceStats s = dev->stats();
+    std::size_t swapping = 0;
+    for (std::size_t slot = 0; slot < testing::num_cores(*dev); ++slot)
+      swapping += testing::slot_reconfiguring(*dev, slot);
+    saw_swap = saw_swap || swapping > 0;
+    ASSERT_EQ(s.slots_with_image[kAes] + s.slots_with_image[kWhirlpool] + swapping, 4u);
+    ASSERT_LE(s.reconfigurations, 1u);
+  }
+  // FastDevice's event-driven step jumps from the swap's start straight to
+  // the hash's completion; the simulated chip steps through the swap.
+  if (dynamic_cast<const SimDevice*>(&testing::unwrap(*dev)) != nullptr) {
+    EXPECT_TRUE(saw_swap) << "no step landed inside the swap";
+  }
+  ASSERT_TRUE(dev->result(id)->complete && dev->result(id)->auth_ok);
+  want.inflight = 0;
+  want.reconfigurations = 1;
+  want.reconfig_stall_cycles = reconfig::scaled_reconfiguration_cycles(
+      reconfig::CoreImage::kWhirlpool, reconfig::BitstreamStore::kRam, kDivisor);
+  want.reconfigurations_to[kWhirlpool] = 1;
+  want.slots_with_image = {3, 1};
+  expect_stats(want, "swapped");
+  EXPECT_EQ(testing::slot_image(*dev, 3), reconfig::CoreImage::kWhirlpool);
+
+  ASSERT_TRUE(dev->close_channel(gcm_.id));
+  want.open_channels = 2;
+  expect_stats(want, "one channel closed");
+
+  // Kill: only a FaultyDevice can die; the bare backends stay healthy.
+  const sim::Cycle kill = dev->now() + 1000;
+  if (faulty != nullptr) faulty->schedule_kill(kill);
+  dev->advance_to(kill - 1);
+  expect_stats(want, "one cycle before the kill");
+  dev->advance_to(kill);
+  want.failed = faulty != nullptr;
+  expect_stats(want, "at the kill cycle");
+  EXPECT_EQ(dev->now(), kill);
+  dev->advance_to(kill + 1000);
+  expect_stats(want, "after the kill");
+  EXPECT_EQ(dev->now(), faulty != nullptr ? kill : kill + 1000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, DeviceLifecycle,

@@ -37,7 +37,7 @@ TEST(Engine, RoundRobinShardsChannelsAcrossDevices) {
     EXPECT_EQ(channels[static_cast<std::size_t>(i)].device_index(),
               static_cast<std::size_t>(i) % 3u);
   for (std::size_t d = 0; d < 3; ++d)
-    EXPECT_EQ(engine.device(d).open_channel_count(), 2u);
+    EXPECT_EQ(engine.device(d).stats().open_channels, 2u);
 }
 
 TEST(Engine, TwoDevicesProcessShardedTrafficConcurrently) {
@@ -71,8 +71,8 @@ TEST(Engine, TwoDevicesProcessShardedTrafficConcurrently) {
   }
   // Both devices have accepted work before anything finishes.
   engine.step();
-  EXPECT_GT(engine.device(0).inflight(), 0u);
-  EXPECT_GT(engine.device(1).inflight(), 0u);
+  EXPECT_GT(engine.device(0).stats().inflight, 0u);
+  EXPECT_GT(engine.device(1).stats().inflight, 0u);
 
   engine.wait_all();
   EXPECT_EQ(callbacks, pkts.size());
@@ -98,9 +98,9 @@ TEST(Engine, RaiiChannelAutoCloseReleasesSlots) {
       ASSERT_TRUE(channels.back().valid()) << i;
     }
     EXPECT_FALSE(engine.open_channel(ChannelMode::kCtr, 1).valid());  // exhausted
-    EXPECT_EQ(engine.device(0).open_channel_count(), 64u);
+    EXPECT_EQ(engine.device(0).stats().open_channels, 64u);
   }  // ~Channel x64 -> CLOSE x64
-  EXPECT_EQ(engine.device(0).open_channel_count(), 0u);
+  EXPECT_EQ(engine.device(0).stats().open_channels, 0u);
   for (int i = 0; i < 64; ++i)
     EXPECT_TRUE(engine.open_channel(ChannelMode::kCtr, 1).valid()) << i;
 }
@@ -113,16 +113,16 @@ TEST(Engine, ExplicitAndMoveCloseAreIdempotent) {
   ch.close();
   EXPECT_FALSE(ch.valid());
   ch.close();  // second close is a no-op
-  EXPECT_EQ(engine.device(0).open_channel_count(), 0u);
+  EXPECT_EQ(engine.device(0).stats().open_channels, 0u);
 
   Channel a = engine.open_channel(ChannelMode::kCtr, 1);
   Channel b = std::move(a);
   EXPECT_FALSE(a.valid());
   EXPECT_TRUE(b.valid());
-  EXPECT_EQ(engine.device(0).open_channel_count(), 1u);
+  EXPECT_EQ(engine.device(0).stats().open_channels, 1u);
   a = std::move(b);  // move-assign back; still exactly one open slot
   EXPECT_TRUE(a.valid());
-  EXPECT_EQ(engine.device(0).open_channel_count(), 1u);
+  EXPECT_EQ(engine.device(0).stats().open_channels, 1u);
 }
 
 TEST(Engine, CompletionCallbacksFireExactlyOnce) {
@@ -309,8 +309,8 @@ TEST(Engine, LeastLoadedPlacementBalancesUnevenFleet) {
   // Open channels one at a time: least-loaded must alternate devices.
   std::vector<Channel> channels;
   for (int i = 0; i < 4; ++i) channels.push_back(engine.open_channel(ChannelMode::kCtr, 1));
-  EXPECT_EQ(engine.device(0).open_channel_count(), 2u);
-  EXPECT_EQ(engine.device(1).open_channel_count(), 2u);
+  EXPECT_EQ(engine.device(0).stats().open_channels, 2u);
+  EXPECT_EQ(engine.device(1).stats().open_channels, 2u);
 }
 
 TEST(Engine, ModeAffinityClustersModes) {
@@ -334,8 +334,8 @@ TEST(Engine, PlacementFallsBackWhenPreferredDeviceIsFull) {
     channels.push_back(engine.open_channel(ChannelMode::kCtr, 1));
     ASSERT_TRUE(channels.back().valid()) << i;  // spills onto the other device
   }
-  EXPECT_EQ(engine.device(0).open_channel_count(), 64u);
-  EXPECT_EQ(engine.device(1).open_channel_count(), 64u);
+  EXPECT_EQ(engine.device(0).stats().open_channels, 64u);
+  EXPECT_EQ(engine.device(1).stats().open_channels, 64u);
   EXPECT_FALSE(engine.open_channel(ChannelMode::kCtr, 1).valid());  // fleet-wide exhaustion
 }
 

@@ -384,7 +384,7 @@ TEST(EngineThreading, NoLostOrDuplicatedCompletionsAcrossRandomizedSeeds) {
       ASSERT_EQ(fired[i], 1u) << "seed " << seed << " job " << i;
     for (Completion& job : tracked) EXPECT_TRUE(job.done());
     EXPECT_TRUE(engine.idle());
-    EXPECT_EQ(engine.inflight(), 0u);
+    EXPECT_EQ(engine.device_stats().inflight, 0u);
   }
 }
 

@@ -21,9 +21,14 @@
 #include "host/engine.h"
 #include "host/faulty_device.h"
 #include "host/sim_device.h"
+#include "support/device_slots.h"
 
 namespace mccp::host {
 namespace {
+
+using testing::num_cores;
+using testing::slot_reconfiguring;
+using testing::slots_with_image;
 
 using reconfig::BitstreamStore;
 using reconfig::CoreImage;
@@ -48,10 +53,10 @@ TEST(FaultyDevice, FreezesClockAndRejectsControlAtKillCycle) {
   dev.provision_key(1, Bytes(16, 3));
   auto ch = dev.open_channel(ChannelMode::kCtr, 1);
   ASSERT_TRUE(ch.has_value());
-  EXPECT_FALSE(dev.failed());
+  EXPECT_FALSE(dev.stats().failed);
 
   dev.advance_to(10'000);
-  EXPECT_TRUE(dev.failed());
+  EXPECT_TRUE(dev.stats().failed);
   EXPECT_EQ(dev.now(), 500u);  // clock clamps at the fault
   sim::Cycle frozen = dev.now();
   dev.step();
@@ -104,7 +109,7 @@ TEST(FaultyDevice, MasksCompletionsStampedAfterTheKillOnBothBackends) {
       spec.payload = pt;
       DeviceJobId id = dev.submit(spec);
       dev.advance_to(ref.complete_cycle + 10'000);
-      ASSERT_TRUE(dev.failed());
+      ASSERT_TRUE(dev.stats().failed);
       const JobResult* r = dev.result(id);
       ASSERT_NE(r, nullptr);
       EXPECT_FALSE(r->complete) << "stamped after the kill: must be masked";
@@ -121,7 +126,7 @@ TEST(FaultyDevice, MasksCompletionsStampedAfterTheKillOnBothBackends) {
       spec.payload = pt;
       DeviceJobId id = dev.submit(spec);
       dev.advance_to(ref.complete_cycle + 10'000);
-      ASSERT_TRUE(dev.failed());
+      ASSERT_TRUE(dev.stats().failed);
       const JobResult* r = dev.result(id);
       ASSERT_NE(r, nullptr);
       EXPECT_TRUE(r->complete);
@@ -241,8 +246,8 @@ TEST(Engine, KillMidSwapStrandsTheTriggeringPacketOnBothBackends) {
       // frozen slot stays mid-swap forever.
       EXPECT_EQ(engine.device(0).now(), kKillAt);
       bool mid_swap = false;
-      for (std::size_t s = 0; s < engine.device(0).num_cores(); ++s)
-        mid_swap = mid_swap || engine.device(0).slot_reconfiguring(s);
+      for (std::size_t s = 0; s < num_cores(engine.device(0)); ++s)
+        mid_swap = mid_swap || slot_reconfiguring(engine.device(0), s);
       EXPECT_TRUE(mid_swap) << "killed mid-swap";
       engine.step();
       EXPECT_EQ(engine.device(0).now(), kKillAt) << "frozen mid-swap stays mid-swap";
@@ -259,7 +264,7 @@ TEST(Engine, KillMidSwapStrandsTheTriggeringPacketOnBothBackends) {
     auto ref = crypto::whirlpool(msg);
     EXPECT_EQ(to_hex(r.payload), to_hex(Bytes(ref.begin(), ref.end())));
     // The survivor ran its own swap to serve the resubmission.
-    EXPECT_GE(engine.device(1).slots_with_image(CoreImage::kWhirlpool), 1u);
+    EXPECT_GE(slots_with_image(engine.device(1), CoreImage::kWhirlpool), 1u);
   }
 }
 
@@ -431,7 +436,7 @@ TEST(Engine, RemoveDeviceMidReconfigurationDrainsInFlightWork) {
     ASSERT_TRUE(engine.device(0)
                     .begin_reconfiguration(1, CoreImage::kWhirlpool, BitstreamStore::kRam)
                     .has_value());
-    ASSERT_TRUE(engine.device(0).slot_reconfiguring(1));
+    ASSERT_TRUE(slot_reconfiguring(engine.device(0), 1));
 
     struct Pkt {
       Bytes iv, pt;
@@ -510,7 +515,7 @@ TEST(Engine, SerialAndThreadedFaultRecoveryAreBitIdentical) {
 
     std::uint64_t resubmitted = 0;
     int guard = 0;
-    while (engine.inflight() > 0 && ++guard < 1'000'000) {
+    while (engine.device_stats().inflight > 0 && ++guard < 1'000'000) {
       engine.step();
       for (std::size_t idx : engine.failed_devices())
         resubmitted += engine.remove_device(idx).resubmitted_jobs;

@@ -13,9 +13,14 @@
 #include "crypto/whirlpool.h"
 #include "host/cost_model.h"
 #include "host/engine.h"
+#include "support/device_slots.h"
 
 namespace mccp::host {
 namespace {
+
+using testing::slot_image;
+using testing::slot_reconfiguring;
+using testing::slots_with_image;
 
 using reconfig::BitstreamStore;
 using reconfig::CoreImage;
@@ -85,12 +90,13 @@ TEST(ReconfigDevice, AutoReconfigServesWhirlpoolOnBothBackends) {
     auto ref = crypto::whirlpool(msg);
     EXPECT_EQ(to_hex(r.payload), to_hex(Bytes(ref.begin(), ref.end())))
         << static_cast<int>(backend);
-    EXPECT_EQ(engine.reconfigurations(), 1u);
-    EXPECT_EQ(engine.reconfigurations_to(CoreImage::kWhirlpool), 1u);
-    EXPECT_EQ(engine.reconfig_stall_cycles(), swap_cycles);
+    const DeviceStats fleet = engine.device_stats();
+    EXPECT_EQ(fleet.reconfigurations, 1u);
+    EXPECT_EQ(fleet.reconfigurations_to[reconfig::image_index(CoreImage::kWhirlpool)], 1u);
+    EXPECT_EQ(fleet.reconfig_stall_cycles, swap_cycles);
     // The highest-index slot swapped; slot 0 still hosts AES.
-    EXPECT_EQ(engine.device(0).slot_image(1), CoreImage::kWhirlpool);
-    EXPECT_EQ(engine.device(0).slot_image(0), CoreImage::kAesEncryptWithKs);
+    EXPECT_EQ(slot_image(engine.device(0), 1), CoreImage::kWhirlpool);
+    EXPECT_EQ(slot_image(engine.device(0), 0), CoreImage::kAesEncryptWithKs);
     // The packet paid for the swap: it cannot have completed before it.
     EXPECT_GE(r.complete_cycle, static_cast<sim::Cycle>(swap_cycles));
   }
@@ -104,7 +110,7 @@ TEST(ReconfigDevice, BootSlotLayoutServesWhirlpoolWithoutSwapping) {
         backend,
         {.num_cores = 2,
          .slot_images = {CoreImage::kAesEncryptWithKs, CoreImage::kWhirlpool}}));
-    EXPECT_EQ(engine.device(0).slots_with_image(CoreImage::kWhirlpool), 1u);
+    EXPECT_EQ(slots_with_image(engine.device(0), CoreImage::kWhirlpool), 1u);
     Channel wp = engine.open_channel(ChannelMode::kWhirlpool, 0);
     ASSERT_TRUE(wp.valid());
     JobResult r = engine.submit_encrypt(wp, {}, {}, msg).wait(1'000'000);
@@ -132,8 +138,8 @@ TEST(ReconfigDevice, SlotUnavailableMidSwapWhileSiblingsServe) {
     ASSERT_TRUE(cycles.has_value());
     EXPECT_EQ(*cycles, reconfig::scaled_reconfiguration_cycles(CoreImage::kWhirlpool,
                                                                BitstreamStore::kRam, kDivisor));
-    EXPECT_TRUE(dev.slot_reconfiguring(1));
-    EXPECT_FALSE(dev.slot_reconfiguring(0));
+    EXPECT_TRUE(slot_reconfiguring(dev, 1));
+    EXPECT_FALSE(slot_reconfiguring(dev, 0));
     // Mid-swap the slot cannot start another transfer.
     EXPECT_FALSE(dev.begin_reconfiguration(1, CoreImage::kAesEncryptWithKs, BitstreamStore::kRam)
                      .has_value());
@@ -145,12 +151,12 @@ TEST(ReconfigDevice, SlotUnavailableMidSwapWhileSiblingsServe) {
       const JobResult& r = job.wait(*cycles);  // must finish well inside the swap
       EXPECT_TRUE(r.complete && r.auth_ok);
     }
-    EXPECT_TRUE(dev.slot_reconfiguring(1)) << "swap still in flight after 4 packets";
-    EXPECT_EQ(dev.slot_image(1), CoreImage::kAesEncryptWithKs) << "old image until commit";
+    EXPECT_TRUE(slot_reconfiguring(dev, 1)) << "swap still in flight after 4 packets";
+    EXPECT_EQ(slot_image(dev, 1), CoreImage::kAesEncryptWithKs) << "old image until commit";
 
     engine.advance_to(dev.now() + *cycles + 2);
-    EXPECT_FALSE(dev.slot_reconfiguring(1));
-    EXPECT_EQ(dev.slot_image(1), CoreImage::kWhirlpool);
+    EXPECT_FALSE(slot_reconfiguring(dev, 1));
+    EXPECT_EQ(slot_image(dev, 1), CoreImage::kWhirlpool);
   }
 }
 
@@ -359,7 +365,7 @@ TEST(ReconfigDevice, SerialAndThreadedReconfiguringFleetsAreIdenticalTwins) {
       RunOut out;
       for (Completion& job : jobs) out.results.push_back(job.result());
       out.reconfigs = engine.reconfigurations();
-      out.stall = engine.reconfig_stall_cycles();
+      out.stall = engine.device_stats().reconfig_stall_cycles;
       out.max_cycle = engine.max_cycle();
       return out;
     };
