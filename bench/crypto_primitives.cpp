@@ -10,8 +10,9 @@
 // (all other flags pass through to google-benchmark). A closing table
 // sweeps every tier this host supports and compares GCM seal/open, CCM
 // seal/open, CCM seal of four packets side by side (one ccm_batch call, the
-// multi-lane kernel), CBC-MAC and CTR wall throughput, portable vs
-// accelerated, in one run.
+// multi-lane kernel), a stream of staggered CCM seals through one
+// CcmLanes (four in flight, finished one at a time), CBC-MAC and CTR wall
+// throughput, portable vs accelerated, in one run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -158,6 +159,7 @@ struct TierRates {
   double ccm_seal_mb_s = 0;  // 8-byte tag, 13-byte nonce
   double ccm_open_mb_s = 0;
   double ccm_seal_x4_mb_s = 0;  // four 2 KB seals per ccm_batch call
+  double ccm_stream_mb_s = 0;   // staggered 2-16 KB seals, four in flight
   double cbc_mac_mb_s = 0;
   double ctr_mb_s = 0;  // the CTR keystream alone, what GCM adds GHASH to
   double gcm_seal_over_ctr = 0;  // median of back-to-back window ratios
@@ -199,11 +201,60 @@ double median_rate_ratio(std::size_t bytes_per_op, A&& a, B&& b) {
   return ratios[7];
 }
 
+/// Staggered CCM seals through one CcmLanes, as a 4-core FastDevice runs
+/// them: four packets in flight, each due when its length in blocks has
+/// passed since its start; the one due first is finished, and the next
+/// packet is submitted in its place. Lanes refill as packets end, so the
+/// kernel's occupancy shows against "CCM seal x4", whose four equal
+/// packets keep every lane full.
+class CcmStream {
+ public:
+  CcmStream(Rng& rng, const AesRoundKeys& keys, const CcmParams& p) : keys_(keys), p_(p) {
+    for (int i = 0; i < 16; ++i) {
+      pts_.push_back(rng.bytes(2048 + rng.next_below(14 * 1024 + 1)));
+      nonces_.push_back(rng.bytes(p.nonce_len));
+      bytes_ += pts_.back().size();
+    }
+  }
+  std::size_t bytes() const { return bytes_; }
+
+  void run() {
+    constexpr std::size_t kInFlight = 4;
+    std::size_t handle[kInFlight], due[kInFlight];
+    bool live[kInFlight] = {};
+    std::size_t next = 0, now = 0;
+    auto start = [&](std::size_t c) {
+      handle[c] = lanes_.submit(CcmJob::seal(keys_, p_, nonces_[next], {}, pts_[next]));
+      due[c] = now + pts_[next].size() / 16;
+      live[c] = true;
+      ++next;
+    };
+    for (std::size_t c = 0; c < kInFlight; ++c) start(c);
+    for (;;) {
+      std::size_t first = kInFlight;
+      for (std::size_t c = 0; c < kInFlight; ++c)
+        if (live[c] && (first == kInFlight || due[c] < due[first])) first = c;
+      if (first == kInFlight) return;
+      benchmark::DoNotOptimize(lanes_.finish(handle[first]).sealed_tag.data());
+      now = due[first];
+      live[first] = false;
+      if (next < pts_.size()) start(first);
+    }
+  }
+
+ private:
+  const AesRoundKeys& keys_;
+  CcmParams p_;
+  std::vector<Bytes> pts_, nonces_;
+  std::size_t bytes_ = 0;
+  CcmLanes lanes_{4};
+};
+
 /// Sweep every kernel tier this host can force and measure the FastDevice
 /// AES-mode hot paths on 2 KB payloads: GCM seal/open with a cached per-key
 /// GcmKey, CCM seal/open one packet per call, CCM seal of four packets per
-/// ccm_batch call (as FastDevice batches a 4-core device's jobs), the
-/// CBC-MAC chain and the CTR keystream.
+/// ccm_batch call, a CcmStream of staggered 2-16 KB seals, the CBC-MAC
+/// chain and the CTR keystream.
 /// Restores the previously dispatched tier afterwards.
 std::vector<TierRates> measure_by_tier() {
   constexpr std::size_t kPayload = 2048;
@@ -220,6 +271,7 @@ std::vector<TierRates> measure_by_tier() {
   const Bytes nonces[4] = {rng.bytes(13), rng.bytes(13), rng.bytes(13), rng.bytes(13)};
   std::vector<CcmJob> x4;
   for (const Bytes& n : nonces) x4.push_back(CcmJob::seal(keys, ccm, n, aad, pt));
+  CcmStream stream(rng, keys, ccm);
 
   const std::string previous = active_kernel_name();
   std::vector<TierRates> rates;
@@ -247,6 +299,7 @@ std::vector<TierRates> measure_by_tier() {
       ccm_batch(x4);
       benchmark::DoNotOptimize(x4.data());
     });
+    r.ccm_stream_mb_s = measure_mb_s(stream.bytes(), [&] { stream.run(); });
     r.cbc_mac_mb_s = measure_mb_s(kPayload, [&] {
       CbcMac mac(keys);
       mac.update_padded(pt);
@@ -262,16 +315,16 @@ std::vector<TierRates> measure_by_tier() {
 
 void print_tier_table(const std::vector<TierRates>& rates) {
   bench::print_header(
-      "AES modes by crypto kernel tier -- wall MB/s, 2 KB payloads, AES-128");
-  std::printf("%-10s %10s %10s %10s %10s %12s %10s %10s %8s %9s\n", "tier", "GCM seal",
-              "GCM open", "CCM seal", "CCM open", "CCM seal x4", "CBC-MAC", "CTR", "GCM/CTR",
-              "GCM gain");
+      "AES modes by crypto kernel tier -- wall MB/s, 2 KB payloads (CCM stream 2-16 KB), AES-128");
+  std::printf("%-10s %10s %10s %10s %10s %12s %11s %10s %10s %8s %9s\n", "tier", "GCM seal",
+              "GCM open", "CCM seal", "CCM open", "CCM seal x4", "CCM stream", "CBC-MAC", "CTR",
+              "GCM/CTR", "GCM gain");
   const double base = rates.empty() ? 1.0 : rates.front().gcm_seal_mb_s;
   for (const auto& r : rates)
-    std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %12.1f %10.1f %10.1f %8.2f %8.1fx\n",
+    std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %12.1f %11.1f %10.1f %10.1f %8.2f %8.1fx\n",
                 r.tier.c_str(), r.gcm_seal_mb_s, r.gcm_open_mb_s, r.ccm_seal_mb_s,
-                r.ccm_open_mb_s, r.ccm_seal_x4_mb_s, r.cbc_mac_mb_s, r.ctr_mb_s,
-                r.gcm_seal_over_ctr, r.gcm_seal_mb_s / base);
+                r.ccm_open_mb_s, r.ccm_seal_x4_mb_s, r.ccm_stream_mb_s, r.cbc_mac_mb_s,
+                r.ctr_mb_s, r.gcm_seal_over_ctr, r.gcm_seal_mb_s / base);
   std::printf("\ndispatched kernel: %s (MCCP_CRYPTO_KERNEL or --kernel to override)\n",
               active_kernel_name());
 }
@@ -318,6 +371,7 @@ class JsonCollector : public benchmark::ConsoleReporter {
           .field("ccm_seal_mb_s", t.ccm_seal_mb_s)
           .field("ccm_open_mb_s", t.ccm_open_mb_s)
           .field("ccm_seal_x4_mb_s", t.ccm_seal_x4_mb_s)
+          .field("ccm_stream_mb_s", t.ccm_stream_mb_s)
           .field("cbc_mac_mb_s", t.cbc_mac_mb_s)
           .field("ctr_mb_s", t.ctr_mb_s)
           .field("gcm_seal_over_ctr", t.gcm_seal_over_ctr)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/kernels.h"
 
@@ -15,6 +16,8 @@ bool ccm_params_valid(const CcmParams& p) {
 }
 
 Block128 ccm_b0(const CcmParams& p, ByteSpan nonce, std::size_t aad_len, std::size_t msg_len) {
+  if (!ccm_length_fits(p.nonce_len, msg_len))
+    throw std::invalid_argument("ccm: message too long for nonce length");
   const std::size_t q = 15 - p.nonce_len;
   Block128 b0{};
   std::uint8_t flags = 0;
@@ -28,7 +31,6 @@ Block128 ccm_b0(const CcmParams& p, ByteSpan nonce, std::size_t aad_len, std::si
     b0.b[15 - i] = static_cast<std::uint8_t>(len);
     len >>= 8;
   }
-  if (len != 0) throw std::invalid_argument("ccm: message too long for nonce length");
   return b0;
 }
 
@@ -113,6 +115,15 @@ MutableByteSpan job_buffer(CcmJob& job) {
   return job.in_place.empty() ? MutableByteSpan(job.output) : job.in_place;
 }
 
+/// Throw std::invalid_argument if `job` cannot be computed.
+void ccm_check(const CcmJob& job) {
+  if (!ccm_params_valid(job.params)) throw std::invalid_argument("ccm: invalid parameters");
+  if (job.nonce.size() != job.params.nonce_len)
+    throw std::invalid_argument("ccm: nonce length mismatch");
+  if (!ccm_length_fits(job.params.nonce_len, job.input.size()))
+    throw std::invalid_argument("ccm: message too long for nonce length");
+}
+
 /// Start a job: its header MAC, and its full payload blocks as a kernel
 /// lane from Ctr_1 (the inc32 walk, as ctr_transform), in place.
 CcmLane ccm_start(const CryptoKernels& k, CcmJob& job) {
@@ -135,11 +146,11 @@ void ccm_fail(CcmJob& job) {
   job.ok = false;
 }
 
-/// Finish a job after its lane ran: the zero-padded tail, then the tag
-/// T ^ E(K, Ctr_0), truncated to tag_len — sealed, or checked.
+/// Finish a job after its lane ran to its end: the zero-padded tail, then
+/// the tag T ^ E(K, Ctr_0), truncated to tag_len — sealed, or checked.
 void ccm_finish(const CryptoKernels& k, CcmJob& job, CcmLane& lane) {
   const MutableByteSpan buf = job_buffer(job);
-  const std::size_t done = 16 * lane.nblocks;
+  const std::size_t done = buf.size() / 16 * 16;
   if (done < buf.size()) {
     // The MAC covers the plaintext tail: a seal's before the keystream
     // overwrites it in place, an open's after.
@@ -163,42 +174,85 @@ void ccm_finish(const CryptoKernels& k, CcmJob& job, CcmLane& lane) {
 
 }  // namespace
 
-void ccm_batch(std::span<CcmJob> jobs) {
-  for (const CcmJob& job : jobs) {
-    if (!ccm_params_valid(job.params)) throw std::invalid_argument("ccm: invalid parameters");
-    if (job.nonce.size() != job.params.nonce_len)
-      throw std::invalid_argument("ccm: nonce length mismatch");
-    ccm_b0(job.params, job.nonce, job.aad.size(), job.input.size());  // length check
+std::size_t CcmLanes::submit(CcmJob job) {
+  ccm_check(job);
+  std::size_t h = 0;
+  if (live_ == slots_.size()) {
+    h = slots_.size();
+    slots_.emplace_back();
+  } else {
+    while (slots_[h].live) ++h;
   }
+  Slot& slot = slots_[h];
+  slot.job = std::move(job);
+  CcmJob& j = slot.job;
+  j.output.clear();
+  j.sealed_tag.clear();
+  j.ok = false;
+  slot.failed = j.decrypt && j.tag.size() != j.params.tag_len;
+  if (slot.failed)
+    ccm_fail(j);
+  else
+    slot.lane = ccm_start(active_kernels(), j);
+  slot.live = true;
+  ++live_;
+  return h;
+}
 
-  // Up to kMaxCcmLanes jobs of one round count (10, 12, 14) per kernel
-  // call: a group runs when it fills, and the stragglers at the end.
+CcmJob& CcmLanes::finish(std::size_t handle) {
   const CryptoKernels& k = active_kernels();
-  struct Group {
-    CcmLane lanes[kMaxCcmLanes]{};
-    CcmJob* jobs[kMaxCcmLanes]{};
-    std::size_t n = 0;
-  } groups[3];
-  auto run = [&k](Group& g) {
-    k.ccm_lanes(g.lanes, g.n);
-    for (std::size_t i = 0; i < g.n; ++i) ccm_finish(k, *g.jobs[i], g.lanes[i]);
-    g.n = 0;
-  };
-  for (CcmJob& job : jobs) {
-    job.output.clear();
-    job.sealed_tag.clear();
-    job.ok = false;
-    if (job.decrypt && job.tag.size() != job.params.tag_len) {
-      ccm_fail(job);
-      continue;
+  Slot& target = slots_[handle];
+  const int rounds = target.failed ? 0 : target.job.keys->rounds();
+  while (!target.failed && target.lane.nblocks > 0) {
+    // The target's lane, and the first other parked lanes of its round
+    // count with blocks left. While one more waits beyond the kernel's
+    // lanes, run only until the first of them ends, so the next pass
+    // refills its lane.
+    Slot* run[kMaxCcmLanes] = {&target};
+    std::size_t n = 1;
+    std::size_t steps = target.lane.nblocks;
+    bool waiting = false;
+    for (Slot& s : slots_) {
+      if (&s == &target || !s.live || s.failed || s.lane.nblocks == 0 ||
+          s.job.keys->rounds() != rounds)
+        continue;
+      if (n == kMaxCcmLanes) {
+        waiting = true;
+        break;
+      }
+      run[n++] = &s;
     }
-    Group& g = groups[(job.keys->rounds() - 10) / 2];
-    g.lanes[g.n] = ccm_start(k, job);
-    g.jobs[g.n++] = &job;
-    if (g.n == kMaxCcmLanes) run(g);
+    if (waiting)
+      for (std::size_t i = 1; i < n; ++i) steps = std::min(steps, run[i]->lane.nblocks);
+    CcmLane lanes[kMaxCcmLanes];
+    for (std::size_t i = 0; i < n; ++i) {
+      lanes[i] = run[i]->lane;
+      lanes[i].nblocks = std::min(lanes[i].nblocks, steps);
+    }
+    k.ccm_lanes(lanes, n);
+    // The kernel left each chained MAC and next counter; move the rest on.
+    for (std::size_t i = 0; i < n; ++i) {
+      CcmLane& lane = run[i]->lane;
+      const std::size_t ran = lanes[i].nblocks;
+      lane.mac = lanes[i].mac;
+      lane.ctr = lanes[i].ctr;
+      lane.in += 16 * ran;
+      lane.out += 16 * ran;
+      lane.nblocks -= ran;
+    }
   }
-  for (Group& g : groups)
-    if (g.n > 0) run(g);
+  if (!target.failed) ccm_finish(k, target.job, target.lane);
+  target.live = false;
+  --live_;
+  return target.job;
+}
+
+void ccm_batch(std::span<CcmJob> jobs) {
+  for (const CcmJob& job : jobs) ccm_check(job);
+  CcmLanes lanes(jobs.size());
+  // A fresh manager hands out handles 0, 1, ... in submit order.
+  for (CcmJob& job : jobs) lanes.submit(std::move(job));
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i] = std::move(lanes.finish(i));
 }
 
 CcmSealed ccm_seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,

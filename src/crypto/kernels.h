@@ -47,12 +47,13 @@ namespace mccp::crypto {
 /// Most packets one ccm_lanes call runs side by side.
 inline constexpr std::size_t kMaxCcmLanes = 4;
 
-/// One packet's full CCM payload blocks in a ccm_lanes call: out_i = in_i ^
+/// One packet's next full CCM payload blocks in a ccm_lanes call: out_i = in_i ^
 /// E(K, ctr_i) with the inc32 counter walk, and the CBC-MAC chain absorbs
 /// the plaintext — `in_i` when sealing, `out_i` when opening (`decrypt`).
 /// The kernel leaves `mac` at the chained value and `ctr` at the next
-/// unused counter; a lane of 0 blocks is left untouched. `in` and `out`
-/// may alias exactly.
+/// unused counter, so a caller that moves `in` and `out` past the blocks
+/// run can resume the packet in a later call; a lane of 0 blocks is left
+/// untouched. `in` and `out` may alias exactly.
 struct CcmLane {
   const AesRoundKeys* keys = nullptr;
   Block128 mac;
@@ -85,8 +86,11 @@ struct CryptoKernels {
 
   /// Multi-buffer one-pass CCM over `n` (1..kMaxCcmLanes) independent
   /// lanes, see CcmLane. Every lane's keys must have the same round count.
-  /// Lanes advance block for block, round for round, until the shortest
-  /// finishes; the rest carry on, still interleaved.
+  /// Lanes advance block for block, round for round; a lane that runs out
+  /// leaves, and the rest carry on, still interleaved. A call runs about
+  /// as long as its longest lane, so crypto::CcmLanes keeps the lanes
+  /// full: it resumes a lane from its `mac` and `ctr` in a later call,
+  /// beside lanes of packets that started later.
   void (*ccm_lanes)(CcmLane* lanes, std::size_t n);
 
   /// X * H in GF(2^128) for the table's fixed H — the GHASH absorb step.

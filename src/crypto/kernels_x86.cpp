@@ -321,8 +321,11 @@ MCCP_TARGET_AESNI void aesni_cbc_mac_blocks(const AesRoundKeys& keys, Block128& 
 // and the keystream block for step i + 1 is computed beside the MAC block,
 // round for round. The lanes' chains are independent, so L lanes fill the
 // AESENC latency of one chain with L - 1 others. A ccm_lanes call runs in
-// phases: every live lane advances until the shortest finishes and leaves;
-// the lanes still running start the next phase without it.
+// phases: every live lane advances until the shortest runs out and leaves;
+// the lanes still running start the next phase without it. A step costs
+// about the same with 1 and 4 lanes (latency-bound), so crypto::CcmLanes
+// hands this kernel only as many blocks of each lane as the packet it is
+// finishing has left, and resumes the other lanes in later calls.
 
 /// One lane's live state between phases. `ks` is the keystream for the
 /// lane's next block (computed one step ahead) and `ctr` the counter after

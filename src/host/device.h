@@ -43,6 +43,7 @@
 
 #include "common/bytes.h"
 #include "core/stream_format.h"
+#include "crypto/ccm.h"
 #include "crypto/whirlpool.h"
 #include "mccp/control.h"
 #include "mccp/key_store.h"
@@ -112,6 +113,9 @@ static_assert(crypto::whirlpool_padded_len(kMaxWhirlpoolPayload + 1) >
 ///  * a CCM submit whose nonce length differs from the channel's
 ///    registered nonce_len: the formatting function (and crypto::ccm_seal
 ///    on the fast path) throws on it;
+///  * a CCM payload too long for the channel's nonce length (B0's length
+///    field has 15 - nonce_len bytes: at most 65 535 B with a 13-byte
+///    nonce): the formatting function and crypto::CcmLanes throw on it;
 ///  * a GCM, CCM or CBC-MAC decrypt/verify whose tag length differs from
 ///    the channel's registered tag_len: the simulated formatter masks the
 ///    verify by the submitted length and the fast path by the channel's,
@@ -133,7 +137,8 @@ inline bool refused_at_submit(const JobSpec& spec) {
       return spec.iv_or_nonce.empty() || spec.iv_or_nonce.size() != spec.channel.nonce_len ||
              bad_tag;
     case ChannelMode::kCcm:
-      return spec.iv_or_nonce.size() != spec.channel.nonce_len || bad_tag;
+      return spec.iv_or_nonce.size() != spec.channel.nonce_len || bad_tag ||
+             !crypto::ccm_length_fits(spec.channel.nonce_len, spec.payload.size());
     case ChannelMode::kCbcMac:
       return bad_tag;
     case ChannelMode::kWhirlpool:

@@ -38,7 +38,7 @@ void yield_payload(Bytes& payload, JobResult& res) {
 }  // namespace
 
 FastDevice::FastDevice(const top::MccpConfig& config, std::string name)
-    : name_(std::move(name)), config_(config) {
+    : name_(std::move(name)), config_(config), lanes_(config.num_cores) {
   // Same contract as the Mccp constructor behind SimDevice.
   if (config.num_cores == 0) throw std::invalid_argument("FastDevice: need at least one core");
   if (config.slot_images.size() > config.num_cores)
@@ -286,35 +286,15 @@ void FastDevice::start_job(Job& job, CoreSet cores) {
 
   job.done_at = done;
   running_.push_back(job.id);
-}
-
-void FastDevice::compute_running() {
-  ccm_jobs_.clear();
-  ccm_ids_.clear();
-  for (DeviceJobId id : running_) {
-    Job& job = book_.job(id);
-    if (job.computed) continue;
-    job.computed = true;
+  if (ch.mode == ChannelMode::kCcm) {
+    // Parked in the lanes now, with the key bundle of this dispatch;
+    // computed beside the device's other CCM packets until it retires.
     JobSpec& s = job.spec;
-    if (s.channel.mode != ChannelMode::kCcm) {
-      compute(job, book_.result_at(id));
-      continue;
-    }
-    const crypto::AesRoundKeys& keys = job.key->expanded;
+    const crypto::AesRoundKeys& keys = key->expanded;
     const crypto::CcmParams p{s.channel.tag_len, s.channel.nonce_len};
-    ccm_jobs_.push_back(
-        s.decrypt
-            ? crypto::CcmJob::open_in_place(keys, p, s.iv_or_nonce, s.aad, s.payload, s.tag)
-            : crypto::CcmJob::seal_in_place(keys, p, s.iv_or_nonce, s.aad, s.payload));
-    ccm_ids_.push_back(id);
-  }
-  if (ccm_jobs_.empty()) return;
-  crypto::ccm_batch(ccm_jobs_);
-  for (std::size_t i = 0; i < ccm_jobs_.size(); ++i) {
-    JobResult& res = book_.result_at(ccm_ids_[i]);
-    res.auth_ok = ccm_jobs_[i].ok;
-    res.tag = std::move(ccm_jobs_[i].sealed_tag);
-    yield_payload(book_.job(ccm_ids_[i]).spec.payload, res);
+    job.lane = lanes_.submit(
+        s.decrypt ? crypto::CcmJob::open_in_place(keys, p, s.iv_or_nonce, s.aad, s.payload, s.tag)
+                  : crypto::CcmJob::seal_in_place(keys, p, s.iv_or_nonce, s.aad, s.payload));
   }
 }
 
@@ -341,8 +321,12 @@ void FastDevice::compute(Job& job, JobResult& res) {
       }
       break;
     }
-    case ChannelMode::kCcm:
-      return;  // batched by compute_running
+    case ChannelMode::kCcm: {
+      crypto::CcmJob& done = lanes_.finish(job.lane);
+      res.auth_ok = done.ok;
+      res.tag = std::move(done.sealed_tag);
+      break;
+    }
     case ChannelMode::kCtr:
       // The INC core's 16-bit counter walk, matching the simulated
       // hardware on wrap (differential-tested with a 0xFFFF counter).
@@ -401,7 +385,7 @@ void FastDevice::step() {
   for (auto it = running_.begin(); it != running_.end();) {
     Job& job = book_.job(*it);
     if (job.done_at <= now_) {
-      if (!job.computed) compute_running();
+      compute(job, book_.result_at(*it));
       book_.complete(*it, job.done_at);  // last: resets the record `job` refers to
       it = running_.erase(it);
     } else {

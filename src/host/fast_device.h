@@ -19,20 +19,22 @@
 // next completion, so stepping costs O(in-flight jobs), not O(cycles). The
 // job lifecycle lives in a `JobBook` shared with SimDevice.
 //
-// Compute is deferred and batched. Dispatch books cores and cycles only;
-// the packet's result is computed when step() first retires a running job
-// whose result is not computed yet, and then every uncomputed running job
-// of the device is computed as one batch: its CCM jobs go through
-// crypto::ccm_batch side by side (the multi-lane kernel, the software form
-// of independent packets on independent cores), the rest one by one. GCM,
+// Compute is deferred. Dispatch books cores and cycles; a CCM packet is
+// also submitted to the device's crypto::CcmLanes there, which computes
+// its header MAC and parks its payload as a lane of the multi-lane kernel
+// (the software form of independent packets on independent cores). A
+// packet's result is computed when step() retires it: a CCM packet's
+// lane runs to its end beside the device's other running CCM packets,
+// which keep their progress, and any other mode is computed then. GCM,
 // CCM and CTR results are computed in the job's own payload buffer, which
 // then becomes the result's payload: no second buffer per packet, as the
 // MCCP streams a packet from its input FIFO through a core and out. A
 // result becomes visible only when `complete` flips (Device::result() is
-// partial until then), so batching changes no observable state, and every
-// stamp still comes from the cost model. Each job holds the key bundle in
-// force when it was dispatched: re-provisioning a key mid-flight never
-// reaches a job already on a core, exactly as on the simulated chip.
+// partial until then), so when the work runs changes no observable state,
+// and every stamp still comes from the cost model. Each job holds the key
+// bundle in force when it was dispatched: re-provisioning a key
+// mid-flight never reaches a job already on a core, exactly as on the
+// simulated chip.
 //
 // Partial reconfiguration (paper SVII.B) is modelled: each core slot
 // carries a `reconfig::CoreImage` personality (boot layout from
@@ -117,8 +119,9 @@ class FastDevice final : public Device {
   struct Job {
     DeviceJobId id = 0;
     JobSpec spec;
-    bool computed = false;
     sim::Cycle done_at = 0;
+    /// A running CCM job's handle in `lanes_`.
+    std::size_t lane = 0;
     /// The key bundle in force at dispatch (null for Whirlpool).
     std::shared_ptr<const Key> key;
     /// First cycle a busy-error denied this job a core (unset = never
@@ -138,22 +141,20 @@ class FastDevice final : public Device {
   };
 
   /// Try to place pending jobs (priority order) onto free cores, booking
-  /// core occupancy (the result is computed later, by compute_running).
+  /// core occupancy (the result is computed when the job retires).
   void schedule_pending();
   /// The image slot `c` hosts at cycle `t`: the swap target once an
   /// in-flight transfer's end cycle has passed, the old image before.
   reconfig::CoreImage image_at(std::size_t c, sim::Cycle t) const {
     return core_swap_until_[c] > t ? core_image_[c] : core_target_[c];
   }
+  /// Book `job` onto `cores`; a CCM job is also submitted to `lanes_`.
   void start_job(Job& job, CoreSet cores);
-  /// Compute every running job whose result is not computed yet, as one
-  /// batch: the CCM jobs side by side through crypto::ccm_batch, the rest
-  /// through compute().
-  void compute_running();
-  /// Functional result of one non-CCM job via the fast kernels; mirrors
-  /// SimDevice::finalize output conventions exactly (differential-tested).
-  /// GCM, CTR and a CBC-MAC verify's placeholder are computed in the job's
-  /// payload buffer, which then moves into `res`.
+  /// Functional result of a retiring job via the fast kernels (a CCM
+  /// job's is finished in `lanes_`); mirrors SimDevice::finalize output
+  /// conventions exactly (differential-tested). GCM, CCM, CTR and a
+  /// CBC-MAC verify's placeholder are computed in the job's payload
+  /// buffer, which then moves into `res`.
   void compute(Job& job, JobResult& res);
 
   std::string name_;
@@ -186,10 +187,9 @@ class FastDevice final : public Device {
   /// per core; capacity reserved at construction).
   std::vector<DeviceJobId> running_;
   std::uint8_t last_rr_ = 0;
-  /// compute_running's CCM batch (in place, in each job's payload buffer)
-  /// and the ids of its jobs, kept so batches reuse their capacity.
-  std::vector<crypto::CcmJob> ccm_jobs_;
-  std::vector<DeviceJobId> ccm_ids_;
+  /// The running CCM jobs' lanes, in place in each job's payload buffer;
+  /// room for one per core, so the steady state does not allocate.
+  crypto::CcmLanes lanes_;
   sim::Cycle now_ = 0;
 };
 

@@ -3,9 +3,10 @@
 // T-table/Shoup reference across AES block ops, CTR keystreams (both
 // counter widths, including the inc16 and inc32 wraps inside a batch),
 // GHASH (every aggregation width and tail), GCM seal/open (both counter
-// walks, tampered and wrong-length tags), CCM (the multi-lane kernel and
+// walks, tampered and wrong-length tags), CCM (the multi-lane kernel,
 // batches of mixed keys, directions and lengths, every tail length,
-// tampered inputs), the in-place seal/open cores against the out-of-place
+// tampered inputs, and the CcmLanes manager under seeded submit/finish
+// interleavings), the in-place seal/open cores against the out-of-place
 // calls, and the CBC-MAC chain, over all key sizes and non-block-aligned
 // tails.
 #include "crypto/kernels.h"
@@ -582,6 +583,125 @@ TEST(KernelDispatch, CcmBatchValidatesBeforeRunning) {
   EXPECT_TRUE(jobs[0].ok && jobs[1].ok);
   EXPECT_EQ(jobs[0].output, jobs[1].output);
   EXPECT_EQ(jobs[0].sealed_tag, jobs[1].sealed_tag);
+}
+
+TEST(KernelDispatch, CcmLanesMatchOneAtATimeInAnyFinishOrder) {
+  // Seeded submit/finish interleavings on one CcmLanes: up to 7 jobs live
+  // at once (more than kMaxCcmLanes), finished in random order, not
+  // submit order. Jobs carry 0..1100 full blocks plus tails that are
+  // mostly not block-aligned, AES-128/192/256 keys live together, and mix
+  // seals and opens, in place and out of place, with tampered tags and
+  // tags of the wrong length. Every result must equal ccm_seal / ccm_open
+  // on the portable tier.
+  Rng rng(117);
+  std::vector<AesRoundKeys> keys;
+  for (std::size_t key_len : {16u, 24u, 32u, 16u})
+    keys.push_back(aes_expand_key(rng.bytes(key_len)));
+  const CcmParams params[] = {{.tag_len = 16, .nonce_len = 13},
+                              {.tag_len = 8, .nonce_len = 12},
+                              {.tag_len = 4, .nonce_len = 7}};
+  const std::size_t kEdgeBlocks[] = {0, 1, 3, 4, 5, 255, 1100};
+  constexpr std::size_t kMaxLive = 7;
+  for (std::size_t rep = 0; rep < 6; ++rep) {
+    struct Case {
+      const AesRoundKeys* keys;
+      CcmParams p;
+      bool decrypt, in_place;
+      Bytes nonce, aad, input, tag;
+      std::optional<Bytes> want_out;
+      Bytes want_tag;
+    };
+    std::vector<Case> cases(10 + rng.next_below(6));
+    for (Case& c : cases) {
+      c.keys = &keys[rng.next_below(keys.size())];
+      c.p = params[rng.next_below(std::size(params))];
+      c.decrypt = rng.next_below(2) == 1;
+      c.in_place = rng.next_below(2) == 1;
+      c.nonce = rng.bytes(c.p.nonce_len);
+      c.aad = rng.bytes(rng.next_below(3) == 0 ? 0 : rng.next_below(40));
+      const std::size_t blocks = rng.next_below(3) == 0
+                                     ? kEdgeBlocks[rng.next_below(std::size(kEdgeBlocks))]
+                                     : rng.next_below(1101);
+      const std::size_t tail = rng.next_below(4) == 0 ? 0 : 1 + rng.next_below(15);
+      const Bytes pt = rng.bytes(16 * blocks + tail);
+      ScopedKernel k("portable");
+      const CcmSealed sealed = ccm_seal(*c.keys, c.p, c.nonce, c.aad, pt);
+      if (!c.decrypt) {
+        c.input = pt;
+        c.want_out = sealed.ciphertext;
+        c.want_tag = sealed.tag;
+        continue;
+      }
+      c.input = sealed.ciphertext;
+      c.tag = sealed.tag;
+      const std::uint64_t spoil = rng.next_below(6);
+      if (spoil == 0) c.tag[rng.next_below(c.tag.size())] ^= 0x10;  // tampered
+      if (spoil == 1) c.tag.push_back(0);                             // wrong length
+      if (spoil == 2) c.tag.pop_back();
+      c.want_out = ccm_open(*c.keys, c.p, c.nonce, c.aad, c.input, c.tag);
+    }
+    // One interleaving per rep, the same on every tier: submit while fewer
+    // than kMaxLive are live (and by coin flip once any are), otherwise
+    // finish a random live job.
+    std::vector<std::size_t> order;  // case index to submit, or ~finish slot
+    {
+      std::size_t next = 0;
+      std::vector<std::size_t> live;
+      while (next < cases.size() || !live.empty()) {
+        const bool submit = next < cases.size() && live.size() < kMaxLive &&
+                            (live.empty() || rng.next_below(3) != 0);
+        if (submit) {
+          order.push_back(next);
+          live.push_back(next++);
+          continue;
+        }
+        const std::size_t pick = rng.next_below(live.size());
+        order.push_back(~live[pick]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    }
+    for (const auto& tier : concrete_tiers()) {
+      ScopedKernel k(tier);
+      CcmLanes lanes;
+      std::vector<Bytes> bufs(cases.size());
+      std::vector<std::size_t> handle(cases.size());
+      std::size_t peak = 0, live = 0;
+      for (std::size_t step : order) {
+        if (step < cases.size()) {
+          Case& c = cases[step];
+          CcmJob job;
+          if (c.in_place) {
+            bufs[step] = c.input;
+            job = c.decrypt ? CcmJob::open_in_place(*c.keys, c.p, c.nonce, c.aad, bufs[step], c.tag)
+                            : CcmJob::seal_in_place(*c.keys, c.p, c.nonce, c.aad, bufs[step]);
+          } else {
+            job = c.decrypt ? CcmJob::open(*c.keys, c.p, c.nonce, c.aad, c.input, c.tag)
+                            : CcmJob::seal(*c.keys, c.p, c.nonce, c.aad, c.input);
+          }
+          handle[step] = lanes.submit(job);
+          peak = std::max(peak, ++live);
+          continue;
+        }
+        const std::size_t i = ~step;
+        const Case& c = cases[i];
+        const CcmJob& done = lanes.finish(handle[i]);
+        --live;
+        const auto where = ::testing::Message()
+                           << tier << " rep=" << rep << " job=" << i << " len=" << c.input.size()
+                           << " decrypt=" << c.decrypt << " in_place=" << c.in_place;
+        ASSERT_EQ(done.ok, c.want_out.has_value()) << where;
+        ASSERT_EQ(done.sealed_tag, c.want_tag) << where;
+        if (!c.in_place) {
+          ASSERT_EQ(done.output, c.want_out.value_or(Bytes{})) << where;
+          continue;
+        }
+        ASSERT_TRUE(done.output.empty()) << where;
+        // A failed open leaves its buffer zeroed.
+        ASSERT_EQ(bufs[i], c.want_out.value_or(Bytes(c.input.size(), 0))) << where;
+      }
+      EXPECT_GT(peak, kMaxCcmLanes) << tier << " rep=" << rep;
+    }
+  }
 }
 
 TEST(KernelDispatch, TableBuiltUnderPortableStillAcceleratesGhash) {

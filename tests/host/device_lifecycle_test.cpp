@@ -1,8 +1,9 @@
 // The Device job-lifecycle contract, checked on every backend: SimDevice,
 // FastDevice, and each wrapped in a FaultyDevice whose kill cycle is never
-// reached. Ids are dense, submit-seam refusals complete failed at the
-// submit cycle, one core serves the lowest priority value first and FIFO
-// within a priority, completions() counts exactly the results that turned
+// reached. Ids are dense, submit-seam refusals (a CCM payload too long
+// for its nonce among them) complete failed at the submit cycle, one core
+// serves the lowest priority value first and FIFO within a priority,
+// completions() counts exactly the results that turned
 // complete, forget() drops only completed results, and submit_batch() is
 // submit() in order. The JobBook slot ring behind both backends is checked
 // through the same seam: it grows under a deep backlog, priority buckets
@@ -162,6 +163,28 @@ TEST_P(DeviceLifecycle, RefusedSubmitsCompleteFailedAtTheSubmitCycleAndIdsStayDe
     EXPECT_GT(r->complete_cycle, at);
   }
   EXPECT_EQ(dev->submit(gcm(16)), ids.back() + 1);
+}
+
+TEST_P(DeviceLifecycle, CcmPayloadTooLongForItsNonceLengthIsRefusedAtSubmit) {
+  // With a 13-byte nonce, B0's length field has two bytes, so 65 536 B
+  // cannot be formatted: a seal and an open of it are refused at submit.
+  auto dev = device();
+  const sim::Cycle at = dev->now();
+  JobSpec seal;
+  seal.channel = ccm_;
+  seal.iv_or_nonce = rng_.bytes(13);
+  seal.payload = Bytes(65536, 1);
+  JobSpec open = ccm_verify(65536);
+  for (const JobSpec& spec : {seal, open}) {
+    const DeviceJobId id = dev->submit(spec);
+    const JobResult* r = dev->result(id);
+    ASSERT_NE(r, nullptr);
+    EXPECT_TRUE(r->complete);
+    EXPECT_FALSE(r->auth_ok);
+    EXPECT_EQ(r->complete_cycle, at);
+    EXPECT_TRUE(r->payload.empty());
+  }
+  EXPECT_TRUE(dev->idle());
 }
 
 TEST_P(DeviceLifecycle, OneCoreServesLowestPriorityFirstAndFifoWithinAPriority) {

@@ -1,6 +1,7 @@
 // FastDevice behaviour tests: control-plane error codes, scheduling
 // (priority, core occupancy, CCM pair mapping), key-cache accounting, the
-// event-driven clock, deferred batch compute, mixed sim/fast fleets — and the calibration check
+// event-driven clock, deferred compute in live CCM lanes (retired, forgotten
+// and re-keyed around), mixed sim/fast fleets — and the calibration check
 // that pins the cost model to the cycle-accurate simulator's steady-state
 // packet occupancy.
 #include <gtest/gtest.h>
@@ -195,14 +196,14 @@ sim::Cycle steady_state_occupancy(Backend backend, const CalibrationCase& c) {
 }
 
 TEST(FastDevice, BatchedCcmMixedWithGcmMatchesReferencesAndStamps) {
-  // Deferred batch compute: each wave is submitted to an idle 4-core
-  // device, so all of a wave's first four jobs are dispatched in one step
-  // and computed as one batch at the first retirement — four CCM jobs side
-  // by side (AES-128 and AES-256 keys, so the batch groups lanes by round
-  // count), CCM beside GCM, and seals beside opens (some tampered), with
-  // deeper waves queueing behind busy cores. Every result must equal the
-  // crypto::* reference, and every stamp the cost model's (pinned: batching
-  // moves no cycle).
+  // Deferred compute: each wave is submitted to an idle 4-core device, so
+  // all of a wave's first four jobs are dispatched in one step, and each
+  // CCM job's lane runs beside the other running CCM lanes of its round
+  // count as jobs retire — four CCM jobs side by side (AES-128 and AES-256
+  // keys, so lanes group by round count), CCM beside GCM, and seals beside
+  // opens (some tampered), with deeper waves queueing behind busy cores.
+  // Every result must equal the crypto::* reference, and every stamp the
+  // cost model's (pinned: when the host computes moves no cycle).
   FastDevice dev({.num_cores = 4});
   Rng rng(2024);
   const Bytes key1 = rng.bytes(16), key2 = rng.bytes(32);
@@ -250,25 +251,25 @@ TEST(FastDevice, BatchedCcmMixedWithGcmMatchesReferencesAndStamps) {
     return c;
   };
   std::vector<std::vector<Case>> waves(4);
-  // Four CCM seals: one four-lane batch.
+  // Four CCM seals: four lanes.
   waves[0] = {make(ccm1, 4096, false, false), make(ccm2, 1000, false, false),
               make(ccm1, 17, false, false), make(ccm2, 2048, false, false)};
   // Two CCM beside two GCM, seals and opens.
   waves[1] = {make(gcm1, 512, false, false), make(ccm1, 3000, true, false),
               make(gcm2, 4000, true, false), make(ccm2, 0, false, false)};
-  // Nine jobs on four cores: batches as cores free up.
+  // Nine jobs on four cores: lanes refill as cores free up.
   waves[2] = {make(ccm1, 1500, true, true),  make(ccm2, 2500, true, false),
               make(ccm1, 64, false, false),  make(ccm2, 255, true, false),
               make(gcm1, 700, true, true),   make(ccm1, 4080, false, false),
               make(gcm2, 33, false, false),  make(ccm2, 1024, true, true),
               make(ccm1, 160, true, false)};
-  // Five CCM opens of one key: a four-lane batch, then one.
+  // Five CCM opens of one key: four lanes, then one.
   waves[3] = {make(ccm1, 800, true, false), make(ccm1, 801, true, false),
               make(ccm1, 1600, true, true), make(ccm1, 16, true, false),
               make(ccm1, 2222, true, false)};
 
   // (submit, accept, complete) per job: the cost model's stamps, which
-  // batching must not move.
+  // the lanes must not move.
   const std::vector<std::array<sim::Cycle, 3>> want_stamps = {
       {0, 25, 27124}, {0, 25, 9164}, {0, 25, 708}, {0, 25, 18004}, {27124, 27149, 29193},
       {27124, 27149, 47038}, {27124, 27149, 43967}, {27124, 27149, 27490}, {47038, 47063, 57132},
@@ -292,6 +293,130 @@ TEST(FastDevice, BatchedCcmMixedWithGcmMatchesReferencesAndStamps) {
     }
   }
   EXPECT_EQ(stamps, want_stamps);
+}
+
+// -- live CCM lanes ------------------------------------------------------------
+//
+// A running CCM job is parked in its device's crypto::CcmLanes from
+// dispatch to retirement, and each retirement advances the other parked
+// lanes. These cases retire, forget, re-key and (fault_injection_test)
+// kill around lanes that are part way through; the ASan/UBSan job runs
+// them.
+
+/// A CCM seal, or the open of a fresh seal (tampered on request), of `len`
+/// bytes on `ch` under `key`, and the result the reference expects.
+struct CcmCase {
+  JobSpec spec;
+  bool want_ok = true;
+  Bytes want_payload, want_tag;
+};
+CcmCase ccm_case(Rng& rng, const ChannelInfo& ch, const Bytes& key, std::size_t len, bool open,
+                 bool tamper = false) {
+  CcmCase c;
+  JobSpec& s = c.spec;
+  s.channel = ch;
+  s.iv_or_nonce = rng.bytes(ch.nonce_len);
+  s.aad = rng.bytes(len % 2 == 0 ? 11 : 0);
+  const Bytes pt = rng.bytes(len);
+  auto sealed = crypto::ccm_seal(crypto::aes_expand_key(key), {ch.tag_len, ch.nonce_len},
+                                 s.iv_or_nonce, s.aad, pt);
+  if (!open) {
+    s.payload = pt;
+    c.want_payload = std::move(sealed.ciphertext);
+    c.want_tag = std::move(sealed.tag);
+    return c;
+  }
+  s.decrypt = true;
+  s.payload = std::move(sealed.ciphertext);
+  s.tag = std::move(sealed.tag);
+  if (tamper) s.tag[0] ^= 0x01;
+  c.want_ok = !tamper;
+  if (!tamper) c.want_payload = pt;
+  return c;
+}
+
+void expect_ccm_result(const Device& dev, DeviceJobId id, const CcmCase& c) {
+  const JobResult* r = dev.result(id);
+  ASSERT_NE(r, nullptr) << id;
+  ASSERT_TRUE(r->complete) << id;
+  EXPECT_EQ(r->auth_ok, c.want_ok) << id;
+  EXPECT_EQ(r->payload, c.want_payload) << id;
+  EXPECT_EQ(r->tag, c.want_tag) << id;
+}
+
+TEST(FastDeviceLanes, ForgettingARunningCcmJobKeepsItsLaneAndItsPartners) {
+  // Four CCM jobs start together; the first step retires the shortest,
+  // which advances the other three lanes part way. Forgetting one of
+  // those (still running) is a no-op: its lane stays parked and finishes
+  // at its retirement, as do its partners'. Forgetting the retired one
+  // drops its result.
+  FastDevice dev({.num_cores = 4});
+  Rng rng(4040);
+  const Bytes key = rng.bytes(16);
+  dev.provision_key(1, key);
+  const ChannelInfo ch = *dev.open_channel(ChannelMode::kCcm, 1, 8, 13);
+  const std::vector<CcmCase> cases = {ccm_case(rng, ch, key, 3000, false),
+                                      ccm_case(rng, ch, key, 500, true),
+                                      ccm_case(rng, ch, key, 9001, true),
+                                      ccm_case(rng, ch, key, 6000, true, /*tamper=*/true)};
+  std::vector<DeviceJobId> ids;
+  for (const CcmCase& c : cases) ids.push_back(dev.submit(c.spec));
+  dev.step();
+  expect_ccm_result(dev, ids[1], cases[1]);
+  for (std::size_t i : {0u, 2u, 3u}) ASSERT_FALSE(dev.result(ids[i])->complete) << i;
+  dev.forget(ids[2]);
+  dev.forget(ids[1]);
+  EXPECT_EQ(dev.result(ids[1]), nullptr);
+  ASSERT_NE(dev.result(ids[2]), nullptr) << "forgetting a running job is a no-op";
+  while (!dev.idle()) dev.step();
+  for (std::size_t i : {0u, 2u, 3u}) expect_ccm_result(dev, ids[i], cases[i]);
+}
+
+TEST(FastDeviceLanes, KeyRotationWhileCcmPacketsRunKeepsEachJobsDispatchKey) {
+  // Three AES-128 CCM jobs start; the shortest retires first and the
+  // other two run part way. The key is then rotated twice, to another
+  // AES-128 key and to an AES-256 key, and a job is dispatched under each
+  // (each step dispatches it, then retires the next job due), so lanes of
+  // different key generations, some of one round count, run together.
+  // Each job must use the bundle in force at its dispatch.
+  FastDevice dev({.num_cores = 4});
+  Rng rng(4141);
+  const Bytes k0 = rng.bytes(16), k1 = rng.bytes(16), k2 = rng.bytes(32);
+  dev.provision_key(1, k0);
+  const ChannelInfo ch = *dev.open_channel(ChannelMode::kCcm, 1, 16, 13);
+  std::vector<CcmCase> cases = {ccm_case(rng, ch, k0, 4000, false),
+                                ccm_case(rng, ch, k0, 700, false),
+                                ccm_case(rng, ch, k0, 2500, true)};
+  std::vector<DeviceJobId> ids;
+  for (const CcmCase& c : cases) ids.push_back(dev.submit(c.spec));
+  dev.step();
+  ASSERT_TRUE(dev.result(ids[1])->complete);
+  ASSERT_FALSE(dev.result(ids[0])->complete || dev.result(ids[2])->complete);
+  for (const Bytes* key : {&k1, &k2}) {
+    dev.provision_key(1, *key);
+    cases.push_back(ccm_case(rng, ch, *key, 1800, cases.size() % 2 == 0));
+    ids.push_back(dev.submit(cases.back().spec));
+    dev.step();
+  }
+  ASSERT_FALSE(dev.result(ids[0])->complete) << "the first lane must outlive both rotations";
+  while (!dev.idle()) dev.step();
+  for (std::size_t i = 0; i < cases.size(); ++i) expect_ccm_result(dev, ids[i], cases[i]);
+}
+
+TEST(FastDevice, ServesTheLongestCcmPayloadATwoByteLengthFieldHolds) {
+  // With a 13-byte nonce, B0's length field has two bytes: 65 535 B is the
+  // longest payload (65 536 B is refused at submit, see DeviceLifecycle).
+  FastDevice dev({.num_cores = 2});
+  Rng rng(65535);
+  const Bytes key = rng.bytes(16);
+  dev.provision_key(1, key);
+  const ChannelInfo ch = *dev.open_channel(ChannelMode::kCcm, 1, 16, 13);
+  const std::vector<CcmCase> cases = {ccm_case(rng, ch, key, 65535, false),
+                                      ccm_case(rng, ch, key, 65535, true)};
+  std::vector<DeviceJobId> ids;
+  for (const CcmCase& c : cases) ids.push_back(dev.submit(c.spec));
+  while (!dev.idle()) dev.step();
+  for (std::size_t i = 0; i < cases.size(); ++i) expect_ccm_result(dev, ids[i], cases[i]);
 }
 
 // The cost model's header count is the header field the stream formatters

@@ -2,7 +2,8 @@
 // freeze semantics (clock clamp, control-plane rejection, deterministic
 // completion masking at the kill boundary), dynamic membership
 // (add_device / remove_device with drain + channel migration + stranded-job
-// resubmission), the typed DeviceDrainingError / DeviceRemovedError
+// resubmission, CCM packets parked in a FastDevice's lanes among them),
+// the typed DeviceDrainingError / DeviceRemovedError
 // surface, membership edge cases (last device, add after an idle jump,
 // remove mid-swap), and serial==threaded determinism of a faulting fleet —
 // on BOTH backends throughout.
@@ -15,6 +16,7 @@
 
 #include "common/hex.h"
 #include "common/rng.h"
+#include "crypto/ccm.h"
 #include "crypto/gcm.h"
 #include "crypto/whirlpool.h"
 #include "host/cost_model.h"
@@ -208,6 +210,57 @@ TEST(Engine, KillMidBurstResubmitsStrandedJobsOnBothBackends) {
   }
   EXPECT_EQ(resubmitted[Backend::kSim], resubmitted[Backend::kFast])
       << "the kill boundary must slice the in-flight set identically";
+}
+
+TEST(Engine, KillWhileCcmPacketsRunResubmitsThemOnAFastFleet) {
+  // A FastDevice dies with CCM packets parked in its lanes, some advanced
+  // part way beside packets that retired before the kill. remove_device()
+  // destroys it with those lanes still parked and resubmits the stranded
+  // packets; every result must be the software reference.
+  constexpr sim::Cycle kKillAt = 20'000;
+  Rng rng(31);
+  const Bytes key = rng.bytes(16);
+  const auto keys = crypto::aes_expand_key(key);
+  const crypto::CcmParams p{.tag_len = 8, .nonce_len = 13};
+
+  EngineConfig cfg = fleet_config(Backend::kFast, {.num_cores = 4}, 2);
+  cfg.faults.push_back({.device = 0, .kill_at_cycle = kKillAt});
+  Engine engine(cfg);
+  engine.provision_key(1, key);
+  Channel a = engine.open_channel(ChannelMode::kCcm, 1, 8, 13);  // device 0
+  Channel b = engine.open_channel(ChannelMode::kCcm, 1, 8, 13);  // device 1
+  ASSERT_TRUE(a.valid() && b.valid());
+  ASSERT_NE(a.device_index(), b.device_index());
+
+  struct Pkt {
+    Bytes nonce, pt;
+    crypto::CcmSealed sealed;
+    bool open;
+    Completion job;
+  };
+  std::vector<Pkt> pkts;
+  for (int i = 0; i < 20; ++i) {
+    Pkt pk{rng.bytes(13), rng.bytes(256 + rng.next_below(8000)), {}, i % 3 == 1, {}};
+    pk.sealed = crypto::ccm_seal(keys, p, pk.nonce, {}, pk.pt);
+    Channel& ch = i % 2 ? b : a;
+    pk.job = pk.open ? engine.submit_decrypt(ch, pk.nonce, {}, pk.sealed.ciphertext, pk.sealed.tag)
+                     : engine.submit_encrypt(ch, pk.nonce, {}, pk.pt);
+    pkts.push_back(std::move(pk));
+  }
+  engine.advance_to(kKillAt + 1);
+  ASSERT_EQ(engine.failed_devices(), std::vector<std::size_t>{0});
+  const DrainReport dr = engine.remove_device(0);
+  EXPECT_GT(dr.resubmitted_jobs, 0u) << "the kill must strand running packets";
+  EXPECT_LT(dr.resubmitted_jobs, 10u) << "some packets must retire before the kill";
+  EXPECT_EQ(dr.lost_jobs, 0u);
+
+  engine.wait_all();
+  for (std::size_t i = 0; i < pkts.size(); ++i) {
+    const JobResult& r = pkts[i].job.result();
+    ASSERT_TRUE(r.complete && r.auth_ok) << i;
+    EXPECT_EQ(r.payload, pkts[i].open ? pkts[i].pt : pkts[i].sealed.ciphertext) << i;
+    EXPECT_EQ(r.tag, pkts[i].open ? Bytes{} : pkts[i].sealed.tag) << i;
+  }
 }
 
 // -- kill mid-swap ------------------------------------------------------------

@@ -6,8 +6,8 @@
 // The FastDevice side is arranged so the running job is not yet computed
 // when the key rotates: a partial reconfiguration of the other slot ends
 // before the job does, so the first step() stops at the swap's end cycle
-// with the job dispatched and nothing retired (FastDevice computes a batch
-// only when it retires a job).
+// with the job dispatched and nothing retired (FastDevice runs a payload
+// only when a job retires).
 #include <gtest/gtest.h>
 
 #include <memory>
