@@ -249,10 +249,17 @@ CcmJob& CcmLanes::finish(std::size_t handle) {
 
 void ccm_batch(std::span<CcmJob> jobs) {
   for (const CcmJob& job : jobs) ccm_check(job);
-  CcmLanes lanes(jobs.size());
-  // A fresh manager hands out handles 0, 1, ... in submit order.
-  for (CcmJob& job : jobs) lanes.submit(std::move(job));
-  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i] = std::move(lanes.finish(i));
+  // One manager per thread, kept between batches so a batch no larger
+  // than an earlier one allocates no slots. Between batches it holds no
+  // live job, so it hands out handles 0, 1, ... in submit order.
+  thread_local CcmLanes lanes;
+  try {
+    for (CcmJob& job : jobs) lanes.submit(std::move(job));
+    for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i] = std::move(lanes.finish(i));
+  } catch (...) {
+    lanes = CcmLanes();  // drop a half-run batch's lanes
+    throw;
+  }
 }
 
 CcmSealed ccm_seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce, ByteSpan aad,

@@ -162,8 +162,8 @@ class CcmLanes {
 };
 
 /// Seal or open every job, mixed directions, keys and key sizes in any
-/// order: submit all to one CcmLanes, then finish all. Jobs of equal AES
-/// round count share kernel calls. Throws
+/// order: submit all to the calling thread's CcmLanes, then finish all.
+/// Jobs of equal AES round count share kernel calls. Throws
 /// std::invalid_argument, before any job runs, on bad parameters, a nonce
 /// of the wrong length or a message too long for the nonce length. An open
 /// whose tag is not tag_len bytes fails (!ok) without being computed. A

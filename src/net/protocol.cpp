@@ -1,7 +1,10 @@
 #include "net/protocol.h"
 
-#include <cstring>
+#include <concepts>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 namespace mccp::net {
 
@@ -22,6 +25,21 @@ const char* error_code_name(ErrorCode code) {
   return "unknown_error";
 }
 
+template <Op op, class F>
+constexpr bool kOpIs =
+    std::is_same_v<std::variant_alternative_t<static_cast<std::size_t>(op) - 1, Frame>, F>;
+static_assert(std::variant_size_v<Frame> == static_cast<std::size_t>(Op::kGoodbye) &&
+                  kOpIs<Op::kHello, HelloFrame> && kOpIs<Op::kWelcome, WelcomeFrame> &&
+                  kOpIs<Op::kError, ErrorFrame> && kOpIs<Op::kAck, AckFrame> &&
+                  kOpIs<Op::kProvisionKey, ProvisionKeyFrame> &&
+                  kOpIs<Op::kOpenChannel, OpenChannelFrame> && kOpIs<Op::kOpenOk, OpenOkFrame> &&
+                  kOpIs<Op::kCloseChannel, CloseChannelFrame> &&
+                  kOpIs<Op::kSubmit, SubmitFrame> && kOpIs<Op::kSubmitBatch, SubmitBatchFrame> &&
+                  kOpIs<Op::kCompletion, CompletionFrame> &&
+                  kOpIs<Op::kStatsSubscribe, StatsSubscribeFrame> &&
+                  kOpIs<Op::kStats, StatsFrame> && kOpIs<Op::kGoodbye, GoodbyeFrame>,
+              "frame_op: Frame's alternatives must be in opcode order");
+
 const char* op_name(Op op) {
   switch (op) {
     case Op::kHello: return "HELLO";
@@ -40,26 +58,6 @@ const char* op_name(Op op) {
     case Op::kGoodbye: return "GOODBYE";
   }
   return "UNKNOWN";
-}
-
-Op frame_op(const Frame& frame) {
-  struct Visitor {
-    Op operator()(const HelloFrame&) const { return Op::kHello; }
-    Op operator()(const WelcomeFrame&) const { return Op::kWelcome; }
-    Op operator()(const ErrorFrame&) const { return Op::kError; }
-    Op operator()(const AckFrame&) const { return Op::kAck; }
-    Op operator()(const ProvisionKeyFrame&) const { return Op::kProvisionKey; }
-    Op operator()(const OpenChannelFrame&) const { return Op::kOpenChannel; }
-    Op operator()(const OpenOkFrame&) const { return Op::kOpenOk; }
-    Op operator()(const CloseChannelFrame&) const { return Op::kCloseChannel; }
-    Op operator()(const SubmitFrame&) const { return Op::kSubmit; }
-    Op operator()(const SubmitBatchFrame&) const { return Op::kSubmitBatch; }
-    Op operator()(const CompletionFrame&) const { return Op::kCompletion; }
-    Op operator()(const StatsSubscribeFrame&) const { return Op::kStatsSubscribe; }
-    Op operator()(const StatsFrame&) const { return Op::kStats; }
-    Op operator()(const GoodbyeFrame&) const { return Op::kGoodbye; }
-  };
-  return std::visit(Visitor{}, frame);
 }
 
 // ---- Reader / Writer --------------------------------------------------------
@@ -140,147 +138,197 @@ void Writer::bytes32(ByteSpan b) {
   out_.insert(out_.end(), b.begin(), b.end());
 }
 
-void Writer::str8(const std::string& s) {
+void Writer::str8(std::string_view s) {
   if (s.size() > 255) throw std::length_error("net: str8 field exceeds 255 bytes");
   u8(static_cast<std::uint8_t>(s.size()));
   out_.insert(out_.end(), s.begin(), s.end());
 }
 
-// ---- encode -----------------------------------------------------------------
+// ---- field lists ------------------------------------------------------------
+//
+// Each frame's wire layout is written once, as a `fields(io, frame)` list
+// that a Writer runs to encode and a Reader runs to decode (the Reader's
+// by-reference getters fill the frame in place). The few fields whose wire
+// form is not their type's go through a write/read pair of helpers.
 
 namespace {
 
-void encode_submit_job(Writer& w, const SubmitJob& job) {
-  w.u64(job.job_id);
-  w.u8(job.decrypt ? 1 : 0);
-  w.u8(job.priority);
-  w.bytes8(job.iv);
-  w.bytes32(job.aad);
-  w.bytes32(job.payload);
-  w.bytes8(job.tag);
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
+
+/// HELLO's first field: written on encode, checked on decode.
+void magic(Writer& w) { w.u32(kHelloMagic); }
+void magic(Reader& r) {
+  if (r.u32() != kHelloMagic) r.refuse();
 }
 
-SubmitJob decode_submit_job(Reader& r) {
-  SubmitJob job;
-  job.job_id = r.u64();
-  job.decrypt = r.u8() != 0;
-  job.priority = r.u8();
-  job.iv = r.bytes8();
-  job.aad = r.bytes32();
-  job.payload = r.bytes32();
-  job.tag = r.bytes8();
-  return job;
+/// Bools travel as u8 (any nonzero byte reads as true).
+void flag(Writer& w, bool v) { w.u8(v ? 1 : 0); }
+void flag(Reader& r, bool& v) { v = r.u8() != 0; }
+
+void code(Writer& w, ErrorCode c) { w.u16(static_cast<std::uint16_t>(c)); }
+void code(Reader& r, ErrorCode& c) { c = static_cast<ErrorCode>(r.u16()); }
+
+/// ERROR's message is diagnostics: one over 255 bytes is cut, not refused.
+void message(Writer& w, std::string_view s) { w.str8(s.substr(0, 255)); }
+void message(Reader& r, std::string& s) { r.str8(s); }
+
+/// The job record of SUBMIT and SUBMIT_BATCH.
+template <class Io, Is<SubmitJob> J>
+void fields(Io& io, J& job) {
+  io.u64(job.job_id);
+  flag(io, job.decrypt);
+  io.u8(job.priority);
+  io.bytes8(job.iv);
+  io.bytes32(job.aad);
+  io.bytes32(job.payload);
+  io.bytes8(job.tag);
 }
 
-void encode_completion_body(Writer& w, const CompletionView& c) {
-  w.u64(c.job_id);
-  w.u8(c.auth_ok ? 1 : 0);
-  w.u32(c.rejections);
-  w.u64(c.submit_cycle);
-  w.u64(c.accept_cycle);
-  w.u64(c.complete_cycle);
-  w.bytes32(c.payload);
-  w.bytes8(c.tag);
+/// SUBMIT_BATCH's u16 count and job records.
+void jobs(Writer& w, const std::vector<SubmitJob>& jobs) {
+  if (jobs.size() > 0xFFFF) throw std::length_error("net: SUBMIT_BATCH exceeds 65535 jobs");
+  w.u16(static_cast<std::uint16_t>(jobs.size()));
+  for (const SubmitJob& job : jobs) fields(w, job);
+}
+void jobs(Reader& r, std::vector<SubmitJob>& jobs) {
+  const std::size_t count = r.u16();
+  // Every job is at least 24 bytes on the wire; a count the remaining
+  // body cannot possibly hold is refused before any allocation.
+  if (count * 24 > r.remaining() + 24) return r.refuse();
+  jobs.reserve(count);
+  for (std::size_t i = 0; i < count && r.ok(); ++i) fields(r, jobs.emplace_back());
 }
 
-struct Encoder {
-  Writer& w;
+template <class Io, Is<HelloFrame> F>
+void fields(Io& io, F& f) {
+  magic(io);
+  io.u16(f.ver_min);
+  io.u16(f.ver_max);
+  io.u16(f.tenant);
+  io.str8(f.client_name);
+}
 
-  void operator()(const HelloFrame& f) const {
-    w.u32(kHelloMagic);
-    w.u16(f.ver_min);
-    w.u16(f.ver_max);
-    w.u16(f.tenant);
-    w.str8(f.client_name);
-  }
-  void operator()(const WelcomeFrame& f) const {
-    w.u16(f.version);
-    w.u8(f.backend);
-    w.u16(f.devices);
-    w.u16(f.cores_per_device);
-    w.str8(f.server_name);
-  }
-  void operator()(const ErrorFrame& f) const {
-    w.u16(static_cast<std::uint16_t>(f.code));
-    w.u64(f.ref);
-    w.str8(f.message.size() > 255 ? f.message.substr(0, 255) : f.message);
-  }
-  void operator()(const AckFrame& f) const { w.u32(f.request_id); }
-  void operator()(const ProvisionKeyFrame& f) const {
-    w.u32(f.request_id);
-    w.u8(f.key_id);
-    w.bytes8(f.key);
-  }
-  void operator()(const OpenChannelFrame& f) const {
-    w.u32(f.request_id);
-    w.u8(f.mode);
-    w.u8(f.key_id);
-    w.u8(f.tag_len);
-    w.u8(f.nonce_len);
-  }
-  void operator()(const OpenOkFrame& f) const {
-    w.u32(f.request_id);
-    w.u32(f.channel);
-    w.u8(f.mode);
-    w.u8(f.tag_len);
-    w.u8(f.nonce_len);
-    w.u16(f.device_index);
-  }
-  void operator()(const CloseChannelFrame& f) const {
-    w.u32(f.request_id);
-    w.u32(f.channel);
-  }
-  void operator()(const SubmitFrame& f) const {
-    w.u32(f.channel);
-    encode_submit_job(w, f.job);
-  }
-  void operator()(const SubmitBatchFrame& f) const {
-    w.u32(f.channel);
-    if (f.jobs.size() > 0xFFFF) throw std::length_error("net: SUBMIT_BATCH exceeds 65535 jobs");
-    w.u16(static_cast<std::uint16_t>(f.jobs.size()));
-    for (const SubmitJob& job : f.jobs) encode_submit_job(w, job);
-  }
-  void operator()(const CompletionFrame& f) const {
-    encode_completion_body(w, {.job_id = f.job_id,
-                               .auth_ok = f.auth_ok,
-                               .rejections = f.rejections,
-                               .submit_cycle = f.submit_cycle,
-                               .accept_cycle = f.accept_cycle,
-                               .complete_cycle = f.complete_cycle,
-                               .payload = f.payload,
-                               .tag = f.tag});
-  }
-  void operator()(const StatsSubscribeFrame& f) const {
-    w.u32(f.request_id);
-    w.u64(f.interval_cycles);
-  }
-  void operator()(const StatsFrame& f) const {
-    w.u64(f.engine_cycle);
-    w.u64(f.completed_jobs);
-    w.u64(f.inflight);
-    w.u64(f.reconfigurations);
-    w.u64(f.reconfig_stall_cycles);
-    w.u32(f.sessions);
-    w.u16(f.devices);
-  }
-  void operator()(const GoodbyeFrame&) const {}
-};
+template <class Io, Is<WelcomeFrame> F>
+void fields(Io& io, F& f) {
+  io.u16(f.version);
+  io.u8(f.backend);
+  io.u16(f.devices);
+  io.u16(f.cores_per_device);
+  io.str8(f.server_name);
+}
 
-/// Append the length prefix and opcode, let `body` write the rest, then
-/// patch the prefix; a frame over kMaxFrameBytes is taken back out.
-template <typename Body>
-void encode_framed(Op op, std::vector<std::uint8_t>& out, Body&& body) {
+template <class Io, Is<ErrorFrame> F>
+void fields(Io& io, F& f) {
+  code(io, f.code);
+  io.u64(f.ref);
+  message(io, f.message);
+}
+
+template <class Io, Is<AckFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.request_id);
+}
+
+template <class Io, Is<ProvisionKeyFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.request_id);
+  io.u8(f.key_id);
+  io.bytes8(f.key);
+}
+
+template <class Io, Is<OpenChannelFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.request_id);
+  io.u8(f.mode);
+  io.u8(f.key_id);
+  io.u8(f.tag_len);
+  io.u8(f.nonce_len);
+}
+
+template <class Io, Is<OpenOkFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.request_id);
+  io.u32(f.channel);
+  io.u8(f.mode);
+  io.u8(f.tag_len);
+  io.u8(f.nonce_len);
+  io.u16(f.device_index);
+}
+
+template <class Io, Is<CloseChannelFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.request_id);
+  io.u32(f.channel);
+}
+
+template <class Io, Is<SubmitFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.channel);
+  fields(io, f.job);
+}
+
+template <class Io, Is<SubmitBatchFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.channel);
+  jobs(io, f.jobs);
+}
+
+/// One list for the owned CompletionFrame and the borrowed CompletionView
+/// the server encodes a finished job from.
+template <class Io, class F>
+  requires Is<F, CompletionFrame> || Is<F, CompletionView>
+void fields(Io& io, F& f) {
+  io.u64(f.job_id);
+  flag(io, f.auth_ok);
+  io.u32(f.rejections);
+  io.u64(f.submit_cycle);
+  io.u64(f.accept_cycle);
+  io.u64(f.complete_cycle);
+  io.bytes32(f.payload);
+  io.bytes8(f.tag);
+}
+
+template <class Io, Is<StatsSubscribeFrame> F>
+void fields(Io& io, F& f) {
+  io.u32(f.request_id);
+  io.u64(f.interval_cycles);
+}
+
+template <class Io, Is<StatsFrame> F>
+void fields(Io& io, F& f) {
+  io.u64(f.engine_cycle);
+  io.u64(f.completed_jobs);
+  io.u64(f.inflight);
+  io.u64(f.reconfigurations);
+  io.u64(f.reconfig_stall_cycles);
+  io.u32(f.sessions);
+  io.u16(f.devices);
+}
+
+template <class Io, Is<GoodbyeFrame> F>
+void fields(Io&, F&) {}
+
+// ---- encode -----------------------------------------------------------------
+
+/// Append the length prefix and opcode, then `frame`'s fields, then patch
+/// the prefix. A frame that cannot be encoded (a field over its limit, or
+/// the whole over kMaxFrameBytes) is taken back out before the throw.
+template <class F>
+void encode_framed(Op op, const F& frame, std::vector<std::uint8_t>& out) {
   const std::size_t header_at = out.size();
-  Writer w(out);
-  w.u32(0);  // length placeholder
-  w.u8(static_cast<std::uint8_t>(op));
-  body(w);
-
-  const std::size_t length = out.size() - header_at - 4;
-  if (length > kMaxFrameBytes) {
+  try {
+    Writer w(out);
+    w.u32(0);  // length placeholder
+    w.u8(static_cast<std::uint8_t>(op));
+    fields(w, frame);
+    if (out.size() - header_at - 4 > kMaxFrameBytes)
+      throw std::length_error("net: encoded frame exceeds kMaxFrameBytes");
+  } catch (...) {
     out.resize(header_at);
-    throw std::length_error("net: encoded frame exceeds kMaxFrameBytes");
+    throw;
   }
+  const std::size_t length = out.size() - header_at - 4;
   for (int i = 0; i < 4; ++i)
     out[header_at + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(length >> (8 * i));
@@ -289,11 +337,11 @@ void encode_framed(Op op, std::vector<std::uint8_t>& out, Body&& body) {
 }  // namespace
 
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
-  encode_framed(frame_op(frame), out, [&frame](Writer& w) { std::visit(Encoder{w}, frame); });
+  std::visit([&](const auto& f) { encode_framed(frame_op(frame), f, out); }, frame);
 }
 
 void encode_completion(const CompletionView& c, std::vector<std::uint8_t>& out) {
-  encode_framed(Op::kCompletion, out, [&c](Writer& w) { encode_completion_body(w, c); });
+  encode_framed(Op::kCompletion, c, out);
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
@@ -314,143 +362,10 @@ Decoded bad(ErrorCode code, std::string why) {
   return d;
 }
 
-/// Body decoder for one opcode; Reader is already positioned past the
-/// opcode byte. Returns false for an unknown opcode.
-bool decode_body(Op op, Reader& r, Frame& out) {
-  switch (op) {
-    case Op::kHello: {
-      HelloFrame f;
-      if (r.u32() != kHelloMagic) return false;
-      f.ver_min = r.u16();
-      f.ver_max = r.u16();
-      f.tenant = r.u16();
-      f.client_name = r.str8();
-      out = std::move(f);
-      return true;
-    }
-    case Op::kWelcome: {
-      WelcomeFrame f;
-      f.version = r.u16();
-      f.backend = r.u8();
-      f.devices = r.u16();
-      f.cores_per_device = r.u16();
-      f.server_name = r.str8();
-      out = std::move(f);
-      return true;
-    }
-    case Op::kError: {
-      ErrorFrame f;
-      f.code = static_cast<ErrorCode>(r.u16());
-      f.ref = r.u64();
-      f.message = r.str8();
-      out = std::move(f);
-      return true;
-    }
-    case Op::kAck: {
-      AckFrame f;
-      f.request_id = r.u32();
-      out = f;
-      return true;
-    }
-    case Op::kProvisionKey: {
-      ProvisionKeyFrame f;
-      f.request_id = r.u32();
-      f.key_id = r.u8();
-      f.key = r.bytes8();
-      out = std::move(f);
-      return true;
-    }
-    case Op::kOpenChannel: {
-      OpenChannelFrame f;
-      f.request_id = r.u32();
-      f.mode = r.u8();
-      f.key_id = r.u8();
-      f.tag_len = r.u8();
-      f.nonce_len = r.u8();
-      out = f;
-      return true;
-    }
-    case Op::kOpenOk: {
-      OpenOkFrame f;
-      f.request_id = r.u32();
-      f.channel = r.u32();
-      f.mode = r.u8();
-      f.tag_len = r.u8();
-      f.nonce_len = r.u8();
-      f.device_index = r.u16();
-      out = f;
-      return true;
-    }
-    case Op::kCloseChannel: {
-      CloseChannelFrame f;
-      f.request_id = r.u32();
-      f.channel = r.u32();
-      out = f;
-      return true;
-    }
-    case Op::kSubmit: {
-      SubmitFrame f;
-      f.channel = r.u32();
-      f.job = decode_submit_job(r);
-      out = std::move(f);
-      return true;
-    }
-    case Op::kSubmitBatch: {
-      SubmitBatchFrame f;
-      f.channel = r.u32();
-      std::size_t count = r.u16();
-      // Every job is at least 24 bytes on the wire; a count the remaining
-      // body cannot possibly hold is rejected before any allocation.
-      if (count * 24 > r.remaining() + 24) return false;
-      f.jobs.reserve(count);
-      for (std::size_t i = 0; i < count && r.ok(); ++i)
-        f.jobs.push_back(decode_submit_job(r));
-      out = std::move(f);
-      return true;
-    }
-    case Op::kCompletion: {
-      CompletionFrame f;
-      f.job_id = r.u64();
-      f.auth_ok = r.u8() != 0;
-      f.rejections = r.u32();
-      f.submit_cycle = r.u64();
-      f.accept_cycle = r.u64();
-      f.complete_cycle = r.u64();
-      f.payload = r.bytes32();
-      f.tag = r.bytes8();
-      out = std::move(f);
-      return true;
-    }
-    case Op::kStatsSubscribe: {
-      StatsSubscribeFrame f;
-      f.request_id = r.u32();
-      f.interval_cycles = r.u64();
-      out = f;
-      return true;
-    }
-    case Op::kStats: {
-      StatsFrame f;
-      f.engine_cycle = r.u64();
-      f.completed_jobs = r.u64();
-      f.inflight = r.u64();
-      f.reconfigurations = r.u64();
-      f.reconfig_stall_cycles = r.u64();
-      f.sessions = r.u32();
-      f.devices = r.u16();
-      out = f;
-      return true;
-    }
-    case Op::kGoodbye: {
-      out = GoodbyeFrame{};
-      return true;
-    }
-  }
-  return false;
-}
-
-bool known_op(std::uint8_t op) {
-  return op >= static_cast<std::uint8_t>(Op::kHello) &&
-         op <= static_cast<std::uint8_t>(Op::kGoodbye);
+/// Make `out` the Frame alternative `index` and read its fields from `r`.
+template <std::size_t... I>
+void decode_fields(std::size_t index, Reader& r, Frame& out, std::index_sequence<I...>) {
+  ((I == index && (fields(r, out.emplace<I>()), true)) || ...);
 }
 
 }  // namespace
@@ -471,24 +386,20 @@ Decoded decode_frame(std::span<const std::uint8_t> buf) {
   if (buf.size() - 4 < length) return d;  // kNeedMore
 
   const std::uint8_t op_byte = buf[4];
-  if (!known_op(op_byte))
+  if (op_byte == 0 || op_byte > std::variant_size_v<Frame>)
     return bad(ErrorCode::kUnknownOpcode, "unknown opcode " + std::to_string(op_byte));
+  const char* name = op_name(static_cast<Op>(op_byte));
 
   Reader r(buf.subspan(5, length - 1));
-  Frame frame;
-  if (!decode_body(static_cast<Op>(op_byte), r, frame))
-    return bad(ErrorCode::kMalformedFrame,
-               std::string("undecodable ") + op_name(static_cast<Op>(op_byte)) + " body");
-  if (!r.ok())
-    return bad(ErrorCode::kMalformedFrame,
-               std::string(op_name(static_cast<Op>(op_byte))) + " body truncated");
+  decode_fields(op_byte - 1u, r, d.frame, std::make_index_sequence<std::variant_size_v<Frame>>());
+  if (r.refused())
+    return bad(ErrorCode::kMalformedFrame, std::string("undecodable ") + name + " body");
+  if (!r.ok()) return bad(ErrorCode::kMalformedFrame, std::string(name) + " body truncated");
   if (!r.exhausted())
-    return bad(ErrorCode::kMalformedFrame,
-               std::string(op_name(static_cast<Op>(op_byte))) + " body has " +
-                   std::to_string(r.remaining()) + " trailing bytes");
+    return bad(ErrorCode::kMalformedFrame, std::string(name) + " body has " +
+                                               std::to_string(r.remaining()) + " trailing bytes");
 
   d.status = DecodeStatus::kFrame;
-  d.frame = std::move(frame);
   d.consumed = 4u + length;
   return d;
 }

@@ -16,6 +16,12 @@
 //   u8  opcode     Op below
 //   ...body        per-opcode layout (docs/PROTOCOL.md has the full tables)
 //
+// A frame's body layout is defined in one place: its field list in
+// protocol.cpp (`fields(io, frame)`), which a Writer runs to encode and a
+// Reader runs to decode. The opcode is the frame's Frame alternative index
+// + 1 (checked below). Protocol.EveryWireLayoutIsPinned holds every
+// frame's bytes to docs/PROTOCOL.md's tables.
+//
 // A connection starts with HELLO (magic + supported version range) and is
 // answered by WELCOME (chosen version + fleet shape) or a typed ERROR.
 // Control ops (PROVISION_KEY / OPEN_CHANNEL / CLOSE_CHANNEL /
@@ -34,6 +40,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -206,14 +213,16 @@ using Frame = std::variant<HelloFrame, WelcomeFrame, ErrorFrame, AckFrame, Provi
                            SubmitBatchFrame, CompletionFrame, StatsSubscribeFrame, StatsFrame,
                            GoodbyeFrame>;
 
-Op frame_op(const Frame& frame);
+/// A frame's opcode is its Frame alternative's index + 1 (protocol.cpp
+/// checks that the two orders agree).
+inline Op frame_op(const Frame& frame) { return static_cast<Op>(frame.index() + 1); }
 const char* op_name(Op op);
 
 // ---- encode -----------------------------------------------------------------
 
 /// Append the length-prefixed encoding of `frame` to `out`. Throws
-/// std::length_error if a field exceeds its wire limit (string > 255,
-/// iv/tag > 255, frame > kMaxFrameBytes).
+/// std::length_error, leaving `out` as it was, if a field exceeds its wire
+/// limit (string > 255, iv/tag > 255, frame > kMaxFrameBytes).
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out);
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
@@ -231,7 +240,7 @@ struct CompletionView {
 };
 
 /// Append one COMPLETION frame. encode_frame writes a CompletionFrame
-/// through the same body encoder, so the two produce identical bytes.
+/// through the same field list, so the two produce identical bytes.
 void encode_completion(const CompletionView& c, std::vector<std::uint8_t>& out);
 
 // ---- decode -----------------------------------------------------------------
@@ -275,6 +284,25 @@ class Reader {
   Bytes bytes32();
   std::string str8();
 
+  /// The same reads into a field, so a Reader runs the field lists that
+  /// a Writer encodes with.
+  void u8(std::uint8_t& v) { v = u8(); }
+  void u16(std::uint16_t& v) { v = u16(); }
+  void u32(std::uint32_t& v) { v = u32(); }
+  void u64(std::uint64_t& v) { v = u64(); }
+  void bytes8(Bytes& v) { v = bytes8(); }
+  void bytes32(Bytes& v) { v = bytes32(); }
+  void str8(std::string& v) { v = str8(); }
+
+  /// Latch !ok() on a value the frame cannot take (bad HELLO magic, a
+  /// SUBMIT_BATCH count the body cannot hold); decode_frame then reports
+  /// the body undecodable rather than truncated.
+  void refuse() {
+    ok_ = false;
+    refused_ = true;
+  }
+  bool refused() const { return refused_; }
+
   bool ok() const { return ok_; }
   std::size_t remaining() const { return data_.size() - pos_; }
   /// True when every byte of the body was consumed and nothing underflowed.
@@ -286,6 +314,7 @@ class Reader {
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool ok_ = true;
+  bool refused_ = false;
 };
 
 /// Little-endian appender; the encode_* counterpart of Reader. Each
@@ -300,7 +329,7 @@ class Writer {
   void u64(std::uint64_t v) { put_le(v); }
   void bytes8(ByteSpan b);   // u8 length prefix; throws above 255
   void bytes32(ByteSpan b);  // u32 length prefix
-  void str8(const std::string& s);
+  void str8(std::string_view s);
 
  private:
   template <typename T>

@@ -6,8 +6,9 @@
 // returning RemoteCompletion tokens with the same done()/result()/
 // on_done() contract as host::Completion. Code written for the
 // in-process engine ports by swapping types and replacing step-driven
-// pumping with poll() — which is exactly how the client-swarm scenario
-// replay (net/swarm.h) and examples/net_offload.cpp use it.
+// pumping with poll() — which is exactly how examples/net_offload.cpp
+// uses it. The client-swarm scenario replay (net/swarm.h) drives
+// net::Client directly instead.
 //
 // Same threading contract as Client: one thread per RemoteEngine.
 #pragma once

@@ -17,6 +17,10 @@ namespace mccp::net {
 
 namespace {
 
+/// Engine rounds per loop iteration: the slice of device time taken
+/// between socket servicings while work is in flight.
+constexpr std::size_t kStepRounds = 32;
+
 void set_nonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -159,7 +163,7 @@ void Server::run() {
 
     // A bounded slice of device time; completions land in session egress
     // queues via the callbacks registered at submit.
-    engine_->pump(config_.step_rounds);
+    engine_->pump(kStepRounds);
     push_stats();
 
     // Optimistic flush: completions enqueued this iteration go out now
@@ -297,6 +301,7 @@ void Server::handle_frame(Session& s, Frame frame) {
   struct Visitor {
     Server& srv;
     Session& s;
+    const Frame& frame;
 
     void operator()(HelloFrame&) {}  // handled above
     void operator()(ProvisionKeyFrame& f) {
@@ -359,20 +364,20 @@ void Server::handle_frame(Session& s, Frame frame) {
     }
     void operator()(GoodbyeFrame&) { s.closing = true; }
     // Server-to-client opcodes arriving at the server are a violation.
-    void operator()(WelcomeFrame&) { reject("WELCOME"); }
-    void operator()(ErrorFrame&) { reject("ERROR"); }
-    void operator()(AckFrame&) { reject("ACK"); }
-    void operator()(OpenOkFrame&) { reject("OPEN_OK"); }
-    void operator()(CompletionFrame&) { reject("COMPLETION"); }
-    void operator()(StatsFrame&) { reject("STATS"); }
+    void operator()(WelcomeFrame&) { reject(); }
+    void operator()(ErrorFrame&) { reject(); }
+    void operator()(AckFrame&) { reject(); }
+    void operator()(OpenOkFrame&) { reject(); }
+    void operator()(CompletionFrame&) { reject(); }
+    void operator()(StatsFrame&) { reject(); }
 
-    void reject(const char* op) {
-      srv.send_error(s, ErrorCode::kMalformedFrame,
-                     0, std::string(op) + " is a server-to-client frame");
+    void reject() {
+      srv.send_error(s, ErrorCode::kMalformedFrame, 0,
+                     std::string(op_name(frame_op(frame))) + " is a server-to-client frame");
       s.closing = true;
     }
   };
-  std::visit(Visitor{*this, s}, frame);
+  std::visit(Visitor{*this, s, frame}, frame);
 }
 
 void Server::handle_submit_jobs(Session& s, std::uint32_t channel,

@@ -61,9 +61,6 @@ struct ServerConfig {
   /// read (completions for already-accepted jobs may still exceed this by
   /// at most inflight_budget frames — the documented bound).
   std::size_t session_egress_cap = 4u << 20;
-  /// Engine rounds per loop iteration: the slice of device time taken
-  /// between socket servicings while work is in flight.
-  std::size_t step_rounds = 32;
   std::size_t max_sessions = 1024;
 };
 

@@ -113,6 +113,26 @@ struct Worker {
   std::exception_ptr error;
 };
 
+/// Account one seal's COMPLETION: release its window and tenant
+/// reservations, then count it into its class shard. Returns auth_ok.
+bool seal_completed(ClassShard& shard, Window& window, TenantGate* gate,
+                    const CompletionFrame& c) {
+  window.release();
+  if (gate != nullptr) gate->release();
+  ++shard.completed;
+  shard.busy_rejections += c.rejections;
+  shard.first_submit_cycle = std::min(shard.first_submit_cycle, c.submit_cycle);
+  shard.last_complete_cycle = std::max(shard.last_complete_cycle, c.complete_cycle);
+  if (!c.auth_ok) {
+    ++shard.auth_failures;
+    return false;
+  }
+  shard.latency.record(c.complete_cycle - c.submit_cycle);
+  if (c.accept_cycle > 0 && c.accept_cycle >= c.submit_cycle)
+    shard.service.record(c.complete_cycle - c.accept_cycle);
+  return true;
+}
+
 void run_worker(Worker& w, const workload::ScenarioSpec& spec, Window& window,
                 std::vector<TenantGate>& gates, int drain_ms) {
   Client& client = *w.client;
@@ -147,19 +167,7 @@ void run_worker(Worker& w, const workload::ScenarioSpec& spec, Window& window,
 
     if (!sj.gen.verify) {
       client.submit(channel, std::move(job), [&shard, &window, gate](const CompletionFrame& c) {
-        window.release();
-        if (gate != nullptr) gate->release();
-        ++shard.completed;
-        shard.busy_rejections += c.rejections;
-        shard.first_submit_cycle = std::min(shard.first_submit_cycle, c.submit_cycle);
-        shard.last_complete_cycle = std::max(shard.last_complete_cycle, c.complete_cycle);
-        if (!c.auth_ok) {
-          ++shard.auth_failures;
-          return;
-        }
-        shard.latency.record(c.complete_cycle - c.submit_cycle);
-        if (c.accept_cycle > 0 && c.accept_cycle >= c.submit_cycle)
-          shard.service.record(c.complete_cycle - c.accept_cycle);
+        seal_completed(shard, window, gate, c);
       });
       client.poll(0);
       continue;
@@ -174,19 +182,7 @@ void run_worker(Worker& w, const workload::ScenarioSpec& spec, Window& window,
         channel, std::move(job),
         [&client, &shard, &window, &next_job_id, verify_ctx, channel, priority, remac,
          gate](const CompletionFrame& c) {
-          window.release();
-          if (gate != nullptr) gate->release();
-          ++shard.completed;
-          shard.busy_rejections += c.rejections;
-          shard.first_submit_cycle = std::min(shard.first_submit_cycle, c.submit_cycle);
-          shard.last_complete_cycle = std::max(shard.last_complete_cycle, c.complete_cycle);
-          if (!c.auth_ok) {
-            ++shard.auth_failures;
-            return;  // nothing sealed to round-trip
-          }
-          shard.latency.record(c.complete_cycle - c.submit_cycle);
-          if (c.accept_cycle > 0 && c.accept_cycle >= c.submit_cycle)
-            shard.service.record(c.complete_cycle - c.accept_cycle);
+          if (!seal_completed(shard, window, gate, c)) return;  // nothing sealed to round-trip
 
           window.acquire_over();
           ++shard.decrypt_submitted;

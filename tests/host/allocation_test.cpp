@@ -5,13 +5,14 @@
 // every ring, bucket and list has already grown and the count is exact:
 // one JobState per packet plus the tag of each GCM/CCM seal. FastDevice
 // computes every payload in the job's own buffer, so results add no other
-// allocation.
+// allocation. A second case pins the copying CCM seal/open calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -168,6 +169,34 @@ TEST(Engine, SteadyStateJobPathAllocations) {
   // tags: 1.33 per packet); the job path itself adds none.
   EXPECT_EQ(allocations, expected) << per_packet << " allocations per packet";
   EXPECT_EQ(expected, 4000u);
+}
+
+TEST(Ccm, SealOpenPairAllocations) {
+  // ccm_seal allocates its ciphertext copy and its tag, ccm_open its
+  // plaintext copy; the lane manager underneath is the thread's own, kept
+  // between calls, so a seal+open pair allocates those three buffers only.
+  constexpr int kPairs = 100;
+  Rng rng(30);
+  const crypto::AesRoundKeys keys = crypto::aes_expand_key(rng.bytes(16));
+  const crypto::CcmParams params{16, 13};
+  const Bytes nonce = rng.bytes(13);
+  const Bytes aad = rng.bytes(16);
+  const Bytes pt = rng.bytes(2048);
+  auto seal_open = [&] {
+    const crypto::CcmSealed sealed = crypto::ccm_seal(keys, params, nonce, aad, pt);
+    const std::optional<Bytes> opened =
+        crypto::ccm_open(keys, params, nonce, aad, sealed.ciphertext, sealed.tag);
+    return opened.has_value() && *opened == pt;
+  };
+
+  ASSERT_TRUE(seal_open());  // warm-up: the thread's lane manager takes its slot
+  int verified = 0;
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < kPairs; ++i) verified += seal_open() ? 1 : 0;
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(verified, kPairs);
+  EXPECT_EQ(allocations, 3u * kPairs) << allocations << " allocations for " << kPairs << " pairs";
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // The decoder must reject cleanly (kBad/kNeedMore) and never over-read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -282,6 +283,34 @@ TEST(Protocol, EncodeRejectsOversizedFields) {
   SubmitFrame big;
   big.job.payload = Bytes(kMaxFrameBytes, 0);  // frame total over the cap
   EXPECT_THROW(encode_frame(Frame{big}), std::length_error);
+
+  // A frame that cannot be encoded leaves the buffer as it was, so a
+  // caller's queue of frames never holds a torn one.
+  for (const Frame& f : {Frame{hello}, Frame{submit}, Frame{big}}) {
+    std::vector<std::uint8_t> out = {0xEE};
+    EXPECT_THROW(encode_frame(f, out), std::length_error);
+    EXPECT_EQ(out, std::vector<std::uint8_t>{0xEE}) << op_name(frame_op(f));
+  }
+}
+
+TEST(Protocol, SubmitBatchCountBeyondTheBodyRefused) {
+  // Every job record is at least 24 bytes, so a count the rest of the body
+  // cannot hold is refused outright, before the decoder reserves room for
+  // the jobs; a count that could fit but is cut short reads as truncated.
+  for (std::uint16_t count : {std::uint16_t{2}, std::uint16_t{0xFFFF}}) {
+    const std::vector<std::uint8_t> wire = {7,    0,    0,    0,    0x0A, 1, 0, 0, 0,
+                                            static_cast<std::uint8_t>(count),
+                                            static_cast<std::uint8_t>(count >> 8)};
+    Decoded d = decode_frame(wire);
+    EXPECT_EQ(d.status, DecodeStatus::kBad) << count;
+    EXPECT_EQ(d.error_code, ErrorCode::kMalformedFrame) << count;
+    EXPECT_EQ(d.error, "undecodable SUBMIT_BATCH body") << count;
+  }
+  const std::vector<std::uint8_t> one = {7, 0, 0, 0, 0x0A, 1, 0, 0, 0, 1, 0};
+  Decoded d = decode_frame(one);
+  EXPECT_EQ(d.status, DecodeStatus::kBad);
+  EXPECT_EQ(d.error_code, ErrorCode::kMalformedFrame);
+  EXPECT_EQ(d.error, "SUBMIT_BATCH body truncated");
 }
 
 TEST(Protocol, ReaderLatchesOnUnderflow) {
@@ -295,36 +324,183 @@ TEST(Protocol, ReaderLatchesOnUnderflow) {
   EXPECT_FALSE(r.exhausted());
 }
 
-TEST(Protocol, CompletionWireLayoutIsPinned) {
-  // The COMPLETION layout of docs/PROTOCOL.md, byte by byte and built
-  // without the Writer: every fixed-width field little-endian.
-  CompletionFrame c;
-  c.job_id = 0x0102030405060708ull;
-  c.auth_ok = true;
-  c.rejections = 0x0A0B0C0Du;
-  c.submit_cycle = 0x1112131415161718ull;
-  c.accept_cycle = 0x2122232425262728ull;
-  c.complete_cycle = 0x3132333435363738ull;
-  c.payload = {0xA1, 0xA2, 0xA3};
-  c.tag = {0xB1, 0xB2};
+/// Wire bytes built by hand from docs/PROTOCOL.md's tables, without the
+/// Writer: every fixed-width field little-endian, every byte string after
+/// its length prefix.
+struct Wire {
+  std::vector<std::uint8_t> b;
 
-  std::vector<std::uint8_t> want;
-  auto le = [&want](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) want.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  Wire& le(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  Wire& raw(const std::vector<std::uint8_t>& bytes) {
+    b.insert(b.end(), bytes.begin(), bytes.end());
+    return *this;
+  }
+  Wire& text(const std::string& s) { return raw(std::vector<std::uint8_t>(s.begin(), s.end())); }
+  Wire& job(const SubmitJob& j) {
+    le(j.job_id, 8).le(j.decrypt ? 1 : 0, 1).le(j.priority, 1);
+    le(j.iv.size(), 1).raw(j.iv);
+    le(j.aad.size(), 4).raw(j.aad);
+    le(j.payload.size(), 4).raw(j.payload);
+    return le(j.tag.size(), 1).raw(j.tag);
+  }
+  /// The whole frame: length prefix (opcode + body), opcode, this body.
+  std::vector<std::uint8_t> frame(std::uint8_t op) const {
+    Wire w;
+    w.le(1 + b.size(), 4).le(op, 1).raw(b);
+    return w.b;
+  }
+};
+
+TEST(Protocol, EveryWireLayoutIsPinned) {
+  // Each frame type of docs/PROTOCOL.md against its bytes, with every
+  // field a distinct value so a dropped, swapped or resized field shows —
+  // also one dropped from encode and decode at once, which a round-trip
+  // cannot see. The bytes must decode back to a frame that encodes to them.
+  struct Case {
+    Frame frame;
+    std::vector<std::uint8_t> want;
   };
-  le(1 + 8 + 1 + 4 + 3 * 8 + 4 + 3 + 1 + 2, 4);  // length: opcode + body
-  want.push_back(0x0B);
-  le(c.job_id, 8);
-  want.push_back(1);
-  le(c.rejections, 4);
-  le(c.submit_cycle, 8);
-  le(c.accept_cycle, 8);
-  le(c.complete_cycle, 8);
-  le(c.payload.size(), 4);
-  want.insert(want.end(), c.payload.begin(), c.payload.end());
-  want.push_back(static_cast<std::uint8_t>(c.tag.size()));
-  want.insert(want.end(), c.tag.begin(), c.tag.end());
-  EXPECT_EQ(encode_frame(Frame{c}), want);
+  std::vector<Case> cases;
+
+  HelloFrame hello{.ver_min = 0x0102, .ver_max = 0x0304, .tenant = 0x0506, .client_name = "cli"};
+  cases.push_back({hello, Wire{}
+                              .le(0x5043434D, 4)
+                              .le(0x0102, 2)
+                              .le(0x0304, 2)
+                              .le(0x0506, 2)
+                              .le(3, 1)
+                              .text("cli")
+                              .frame(0x01)});
+
+  WelcomeFrame welcome{
+      .version = 0x0102, .backend = 0x03, .devices = 0x0405, .cores_per_device = 0x0607,
+      .server_name = "srv!"};
+  cases.push_back({welcome, Wire{}
+                                .le(0x0102, 2)
+                                .le(0x03, 1)
+                                .le(0x0405, 2)
+                                .le(0x0607, 2)
+                                .le(4, 1)
+                                .text("srv!")
+                                .frame(0x02)});
+
+  // A message over 255 bytes is cut to its first 255 on encode.
+  std::string long_message(300, 'm');
+  long_message[254] = 'z';
+  long_message[255] = 'y';
+  ErrorFrame error{.code = ErrorCode::kTenantQuotaExceeded, .ref = 0x0102030405060708ull,
+                   .message = long_message};
+  cases.push_back({error, Wire{}
+                              .le(10, 2)
+                              .le(0x0102030405060708ull, 8)
+                              .le(255, 1)
+                              .text(long_message.substr(0, 255))
+                              .frame(0x03)});
+
+  cases.push_back({AckFrame{.request_id = 0x01020304u}, Wire{}.le(0x01020304u, 4).frame(0x04)});
+
+  ProvisionKeyFrame key{.request_id = 0x01020304u, .key_id = 0x05, .key = {0xA1, 0xA2, 0xA3}};
+  cases.push_back({key, Wire{}
+                            .le(0x01020304u, 4)
+                            .le(0x05, 1)
+                            .le(3, 1)
+                            .raw(key.key)
+                            .frame(0x05)});
+
+  OpenChannelFrame open{
+      .request_id = 0x01020304u, .mode = 0x05, .key_id = 0x06, .tag_len = 0x07, .nonce_len = 0x08};
+  cases.push_back({open, Wire{}
+                             .le(0x01020304u, 4)
+                             .le(0x05, 1)
+                             .le(0x06, 1)
+                             .le(0x07, 1)
+                             .le(0x08, 1)
+                             .frame(0x06)});
+
+  OpenOkFrame open_ok{.request_id = 0x01020304u, .channel = 0x05060708u, .mode = 0x09,
+                      .tag_len = 0x0A, .nonce_len = 0x0B, .device_index = 0x0C0D};
+  cases.push_back({open_ok, Wire{}
+                                .le(0x01020304u, 4)
+                                .le(0x05060708u, 4)
+                                .le(0x09, 1)
+                                .le(0x0A, 1)
+                                .le(0x0B, 1)
+                                .le(0x0C0D, 2)
+                                .frame(0x07)});
+
+  CloseChannelFrame close{.request_id = 0x01020304u, .channel = 0x05060708u};
+  cases.push_back({close, Wire{}.le(0x01020304u, 4).le(0x05060708u, 4).frame(0x08)});
+
+  const SubmitJob job_a{.job_id = 0x0102030405060708ull, .decrypt = true, .priority = 0x09,
+                        .iv = {0xC1, 0xC2}, .aad = {0xD1, 0xD2, 0xD3},
+                        .payload = {0xE1, 0xE2, 0xE3, 0xE4}, .tag = {0xF1}};
+  const SubmitJob job_b{.job_id = 0x1112131415161718ull, .decrypt = false, .priority = 0x19,
+                        .iv = {0xC9}, .aad = {}, .payload = {0xE9, 0xEA}, .tag = {}};
+  SubmitFrame submit{.channel = 0x21222324u, .job = job_a};
+  cases.push_back({submit, Wire{}.le(0x21222324u, 4).job(job_a).frame(0x09)});
+
+  SubmitBatchFrame empty_batch{.channel = 0x21222324u, .jobs = {}};
+  cases.push_back({empty_batch, Wire{}.le(0x21222324u, 4).le(0, 2).frame(0x0A)});
+  SubmitBatchFrame batch{.channel = 0x31323334u, .jobs = {job_a, job_b}};
+  cases.push_back(
+      {batch, Wire{}.le(0x31323334u, 4).le(2, 2).job(job_a).job(job_b).frame(0x0A)});
+
+  CompletionFrame c{.job_id = 0x0102030405060708ull, .auth_ok = true, .rejections = 0x0A0B0C0Du,
+                    .submit_cycle = 0x1112131415161718ull,
+                    .accept_cycle = 0x2122232425262728ull,
+                    .complete_cycle = 0x3132333435363738ull, .payload = {0xA1, 0xA2, 0xA3},
+                    .tag = {0xB1, 0xB2}};
+  cases.push_back({c, Wire{}
+                          .le(c.job_id, 8)
+                          .le(1, 1)
+                          .le(c.rejections, 4)
+                          .le(c.submit_cycle, 8)
+                          .le(c.accept_cycle, 8)
+                          .le(c.complete_cycle, 8)
+                          .le(3, 4)
+                          .raw(c.payload)
+                          .le(2, 1)
+                          .raw(c.tag)
+                          .frame(0x0B)});
+
+  StatsSubscribeFrame sub{.request_id = 0x01020304u, .interval_cycles = 0x05060708090A0B0Cull};
+  cases.push_back(
+      {sub, Wire{}.le(0x01020304u, 4).le(0x05060708090A0B0Cull, 8).frame(0x0C)});
+
+  StatsFrame stats{.engine_cycle = 0x0102030405060708ull,
+                   .completed_jobs = 0x1112131415161718ull,
+                   .inflight = 0x2122232425262728ull,
+                   .reconfigurations = 0x3132333435363738ull,
+                   .reconfig_stall_cycles = 0x4142434445464748ull,
+                   .sessions = 0x51525354u,
+                   .devices = 0x6162};
+  cases.push_back({stats, Wire{}
+                              .le(stats.engine_cycle, 8)
+                              .le(stats.completed_jobs, 8)
+                              .le(stats.inflight, 8)
+                              .le(stats.reconfigurations, 8)
+                              .le(stats.reconfig_stall_cycles, 8)
+                              .le(stats.sessions, 4)
+                              .le(stats.devices, 2)
+                              .frame(0x0D)});
+
+  cases.push_back({GoodbyeFrame{}, Wire{}.frame(0x0E)});
+
+  std::vector<bool> covered(std::variant_size_v<Frame>, false);
+  for (const Case& k : cases) {
+    const char* name = op_name(frame_op(k.frame));
+    covered[k.frame.index()] = true;
+    EXPECT_EQ(encode_frame(k.frame), k.want) << name;
+    Decoded d = decode_frame(k.want);
+    ASSERT_EQ(d.status, DecodeStatus::kFrame) << name << ": " << d.error;
+    EXPECT_EQ(d.consumed, k.want.size()) << name;
+    EXPECT_EQ(d.frame.index(), k.frame.index()) << name;
+    EXPECT_EQ(encode_frame(d.frame), k.want) << name;
+  }
+  EXPECT_EQ(std::count(covered.begin(), covered.end(), true), std::ssize(covered));
 }
 
 TEST(Protocol, EncodeCompletionMatchesEncodeFrame) {
