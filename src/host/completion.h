@@ -3,8 +3,8 @@
 // Per-job completion instead of a global "run until idle" rendezvous:
 // poll with `done()`, block with `wait()` (which advances the engine), or
 // register `on_done` callbacks — each registered callback fires exactly
-// once, from inside `Engine::step()` when the device reports the job
-// complete (or immediately if it already has).
+// once, from inside the Engine stepping round (every stepping call runs
+// them) that sees the job complete, or immediately if it already has.
 //
 // The handle is the only way back to a job's result: the Engine keeps a
 // job's state while it is in flight and drops it on delivery, so from then
@@ -27,6 +27,9 @@ class Engine;
 
 /// Engine-global job identifier (unique across all devices).
 using JobId = std::uint64_t;
+
+/// Default device-time budget of Completion::wait() and Engine::wait_all().
+inline constexpr sim::Cycle kWaitBudget = 100'000'000;
 
 namespace detail {
 
@@ -64,14 +67,15 @@ class Completion {
   const JobResult& result() const&& = delete;
 
   /// Register a callback; fires exactly once — immediately if the job is
-  /// already done, otherwise from Engine::step() on completion.
+  /// already done, otherwise from the stepping round that completes it.
   void on_done(std::function<void(const JobResult&)> fn);
 
-  /// Advance the engine until this job completes (or throw after
-  /// max_cycles of device time). The reference lives as long as the
-  /// handle; a temporary handle returns the result by value instead.
-  const JobResult& wait(sim::Cycle max_cycles = 100'000'000) &;
-  JobResult wait(sim::Cycle max_cycles = 100'000'000) &&;
+  /// Advance the engine until this job completes. Throws EngineError after
+  /// max_cycles of device time, or after a round that finds the job's own
+  /// device failed (Engine::remove_device() resubmits it). The reference
+  /// lives as long as the handle; a temporary handle returns by value.
+  const JobResult& wait(sim::Cycle max_cycles = kWaitBudget) &;
+  JobResult wait(sim::Cycle max_cycles = kWaitBudget) &&;
 
  private:
   friend class Engine;

@@ -9,13 +9,33 @@
 namespace mccp::host {
 
 namespace {
-/// Ceiling on one quiet fleet fast-forward, so a wait loop's budget checks
-/// and stranded-work checks still run at a bounded cadence even across a
-/// long inert stretch (e.g. a bitstream transfer).
+/// Ceiling on one quiet fleet fast-forward, so run_until()'s budget and
+/// stranded-work checks still run at a bounded cadence even across a long
+/// inert stretch (e.g. a bitstream transfer).
 constexpr sim::Cycle kQuietStride = 1 << 20;
+/// No target cycle, or no budget.
+constexpr sim::Cycle kNoLimit = ~sim::Cycle{0};
 
 bool hosts_image(const Device& d, reconfig::CoreImage img) {
   return d.stats().slots_with_image[reconfig::image_index(img)] > 0;
+}
+
+/// The `n`-th device a config-built fleet creates (names stay unique).
+std::unique_ptr<Device> make_device(Backend backend, const top::MccpConfig& cfg, std::size_t n) {
+  const std::string name = (backend == Backend::kFast ? "fast" : "mccp") + std::to_string(n);
+  if (backend == Backend::kFast) return std::make_unique<FastDevice>(cfg, name);
+  return std::make_unique<SimDevice>(cfg, name);
+}
+
+std::vector<std::unique_ptr<Device>> make_fleet(const EngineConfig& config) {
+  std::vector<std::unique_ptr<Device>> fleet;
+  for (std::size_t i = 0; i < std::max<std::size_t>(1, config.num_devices); ++i) {
+    top::MccpConfig device_cfg = config.device;
+    if (i < config.slot_layouts.size() && !config.slot_layouts[i].empty())
+      device_cfg.slot_images = config.slot_layouts[i];
+    fleet.push_back(make_device(config.backend, device_cfg, i));
+  }
+  return fleet;
 }
 }  // namespace
 
@@ -44,14 +64,11 @@ void Completion::on_done(std::function<void(const JobResult&)> fn) {
 const JobResult& Completion::wait(sim::Cycle max_cycles) & {
   if (!state_ || engine_ == nullptr)
     throw std::logic_error("Completion::wait: invalid (default) completion");
-  sim::Cycle start = engine_->max_cycle();
-  while (!state_->done) {
-    if (engine_->max_cycle() - start > max_cycles)
-      throw std::runtime_error("Completion::wait: job " + std::to_string(state_->id) +
-                               " did not complete within max_cycles");
-    engine_->step_quiet(kQuietStride);
-  }
-  return state_->result;
+  const detail::JobState* st = state_.get();
+  if (engine_->run_until([st] { return st->done; }, st, kNoLimit, max_cycles, "Completion::wait"))
+    throw EngineError("Completion::wait: job " + std::to_string(st->id) + " stranded on failed " +
+                      "device " + std::to_string(st->device) + "; remove_device() resubmits it");
+  return st->result;
 }
 
 // `*this` is an lvalue in here, so this copies out of the & overload's
@@ -86,9 +103,9 @@ void Channel::close() {
 
 const ChannelStats& Channel::stats() const {
   static const ChannelStats kEmpty{};
-  if (engine_ == nullptr) return kEmpty;
-  const ChannelStats* s = engine_->channel_stats(uid_);
-  return s != nullptr ? *s : kEmpty;
+  if (engine_ != nullptr)
+    if (const auto* rec = engine_->channel_record(uid_)) return rec->stats;
+  return kEmpty;
 }
 
 const ChannelInfo& Channel::info() const {
@@ -105,28 +122,12 @@ std::size_t Channel::device_index() const {
 
 // ---- Engine -----------------------------------------------------------------
 
-Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
-  std::size_t n = std::max<std::size_t>(1, config.num_devices);
-  for (std::size_t i = 0; i < n; ++i) {
-    top::MccpConfig device_cfg = config.device;
-    if (i < config.slot_layouts.size() && !config.slot_layouts[i].empty())
-      device_cfg.slot_images = config.slot_layouts[i];
-    if (config.backend == Backend::kFast)
-      devices_.push_back(std::make_unique<FastDevice>(device_cfg, "fast" + std::to_string(i)));
-    else
-      devices_.push_back(std::make_unique<SimDevice>(device_cfg, "mccp" + std::to_string(i)));
-  }
-  inflight_.resize(devices_.size());
-  done_.resize(devices_.size());
-  horizon_.resize(devices_.size());
-  for (const auto& dev : devices_) completions_seen_.push_back(dev->completions());
-  draining_.resize(devices_.size(), 0);
-  devices_created_ = devices_.size();
+Engine::Engine(const EngineConfig& config)
+    : Engine(make_fleet(config), config.placement, config.num_workers) {
   build_config_ = config;
   config_built_ = true;
   for (const qos::TenantConfig& t : config.tenants) tenants_.register_tenant(t);
   for (const DeviceFault& f : config.faults) inject_fault(f.device, f.kill_at_cycle);
-  pool_ = std::make_unique<WorkerPool>(std::min(config.num_workers, devices_.size()));
 }
 
 Engine::Engine(std::vector<std::unique_ptr<Device>> devices, Placement placement,
@@ -245,11 +246,6 @@ void Engine::release_channel(std::uint64_t uid) {
   if (!rec.open) return;
   if (devices_[rec.device]) devices_[rec.device]->close_channel(rec.info.id);
   rec.open = false;
-}
-
-const ChannelStats* Engine::channel_stats(std::uint64_t uid) const {
-  const ChannelRecord* rec = channel_record(uid);
-  return rec ? &rec->stats : nullptr;
 }
 
 const Engine::ChannelRecord* Engine::channel_record(std::uint64_t uid) const {
@@ -494,9 +490,7 @@ void Engine::run_round(const std::function<void(Device&)>& op) {
   deliver_completed();
 }
 
-void Engine::step() { step_quiet(1); }
-
-sim::Cycle Engine::step_quiet(sim::Cycle max_cycles) {
+void Engine::step_quiet(sim::Cycle max_cycles) {
   // The stride is a single real cycle whenever it is known up front: a
   // one-cycle budget, or a device without the burst seam (its step()
   // always moves its own clock one cycle). That round is one dispatch.
@@ -505,7 +499,7 @@ sim::Cycle Engine::step_quiet(sim::Cycle max_cycles) {
     burst = !devices_[d] || devices_[d]->supports_quiet_burst();
   if (!burst) {
     run_round([](Device& d) { d.step(); });
-    return 1;
+    return;
   }
   // Phase 1: every controller runs its scheduling round. Devices are
   // independent, so pumping them all before any stride is taken is
@@ -528,32 +522,53 @@ sim::Cycle Engine::step_quiet(sim::Cycle max_cycles) {
     if (devices_[d]) q = std::min(q, horizon_[d]);
   q = std::max<sim::Cycle>(q, 1);
   run_round([q](Device& d) { d.advance_quiet(q); });
-  return q;
 }
 
-void Engine::run(sim::Cycle n) {
-  for (sim::Cycle i = 0; i < n; ++i) step();
+template <class Done>
+bool Engine::run_until(Done done, const detail::JobState* job, sim::Cycle until,
+                       sim::Cycle budget, std::string_view what) {
+  // Every check reads state afresh: callbacks may re-enter the engine.
+  const sim::Cycle start = max_cycle();
+  sim::Cycle job_clock = 0;  // the job's device clock before the last round
+  for (bool stepped = false; !done(); stepped = true) {
+    // After a round every completion a device made before it froze has
+    // been delivered, so work left on failed devices never finishes. A
+    // failed device's clock freezes, so only a round that left the job's
+    // device clock unmoved pays the stats() read confirming a failure.
+    if (job != nullptr) {
+      const Device& dev = *devices_[job->device];
+      const sim::Cycle clock = dev.now();
+      if (stepped && clock == job_clock && dev.stats().failed) return true;
+      job_clock = clock;
+    } else if (stepped) {
+      bool live = inflight_count_ == 0;
+      for (std::size_t d = 0; !live && d < devices_.size(); ++d)
+        live = devices_[d] && !inflight_[d].empty() && !devices_[d]->stats().failed;
+      if (!live) return true;
+    }
+    const sim::Cycle now = max_cycle();
+    if (now >= until) break;
+    if (now - start > budget)
+      throw EngineError(std::string(what) + (job ? " job " + std::to_string(job->id) : "") +
+                        ": not done within " + std::to_string(budget) + " cycles of device time");
+    // A quiet burst never overshoots `until`; a control instruction issued
+    // just before it still runs to completion, exactly as step() would.
+    step_quiet(std::min(kQuietStride, until - now));
+  }
+  return false;
 }
 
 void Engine::advance_to(sim::Cycle target) {
-  // Step while anything is in flight (completions must keep firing in
-  // order), then let the now-idle devices jump the remaining quiet gap.
-  // Work stranded on failed (frozen) devices can never finish — stop
-  // stepping rather than spinning; the caller recovers via
-  // remove_device(). The stride is capped at the distance to `target` so
-  // a quiet burst never overshoots an arrival boundary; a control
-  // instruction issued just before `target` still runs to completion and
-  // may carry a device's clock past it, exactly as step() would.
-  while (!idle() && max_cycle() < target) {
-    step_quiet(target - max_cycle());
-    if (inflight_only_on_failed()) break;
-  }
+  // Step while work is in flight (completions must keep firing in order)
+  // and not stranded, then let the idle devices jump the remaining gap.
+  run_until([this] { return idle(); }, nullptr, target, kNoLimit, "Engine::advance_to");
   run_round([target](Device& d) { d.advance_to(target); });
 }
 
 std::size_t Engine::pump(std::size_t max_rounds) {
   const std::uint64_t before = completed_jobs_;
-  for (std::size_t i = 0; i < max_rounds && !idle(); ++i) step();
+  run_until([this, &max_rounds] { return idle() || max_rounds-- == 0; }, nullptr, kNoLimit,
+            kNoLimit, "Engine::pump");
   return static_cast<std::size_t>(completed_jobs_ - before);
 }
 
@@ -565,26 +580,9 @@ bool Engine::idle() const {
 }
 
 void Engine::wait_all(sim::Cycle max_cycles) {
-  sim::Cycle start = max_cycle();
-  while (!idle()) {
-    if (max_cycle() - start > max_cycles)
-      throw std::runtime_error("Engine::wait_all: jobs did not complete within max_cycles");
-    step_quiet(kQuietStride);
-    // Checked on freshly-polled state (any completion visible before a
-    // device froze has just been delivered): every device still holding
-    // in-flight work has failed, and stepping will never finish it.
-    if (!idle() && inflight_only_on_failed())
-      throw EngineError("Engine::wait_all: " + std::to_string(inflight_count_) +
-                        " job(s) stranded on failed device(s); call remove_device() to "
-                        "migrate and resubmit them");
-  }
-}
-
-bool Engine::inflight_only_on_failed() const {
-  if (inflight_count_ == 0) return false;
-  for (std::size_t d = 0; d < devices_.size(); ++d)
-    if (devices_[d] && !inflight_[d].empty() && !devices_[d]->stats().failed) return false;
-  return true;
+  if (run_until([this] { return idle(); }, nullptr, kNoLimit, max_cycles, "Engine::wait_all"))
+    throw EngineError("Engine::wait_all: " + std::to_string(inflight_count_) +
+                      " job(s) stranded on failed device(s); remove_device() resubmits them");
 }
 
 SimDevice* Engine::sim_device(std::size_t i) {
@@ -710,14 +708,7 @@ std::size_t Engine::add_device(std::vector<reconfig::CoreImage> slot_layout) {
         "adopting overload instead");
   top::MccpConfig device_cfg = build_config_.device;
   if (!slot_layout.empty()) device_cfg.slot_images = std::move(slot_layout);
-  const std::string name = (build_config_.backend == Backend::kFast ? "fast" : "mccp") +
-                           std::to_string(devices_created_++);
-  std::unique_ptr<Device> dev;
-  if (build_config_.backend == Backend::kFast)
-    dev = std::make_unique<FastDevice>(device_cfg, name);
-  else
-    dev = std::make_unique<SimDevice>(device_cfg, name);
-  return adopt_device(std::move(dev));
+  return adopt_device(make_device(build_config_.backend, device_cfg, devices_created_++));
 }
 
 std::size_t Engine::add_device(std::unique_ptr<Device> device) {
@@ -749,13 +740,10 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
     // stepping the fleet retires its in-flight list. Completion callbacks
     // may legally resubmit onto it meanwhile (decrypt round-trips); those
     // drain too.
-    while (!inflight_[index].empty() && !devices_[index]->stats().failed) {
-      if (max_cycle() - drain_start > max_drain_cycles)
-        throw EngineError("Engine::remove_device: drain of device " + devices_[index]->name() +
-                          " exceeded " + std::to_string(max_drain_cycles) +
-                          " cycles; still draining — retry or raise max_drain_cycles");
-      step();
-    }
+    run_until([this, index] { return inflight_[index].empty() || device_failed(index); },
+              nullptr, kNoLimit, max_drain_cycles,
+              "Engine::remove_device: drain of device " + devices_[index]->name() +
+                  " (still draining; retry or raise max_drain_cycles)");
     rep.was_failed = devices_[index]->stats().failed;  // died mid-drain
   }
   if (rep.was_failed)

@@ -27,13 +27,14 @@
 // order (ascending JobId), whichever device finished first. The Engine API
 // itself is NOT thread-safe: all public calls (submit, open_channel,
 // step, ...) must come from one thread; `num_workers` parallelizes the
-// inside of `step()`/`advance_to()` only. Threaded and serial runs are
+// inside of a stepping round only. Threaded and serial runs are
 // deterministic twins — devices never interact, so per-device state,
 // results and clocks are bit-identical (tests/host/engine_threading_test.cpp
 // pins this).
 //
-// Later scaling work (work stealing across devices, non-sim backends)
-// plugs into this seam without touching clients.
+// Every stepping call but step() and run() (n step()s) wraps one private
+// loop, run_until(), with one stride rule, one device-time budget
+// (EngineError past it) and one stranded-work rule.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +46,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -213,23 +215,25 @@ class Engine {
   /// Advance every device one scheduling round and fire completions.
   /// With `num_workers` > 1 the devices may advance in parallel on the pool;
   /// completions still fire here, on the calling thread, exactly once.
-  void step();
+  void step() { step_quiet(1); }
   /// `n` engine steps (each >= 1 device cycle).
-  void run(sim::Cycle n);
+  void run(sim::Cycle n) {
+    for (sim::Cycle i = 0; i < n; ++i) step();
+  }
   /// Advance every device clock to at least `target` cycles, stepping while
-  /// work is in flight and letting idle devices jump. Workload pacing uses
-  /// this to skip quiet gaps between arrivals.
+  /// work is in flight (stopping early if it is stranded) and letting idle
+  /// devices jump. Workload pacing uses this to skip quiet gaps.
   void advance_to(sim::Cycle target);
   /// Server-driven stepping: advance up to `max_rounds` rounds while work
-  /// is in flight and return how many jobs completed. The narrow seam a
-  /// network event loop needs — it interleaves bounded slices of device
-  /// time with socket servicing, and an idle fleet costs nothing (the
-  /// loop can block on I/O instead of busy-stepping a frozen clock).
+  /// is in flight and not stranded, and return how many jobs completed. An
+  /// idle fleet dispatches no round, so a network event loop can block on
+  /// I/O instead of busy-stepping a frozen clock.
   std::size_t pump(std::size_t max_rounds);
   bool idle() const;
-  /// Step until every submitted job completed (or throw after max_cycles
-  /// of device time).
-  void wait_all(sim::Cycle max_cycles = 100'000'000);
+  /// Step until every submitted job completed. Throws EngineError after
+  /// max_cycles of device time, or once all in-flight work sits on failed
+  /// devices (remove_device() migrates and resubmits it).
+  void wait_all(sim::Cycle max_cycles = kWaitBudget);
 
   // -- dynamic membership -------------------------------------------------------
   // Device slots are stable for the engine's lifetime: removing a device
@@ -362,14 +366,9 @@ class Engine {
   const ChannelRecord* channel_record(std::uint64_t uid) const;
   void release_channel(std::uint64_t uid);
   void track(std::shared_ptr<detail::JobState> st);
-  /// True when work is in flight but every device holding any of it has
-  /// failed: stepping can never finish it (stranded; remove_device()
-  /// migrates and resubmits).
-  bool inflight_only_on_failed() const;
   /// Deliver `result` (moved out of the device through take_result, or
   /// made up for a lost job): stats, tenant release, callbacks.
   void finish_job(detail::JobState& st, JobResult result);
-  const ChannelStats* channel_stats(std::uint64_t uid) const;
   /// The one stepping primitive: run `op` on every live device via the
   /// worker pool, each thread then moving its devices' finished jobs into
   /// done_; then merge and deliver them on the calling thread.
@@ -379,11 +378,17 @@ class Engine {
   /// One round that may fast-forward quiet fleet time: every device's
   /// controller is pumped, and when none of them acted all clocks advance
   /// together by the fleet-min quiet horizon (capped at `max_cycles`)
-  /// instead of one cycle. Bit-identical to the step() calls it replaces
-  /// — step(), wait_all(), advance_to() and Completion::wait() drive their
-  /// loops through this. Returns the stride (>= 1); a device whose pump
-  /// ran a control instruction moved its own clock further.
-  sim::Cycle step_quiet(sim::Cycle max_cycles);
+  /// instead of one cycle. Bit-identical to the step() calls it replaces;
+  /// only step() and run_until() call it.
+  void step_quiet(sim::Cycle max_cycles);
+  /// The one stepping loop: rounds until `done` (asked once before each)
+  /// holds or max_cycle() reaches `until`. Returns true when it stopped on
+  /// stranded work: every device holding it (`job`'s, or with no job each
+  /// one with work in flight) has failed. Throws EngineError naming `what`
+  /// once max_cycle() has moved more than `budget` cycles since entry.
+  template <class Done>
+  bool run_until(Done done, const detail::JobState* job, sim::Cycle until, sim::Cycle budget,
+                 std::string_view what);
 
   std::vector<std::unique_ptr<Device>> devices_;  // null = tombstoned slot
   Placement placement_;
