@@ -15,20 +15,24 @@
 // Data-Available service, output draining). Control-plane calls complete
 // synchronously; the data plane is asynchronous: `submit()` queues a job and
 // returns immediately, `step()` advances the device one scheduling round,
-// and `result()` exposes the job's live state.
+// and `take_completed()` hands over every job finished since the last call,
+// the way the chip's Data-Available interrupt names the request that
+// finished (the driver never sweeps its queue to find out). `result()`
+// exposes a job's live state to callers that drive a bare device.
 //
 // The seam is 19 virtual members. Counters and flags (jobs in flight, open
 // channels, reconfigurations, per-image slot counts, failure) come back in
-// one `DeviceStats` value from stats(); per-slot detail stays behind the
-// backends (SimDevice::mccp(), FastDevice's slot queries).
+// one `DeviceStats` value from stats(), and idle() reads it; per-slot
+// detail stays behind the backends (SimDevice::mccp(), FastDevice's slot
+// queries).
 //
 // Threading contract: a Device is a single-threaded clock domain and
 // implementations need NO internal synchronization. The driver guarantees
 // that at most one thread touches a given device at any time — in the
 // Engine's worker-pool mode, each device is touched by one thread for
-// `step()`/`advance_to()`/`result()` during a round, and every round is
-// separated from the caller's submit/control/take_result accesses by a barrier
-// (a happens-before edge on both entry and exit). Distinct devices may be
+// `step()`/`advance_to()`/`take_completed()` during a round, and every round
+// is separated from the caller's submit/control accesses by a barrier (a
+// happens-before edge on both entry and exit). Distinct devices may be
 // driven concurrently; nothing behind this interface may share mutable
 // state across devices.
 #pragma once
@@ -77,6 +81,12 @@ struct JobResult {
   sim::Cycle accept_cycle = 0;    // ENCRYPT/DECRYPT acknowledged
   sim::Cycle complete_cycle = 0;  // TRANSFER_DONE acknowledged
   std::uint32_t rejections = 0;   // busy-error retries before acceptance
+};
+
+/// A finished job as Device::take_completed() hands it over.
+struct Completed {
+  DeviceJobId id = 0;
+  JobResult result;
 };
 
 /// Everything the device needs to run one packet.
@@ -227,7 +237,12 @@ class Device {
   /// idle event-driven backend may jump. Workload pacing uses this to skip
   /// quiet gaps between arrivals without submitting early.
   virtual void advance_to(sim::Cycle target) = 0;
-  virtual bool idle() const = 0;
+  /// No job queued or on the device, or the device has failed (it makes
+  /// no further progress): nothing to step for.
+  bool idle() const {
+    const DeviceStats s = stats();
+    return s.inflight == 0 || s.failed;
+  }
 
   // -- lockstep quiet-burst seam ----------------------------------------------
   // A cycle-accurate backend can split step() into "run the controller's
@@ -261,26 +276,29 @@ class Device {
     while (n-- > 0) step();
   }
 
-  /// Live view of a job (partial until `complete`); nullptr if unknown or
-  /// taken. The pointer is valid until the next submit, take_result() or
-  /// forget() on this device.
+  /// The completion queue: append every job finished since the last call
+  /// (submits refused at the seam included), as (id, result) pairs in the
+  /// order they finished, and retire their bookkeeping, so the caller owns
+  /// the payload and tag buffers the device computed without copying them.
+  /// Appends nothing, in O(1), when nothing finished. The Engine collects
+  /// every result this way and calls none of the three members below.
+  virtual void take_completed(std::vector<Completed>& out) = 0;
+
+  /// Live view of a job (partial until `complete`); nullptr if unknown,
+  /// forgotten or taken. The pointer is valid until the next submit,
+  /// take_completed() or forget() on this device.
   virtual const JobResult* result(DeviceJobId id) const = 0;
   /// Monotone count of jobs that have reached a final state — bumped no
-  /// later than the moment result() first reports the job complete. The
-  /// Engine polls this to skip scanning a device whose in-flight jobs
-  /// cannot have finished since the last look; decorators that hide some
-  /// completions may over-report (extra scans are merely wasted work) but
-  /// must never under-report.
+  /// later than the moment result() first reports the job complete. A
+  /// caller polling result() reads this to skip scanning a device whose
+  /// jobs cannot have finished since the last look; decorators that hide
+  /// some completions may over-report (extra scans are merely wasted work)
+  /// but must never under-report.
   virtual std::uint64_t completions() const = 0;
-  /// The take-result seam: move a completed job's result out and drop the
-  /// job's bookkeeping, so the caller owns the payload and tag buffers the
-  /// device computed without copying them (the Engine delivers every result
-  /// this way). nullopt, with nothing dropped, for a job that has not
-  /// completed (it keeps running), was already taken or is unknown.
-  virtual std::optional<JobResult> take_result(DeviceJobId id) = 0;
-  /// Drop a completed job's bookkeeping and its result; a no-op for a job
-  /// that has not completed.
-  void forget(DeviceJobId id) { take_result(id); }
+  /// Drop a completed job's bookkeeping and its result, so it never reaches
+  /// take_completed(); a no-op for a job that has not completed, was taken
+  /// or is unknown.
+  virtual void forget(DeviceJobId id) = 0;
 
   // -- partial reconfiguration (paper SVII.B) ---------------------------------
   /// Begin swapping slot `slot` to `image` from `store`. The slot must be

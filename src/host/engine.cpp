@@ -136,8 +136,8 @@ Engine::Engine(std::vector<std::unique_ptr<Device>> devices, Placement placement
   if (devices_.empty()) throw std::invalid_argument("Engine: need at least one device");
   inflight_.resize(devices_.size());
   done_.resize(devices_.size());
+  taken_.resize(devices_.size());
   horizon_.resize(devices_.size());
-  for (const auto& dev : devices_) completions_seen_.push_back(dev ? dev->completions() : 0);
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
   pool_ = std::make_unique<WorkerPool>(std::min(num_workers, devices_.size()));
@@ -271,8 +271,9 @@ Completion Engine::submit(const Channel& ch, JobSpec spec) {
   ChannelRecord& rec = channels_[ch.uid_ - 1];
   ensure_submittable(rec);
   // Tenant metering throws the typed rate/quota rejection before any side
-  // effects, so a refused submit leaves no trace in the stats.
-  tenants_.on_submit(rec.tenant, 1, max_cycle());
+  // effects, so a refused submit leaves no trace in the stats. Only a
+  // tenant's rate bucket reads the fleet clock.
+  tenants_.on_submit(rec.tenant, 1, rec.tenant != 0 ? max_cycle() : 0);
   spec.channel = rec.info;
 
   auto st = std::make_shared<detail::JobState>();
@@ -291,8 +292,28 @@ Completion Engine::submit(const Channel& ch, JobSpec spec) {
 }
 
 void Engine::track(std::shared_ptr<detail::JobState> st) {
-  inflight_[st->device].push_back(std::move(st));
+  inflight_[st->device].add(std::move(st));
   ++inflight_count_;
+}
+
+void Engine::LiveJobs::add(std::shared_ptr<detail::JobState> st) {
+  const DeviceJobId id = st->device_job;
+  if (count == 0) base = id;  // no live job: the ring is empty
+  if (id < base + jobs.size())
+    throw std::logic_error("Engine: device job id " + std::to_string(id) +
+                           " does not follow the device's earlier ids");
+  // Ids submitted around the Engine (Engine::device(i).submit) leave gaps.
+  while (base + jobs.size() < id) jobs.push_back();
+  jobs.push_back() = std::move(st);
+  ++count;
+}
+
+std::shared_ptr<detail::JobState> Engine::LiveJobs::take(DeviceJobId id) {
+  if (id < base || id - base >= jobs.size()) return nullptr;
+  std::shared_ptr<detail::JobState> st = std::move(jobs[static_cast<std::size_t>(id - base)]);
+  if (st) --count;
+  for (; !jobs.empty() && !jobs.front(); ++base) jobs.pop_front();
+  return st;
 }
 
 Completion Engine::submit_encrypt(const Channel& ch, Bytes iv_or_nonce, Bytes aad,
@@ -332,7 +353,7 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
   // Batches admit atomically: either the tenant has tokens and quota
   // headroom for the whole burst, or the typed rejection refuses all of it
   // before any side effects.
-  tenants_.on_submit(rec.tenant, specs.size(), max_cycle());
+  tenants_.on_submit(rec.tenant, specs.size(), rec.tenant != 0 ? max_cycle() : 0);
   const std::size_t device_index = rec.device;
   Device& dev = *devices_[device_index];
   if (rec.stats.submitted == 0) rec.stats.first_submit_cycle = dev.now();
@@ -347,7 +368,6 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
   if (retain_job_specs_) retained = specs;
 
   std::vector<DeviceJobId> device_jobs = dev.submit_batch(specs);
-  inflight_[device_index].reserve(inflight_[device_index].size() + device_jobs.size());
   for (std::size_t i = 0; i < device_jobs.size(); ++i) {
     auto st = std::make_shared<detail::JobState>();
     st->id = next_job_++;
@@ -365,8 +385,7 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::span<const 
   return submit_batch(ch, std::vector<JobSpec>(specs.begin(), specs.end()));
 }
 
-void Engine::finish_job(detail::JobState& st, JobResult result) {
-  st.result = std::move(result);
+void Engine::finish_job(detail::JobState& st) {
   st.done = true;
   ++completed_jobs_;
   const JobResult& r = st.result;
@@ -400,44 +419,26 @@ void Engine::finish_job(detail::JobState& st, JobResult result) {
 }
 
 void Engine::collect_completed(std::size_t device_index) {
-  // Runs on the worker that owns `device_index` this round: scan only this
-  // device's in-flight list, move finished jobs to done_[device_index],
-  // and close the gaps in one pass (no re-entrancy can happen on a worker,
-  // so no erase-and-rescan is needed). Side effects (stats, callbacks,
-  // take_result) wait for deliver_completed() on the caller's thread, and
-  // so does moving the result out: the device's buffers change owner there,
-  // one job at a time, with no copy. The per-device elements
-  // of completions_seen_, inflight_ and done_ are touched only by this
-  // device's owning worker during the round (and by the caller's thread
-  // between rounds), so no synchronization is needed.
-  //
-  // Completion-count skip: the device's monotone counter never
-  // under-reports, so at most `count - seen` entries can have turned
-  // complete since the last collect. At zero the whole list is skipped,
-  // and otherwise the scan stops once it has found that many — O(prefix)
-  // per completion when jobs finish roughly in submission order. Without
-  // this the scans are quadratic in the backlog depth, and they dominated
-  // wall-clock on both backends at deep in-flight windows.
-  const std::uint64_t count = devices_[device_index]->completions();
-  std::uint64_t& seen = completions_seen_[device_index];
-  if (count == seen) return;
-  std::uint64_t budget = count - seen;
-  seen = count;
-  auto& list = inflight_[device_index];
-  std::size_t kept = 0;
-  std::size_t i = 0;
-  for (; i < list.size() && budget > 0; ++i) {
-    const JobResult* r = devices_[device_index]->result(list[i]->device_job);
-    if (r != nullptr && r->complete) {
-      done_[device_index].push_back(std::move(list[i]));
-      --budget;
-    } else {
-      if (kept != i) list[kept] = std::move(list[i]);
-      ++kept;
-    }
+  // Runs on the worker that owns `device_index` this round: the device hands
+  // over what finished, and each job's state is one ring index away. A
+  // round that finished nothing costs one call and an empty check. The
+  // result moves into the job's state here, and the job into
+  // done_[device_index]; side effects (stats, callbacks) wait for
+  // deliver_completed() on the caller's thread. The per-device elements of
+  // inflight_, taken_ and done_ are touched only by this device's owning
+  // worker during the round (and by the caller's thread between rounds), so
+  // no synchronization is needed; the caller does not read a job's state
+  // until the round has retired.
+  std::vector<Completed>& taken = taken_[device_index];
+  devices_[device_index]->take_completed(taken);
+  if (taken.empty()) return;
+  for (Completed& c : taken) {
+    std::shared_ptr<detail::JobState> st = inflight_[device_index].take(c.id);
+    if (!st) continue;  // submitted around the Engine: nobody to deliver to
+    st->result = std::move(c.result);
+    done_[device_index].push_back(std::move(st));
   }
-  list.erase(list.begin() + static_cast<std::ptrdiff_t>(kept),
-             list.begin() + static_cast<std::ptrdiff_t>(i));
+  taken.clear();
 }
 
 void Engine::deliver_completed() {
@@ -473,8 +474,7 @@ void Engine::deliver_completed() {
       finish_head_ = 0;
     }
     --inflight_count_;
-    // Never nullopt: the owning worker saw the job complete.
-    finish_job(*st, *devices_[st->device]->take_result(st->device_job));
+    finish_job(*st);
   }
 }
 
@@ -543,7 +543,7 @@ bool Engine::run_until(Done done, const detail::JobState* job, sim::Cycle until,
     } else if (stepped) {
       bool live = inflight_count_ == 0;
       for (std::size_t d = 0; !live && d < devices_.size(); ++d)
-        live = devices_[d] && !inflight_[d].empty() && !devices_[d]->stats().failed;
+        live = devices_[d] && inflight_[d].count != 0 && !devices_[d]->stats().failed;
       if (!live) return true;
     }
     const sim::Cycle now = max_cycle();
@@ -685,17 +685,14 @@ std::size_t Engine::adopt_device(std::unique_ptr<Device> dev) {
 
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (devices_[i]) continue;
-    // The slot changed occupants: count from the new device's own counter,
-    // or the old device's count could alias it and mask its completions.
-    completions_seen_[i] = dev->completions();
-    devices_[i] = std::move(dev);
+    devices_[i] = std::move(dev);  // the slot's in-flight ring is empty
     draining_[i] = 0;
     return i;
   }
-  completions_seen_.push_back(dev->completions());
   devices_.push_back(std::move(dev));
   inflight_.emplace_back();
   done_.emplace_back();
+  taken_.emplace_back();
   horizon_.emplace_back();
   draining_.push_back(0);
   return devices_.size() - 1;
@@ -737,10 +734,10 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
 
   if (!rep.was_failed) {
     // Healthy drain: no new placements land on the device (draining), so
-    // stepping the fleet retires its in-flight list. Completion callbacks
+    // stepping the fleet retires its in-flight jobs. Completion callbacks
     // may legally resubmit onto it meanwhile (decrypt round-trips); those
     // drain too.
-    run_until([this, index] { return inflight_[index].empty() || device_failed(index); },
+    run_until([this, index] { return inflight_[index].count == 0 || device_failed(index); },
               nullptr, kNoLimit, max_drain_cycles,
               "Engine::remove_device: drain of device " + devices_[index]->name() +
                   " (still draining; retry or raise max_drain_cycles)");
@@ -748,7 +745,7 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   }
   if (rep.was_failed)
     // Flush completions the device produced before its kill cycle, so only
-    // genuinely stranded jobs remain on its list: a round that advances no
+    // genuinely stranded jobs remain in its ring: a round that advances no
     // clock.
     run_round([](Device&) {});
   rep.drain_cycles = max_cycle() - drain_start;
@@ -773,14 +770,22 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
     ++rep.migrated_channels;
   }
 
-  // Resubmit stranded jobs in submission order (the in-flight list is
-  // append-ordered), onto each channel's post-migration device — per
-  // channel the device sees them in the original order, and delivery
-  // stays ascending-JobId, so the in-order contract holds. Jobs without a
-  // retained spec or a surviving channel are lost: they complete failed,
-  // after the loop so their callbacks observe the fully-migrated fleet.
-  std::vector<std::shared_ptr<detail::JobState>> stranded = std::move(inflight_[index]);
-  inflight_[index].clear();
+  // Resubmit stranded jobs in submission order, onto each channel's
+  // post-migration device — per channel the device sees them in the
+  // original order, and delivery stays ascending-JobId, so the in-order
+  // contract holds. The ring is in device-id order, which differs from
+  // JobId order once this device has received migrated jobs: sort. Jobs
+  // without a retained spec or a surviving channel are lost: they complete
+  // failed, after the loop so their callbacks observe the fully-migrated
+  // fleet.
+  std::vector<std::shared_ptr<detail::JobState>> stranded;
+  LiveJobs& left = inflight_[index];
+  for (std::size_t i = 0; i < left.jobs.size(); ++i)
+    if (left.jobs[i]) stranded.push_back(std::move(left.jobs[i]));
+  left = LiveJobs{};
+  std::sort(stranded.begin(), stranded.end(),
+            [](const std::shared_ptr<detail::JobState>& a,
+               const std::shared_ptr<detail::JobState>& b) { return a->id < b->id; });
   std::vector<std::shared_ptr<detail::JobState>> lost;
   for (std::shared_ptr<detail::JobState>& st : stranded) {
     const ChannelRecord& rec = channels_[st->channel_uid - 1];
@@ -790,14 +795,7 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
       st->device = rec.device;
       ++st->resubmissions;
       st->device_job = devices_[rec.device]->submit(std::move(spec));
-      // Keep the destination list ascending by JobId: a migrated job's id
-      // predates everything submitted since, and the delivery-order merge
-      // relies on sorted in-flight lists.
-      auto& dst = inflight_[rec.device];
-      auto pos = std::lower_bound(
-          dst.begin(), dst.end(), st->id,
-          [](const std::shared_ptr<detail::JobState>& a, JobId id) { return a->id < id; });
-      dst.insert(pos, std::move(st));
+      inflight_[rec.device].add(std::move(st));
       ++rep.resubmitted_jobs;
     } else {
       lost.push_back(std::move(st));
@@ -806,10 +804,10 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   rep.lost_jobs = lost.size();
   for (std::shared_ptr<detail::JobState>& st : lost) {
     --inflight_count_;
-    JobResult r;
-    r.complete = true;
-    r.auth_ok = false;
-    finish_job(*st, std::move(r));
+    st->result = JobResult{};
+    st->result.complete = true;
+    st->result.auth_ok = false;
+    finish_job(*st);
   }
 
   // Tombstone the slot; indices of the survivors are untouched.

@@ -11,16 +11,18 @@
 // statistics.
 //
 // The Engine keeps no finished jobs. A job's state lives while it is in
-// flight (the per-device in-flight and delivery lists own it) or while a
-// `Completion` handle holds it, and no longer: there is no by-id result
-// lookup, and a temporary handle's `wait()` returns its result by value.
+// flight (the per-device in-flight rings and the delivery lists own it) or
+// while a `Completion` handle holds it, and no longer: there is no by-id
+// result lookup, and a temporary handle's `wait()` returns its result by
+// value.
 //
 // Stepping is optionally multithreaded (`EngineConfig::num_workers`):
 // devices shard across a worker pool whose caller runs shard 0 (each device
 // remains a single-threaded clock domain; a round too small to repay the
 // handoff runs inline on the caller, and serial mode is a pool with no
-// threads that runs every round inline). Each worker moves its devices' finished
-// jobs into per-device lists, which the caller's thread merges in JobId
+// threads that runs every round inline). Each worker takes its devices'
+// finished jobs (Device::take_completed: the devices push them, nothing is
+// polled) into per-device lists, which the caller's thread merges in JobId
 // order after the round — so `Completion` callbacks, `on_done` ordering
 // guarantees and per-channel stats are the same in both modes: completions
 // that fire in the same round are delivered in engine-wide submission
@@ -56,6 +58,7 @@
 #include "host/device.h"
 #include "host/fast_device.h"
 #include "host/faulty_device.h"
+#include "host/job_book.h"
 #include "host/sim_device.h"
 #include "host/worker_pool.h"
 #include "sim/simulation.h"  // sim::throughput_mbps: cycle stamps to Mbps at the paper's clock
@@ -366,9 +369,9 @@ class Engine {
   const ChannelRecord* channel_record(std::uint64_t uid) const;
   void release_channel(std::uint64_t uid);
   void track(std::shared_ptr<detail::JobState> st);
-  /// Deliver `result` (moved out of the device through take_result, or
+  /// Deliver `st.result` (moved out of the device by take_completed, or
   /// made up for a lost job): stats, tenant release, callbacks.
-  void finish_job(detail::JobState& st, JobResult result);
+  void finish_job(detail::JobState& st);
   /// The one stepping primitive: run `op` on every live device via the
   /// worker pool, each thread then moving its devices' finished jobs into
   /// done_; then merge and deliver them on the calling thread.
@@ -427,19 +430,25 @@ class Engine {
   /// the AES-mode channels are following (and vice versa).
   std::size_t rr_next_[2] = {0, 0};  // indexed by reconfig::CoreImage
 
-  /// In-flight jobs sharded by device, so each worker scans and trims only
-  /// its own devices' lists during a round (no cross-thread sharing; the
-  /// caller's thread owns every list between rounds).
-  std::vector<std::vector<std::shared_ptr<detail::JobState>>> inflight_;
-  /// Device::completions() value read by the last collect, per device
-  /// slot (the occupant's own count when it filled the slot, before the
-  /// Engine submitted anything to it). Every visible completion up to
-  /// it has been collected, so while the counter sits at this value the
-  /// collect skips the device in O(1), and otherwise it stops scanning once
-  /// it found as many completions as the counter moved — the scans were
-  /// quadratic in backlog depth otherwise. Reset whenever a slot changes
-  /// occupant.
-  std::vector<std::uint64_t> completions_seen_;
+  /// One device slot's jobs in flight, found by device job id: entry
+  /// `id - base` of a ring that spans from the oldest live job to the
+  /// newest (device ids are dense, so a delivered job leaves a null entry
+  /// until every older one has gone too). The ring doubles, never shrinks,
+  /// so a steady backlog costs no allocation.
+  struct LiveJobs {
+    Ring<std::shared_ptr<detail::JobState>> jobs;
+    DeviceJobId base = 0;
+    std::size_t count = 0;  // non-null entries
+
+    void add(std::shared_ptr<detail::JobState> st);
+    /// The live job with device id `id`, taken out; null for a job the
+    /// Engine did not submit (or already took).
+    std::shared_ptr<detail::JobState> take(DeviceJobId id);
+  };
+  /// In-flight jobs by device slot: during a round each element is touched
+  /// only by the worker stepping that device (no cross-thread sharing), and
+  /// the caller's thread owns all of them between rounds.
+  std::vector<LiveJobs> inflight_;
   std::size_t inflight_count_ = 0;
   std::uint64_t completed_jobs_ = 0;
   JobId next_job_ = 1;
@@ -448,6 +457,9 @@ class Engine {
   /// Jobs a round found finished, per device slot: written only by the
   /// thread stepping that device in the round, merged by the caller after.
   std::vector<std::vector<std::shared_ptr<detail::JobState>>> done_;
+  /// take_completed()'s output, per device slot (same ownership as done_),
+  /// emptied by each collect but keeping its capacity.
+  std::vector<std::vector<Completed>> taken_;
   /// Per-slot quiet horizon reported in step_quiet()'s pump phase (1 when
   /// the controller acted); same ownership rule as done_.
   std::vector<sim::Cycle> horizon_;

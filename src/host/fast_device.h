@@ -29,12 +29,12 @@
 // CCM and CTR results are computed in the job's own payload buffer, which
 // then becomes the result's payload: no second buffer per packet, as the
 // MCCP streams a packet from its input FIFO through a core and out. A
-// result becomes visible only when `complete` flips (Device::result() is
-// partial until then), so when the work runs changes no observable state,
-// and every stamp still comes from the cost model. Each job holds the key
-// bundle in force when it was dispatched: re-provisioning a key
-// mid-flight never reaches a job already on a core, exactly as on the
-// simulated chip.
+// result becomes visible only when `complete` flips (take_completed() hands
+// over finished jobs only, and result() is partial until then), so when
+// the work runs changes no observable state, and every stamp still comes
+// from the cost model. Each job holds the key bundle in force when it was
+// dispatched: re-provisioning a key mid-flight never reaches a job already
+// on a core, exactly as on the simulated chip.
 //
 // Partial reconfiguration (paper SVII.B) is modelled: each core slot
 // carries a `reconfig::CoreImage` personality (boot layout from
@@ -88,10 +88,10 @@ class FastDevice final : public Device {
   /// work in flight, fall back to stepping (each step already jumps to the
   /// next completion).
   void advance_to(sim::Cycle target) override;
-  bool idle() const override { return book_.idle(); }
+  void take_completed(std::vector<Completed>& out) override { book_.take_completed(out); }
   const JobResult* result(DeviceJobId id) const override { return book_.result(id); }
   std::uint64_t completions() const override { return book_.completions(); }
-  std::optional<JobResult> take_result(DeviceJobId id) override { return book_.take_result(id); }
+  void forget(DeviceJobId id) override { book_.forget(id); }
 
   std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot, reconfig::CoreImage image,
                                                      reconfig::BitstreamStore store) override;

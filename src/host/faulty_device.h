@@ -12,8 +12,9 @@
 //     close_channel -> false, begin_reconfiguration -> nullopt),
 //   - data-plane submits are still *accepted* — a driver racing a death
 //     cannot know the device is gone yet — but the jobs strand forever,
-//   - and, crucially for determinism, `result()` masks any completion
-//     stamped after the kill cycle. Both backends stamp bit-identical
+//   - and, crucially for determinism, `take_completed()` and `result()`
+//     mask any completion stamped after the kill cycle: it never leaves
+//     the device. Both backends stamp bit-identical
 //     completion cycles, so the set of jobs that "made it out" before the
 //     fault is exactly {complete_cycle <= kill_cycle} on SimDevice and
 //     FastDevice alike, regardless of either backend's stepping
@@ -24,6 +25,7 @@
 // no synchronization and is driven exactly like the device it wraps.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -119,20 +121,30 @@ class FaultyDevice final : public Device {
     check();
   }
 
-  bool idle() const override {
+  /// The inner device's finished jobs, less those the fault beat to the
+  /// wire: once dead, a completion stamped after the kill cycle is retired
+  /// here and never handed over. Completion stamps are bit-identical across
+  /// backends, so this slices the in-flight set at the exact same boundary
+  /// however coarsely the clock stepped over it, and the jobs left strand
+  /// for the Engine to recover. A masked completion never becomes visible
+  /// later: death is permanent.
+  void take_completed(std::vector<Completed>& out) override {
     check();
-    // A dead device makes no further progress: nothing to step for.
-    return dead_ || inner_->idle();
+    const std::size_t first = out.size();
+    inner_->take_completed(out);
+    if (!dead_) return;
+    out.erase(std::remove_if(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+                             [this](const Completed& c) {
+                               return c.result.complete_cycle > kill_at_;
+                             }),
+              out.end());
   }
 
+  /// The same mask, for callers polling a bare device.
   const JobResult* result(DeviceJobId id) const override {
     check();
     const JobResult* r = inner_->result(id);
     if (r == nullptr) return nullptr;
-    // Mask completions the fault beat to the wire: a completion stamped
-    // after the kill cycle never left the device. Completion stamps are
-    // bit-identical across backends, so this slices the in-flight set at
-    // the exact same boundary however coarsely the clock stepped over it.
     if (dead_ && r->complete && r->complete_cycle > kill_at_) {
       masked_ = *r;
       masked_.complete = false;
@@ -142,17 +154,11 @@ class FaultyDevice final : public Device {
   }
 
   /// Forwarded unmasked: the inner count may include completions the kill
-  /// boundary hides, which only over-reports (the Engine's skip logic
-  /// tolerates spurious scans; it must never miss a visible completion —
-  /// and a masked completion never becomes visible later).
+  /// boundary hides, which only over-reports (a polling caller tolerates
+  /// spurious scans; it must never miss a visible completion).
   std::uint64_t completions() const override { return inner_->completions(); }
 
-  /// Forwarded unmasked, like completions(): the Engine takes only jobs
-  /// result() already showed it complete, and a kill scheduled since then
-  /// must not strand a job it has collected.
-  std::optional<JobResult> take_result(DeviceJobId id) override {
-    return inner_->take_result(id);
-  }
+  void forget(DeviceJobId id) override { inner_->forget(id); }
 
   std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot, reconfig::CoreImage image,
                                                      reconfig::BitstreamStore store) override {

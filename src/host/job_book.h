@@ -3,13 +3,16 @@
 // submit-seam refusal, the pending queue by priority then arrival, and one
 // slot per id holding the backend's own `Job` record beside its result,
 // with the complete/fail step and its monotone completions() counter.
+// Every job that completes, fails or is refused also joins a completion
+// queue of ids, which take_completed() empties: the device pushes its
+// finished jobs, and nobody has to look for them.
 //
 // The slots live in a ring indexed by `id - base` that doubles when a
 // backlog outgrows it and reuses retired slots, and the priority buckets
-// are rings of ids that are never erased, so once both have grown to the
-// backlog a job costs the book no heap allocation. Growing the ring moves
-// the slots: a backend holds ids, not `Job*`, and a `Job&`/`JobResult&`
-// the book returns is valid only until the next submit.
+// and the completion queue are rings of ids that are never erased, so once
+// all have grown to the backlog a job costs the book no heap allocation.
+// Growing the ring moves the slots: a backend holds ids, not `Job*`, and a
+// `Job&`/`JobResult&` the book returns is valid only until the next submit.
 //
 // `Job` must be default-constructible and hold `DeviceJobId id` and
 // `JobSpec spec`. Single-threaded, like the Device that owns it.
@@ -18,7 +21,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -70,7 +72,7 @@ class JobBook {
     const DeviceJobId id = next_id_++;
     JobResult& res = open_slot(now).result;
     res.auth_ok = false;
-    mark_complete(res, now);
+    mark_complete(id, res, now);
     return id;
   }
 
@@ -106,7 +108,7 @@ class JobBook {
     Slot& slot = slot_at(id);
     slot.job = Job{};
     --live_;
-    mark_complete(slot.result, at);
+    mark_complete(id, slot.result, at);
     return slot.result;
   }
   JobResult& fail(DeviceJobId id, sim::Cycle at) {
@@ -119,22 +121,32 @@ class JobBook {
   Job& job(DeviceJobId id) { return slot_at(id).job; }
   JobResult& result_at(DeviceJobId id) { return slot_at(id).result; }
   const JobResult* result(DeviceJobId id) const {
-    if (id < base_ || id - base_ >= slots_.size()) return nullptr;
-    const Slot& slot = slots_[static_cast<std::size_t>(id - base_)];
-    return slot.taken ? nullptr : &slot.result;
+    const Slot* slot = untaken(id);
+    return slot ? &slot->result : nullptr;
   }
-  /// Move a completed job's result out and retire its slot; nullopt (and
-  /// nothing changed) for a job still running, taken or unknown. A job
-  /// still running keeps its slot, so the ring spans from the oldest
-  /// untaken job to the newest.
-  std::optional<JobResult> take_result(DeviceJobId id) {
-    if (id < base_ || id - base_ >= slots_.size()) return std::nullopt;
-    Slot& slot = slots_[static_cast<std::size_t>(id - base_)];
-    if (slot.taken || !slot.result.complete) return std::nullopt;
-    std::optional<JobResult> out(std::move(slot.result));
-    slot.taken = true;
-    for (; !slots_.empty() && slots_.front().taken; ++base_) slots_.pop_front();
-    return out;
+  /// Move out every job finished since the last call, in the order they
+  /// finished, and retire their slots; ids forget() retired are skipped.
+  /// A slot retires once every older one has: the ring spans from the
+  /// oldest untaken job to the newest.
+  void take_completed(std::vector<Completed>& out) {
+    if (finished_.empty()) return;  // most rounds finish nothing
+    for (; !finished_.empty(); finished_.pop_front()) {
+      const DeviceJobId id = finished_.front();
+      Slot* slot = untaken(id);
+      if (slot == nullptr) continue;
+      out.push_back(Completed{id, std::move(slot->result)});
+      slot->taken = true;
+    }
+    retire_taken();
+  }
+  /// Drop a completed job's result and retire its slot; a no-op for a job
+  /// still running, taken or unknown.
+  void forget(DeviceJobId id) {
+    Slot* slot = untaken(id);
+    if (slot == nullptr || !slot->result.complete) return;
+    slot->result = JobResult{};
+    slot->taken = true;
+    retire_taken();
   }
 
   std::uint64_t completions() const { return completions_; }
@@ -146,7 +158,7 @@ class JobBook {
   struct Slot {
     Job job;
     JobResult result;
-    bool taken = false;  // result moved out (or forgotten)
+    bool taken = false;  // result moved out or forgotten
   };
   struct Bucket {
     unsigned priority = 0;
@@ -159,10 +171,33 @@ class JobBook {
     return slot;
   }
   Slot& slot_at(DeviceJobId id) { return slots_[static_cast<std::size_t>(id - base_)]; }
-  void mark_complete(JobResult& res, sim::Cycle at) {
+  /// The slot of a job neither taken nor forgotten; nullptr otherwise.
+  const Slot* untaken(DeviceJobId id) const {
+    if (id < base_ || id - base_ >= slots_.size()) return nullptr;
+    const Slot& slot = slots_[static_cast<std::size_t>(id - base_)];
+    return slot.taken ? nullptr : &slot;
+  }
+  Slot* untaken(DeviceJobId id) { return const_cast<Slot*>(std::as_const(*this).untaken(id)); }
+  void retire_taken() {
+    for (; !slots_.empty() && slots_.front().taken; ++base_) slots_.pop_front();
+  }
+  void mark_complete(DeviceJobId id, JobResult& res, sim::Cycle at) {
     res.complete = true;
     res.complete_cycle = at;
     ++completions_;
+    // A caller that retires jobs through forget() alone, never calling
+    // take_completed(), leaves their ids behind in the queue. Every id still
+    // due names an untaken slot, so once the queue outgrows twice the slot
+    // ring at least half of it is stale: dropping those keeps the queue
+    // bounded, at amortized O(1) per completion.
+    if (finished_.size() > 2 * slots_.size()) {
+      for (std::size_t n = finished_.size(); n > 0; --n) {
+        const DeviceJobId due = finished_.front();
+        finished_.pop_front();
+        if (untaken(due) != nullptr) finished_.push_back() = due;
+      }
+    }
+    finished_.push_back() = id;
   }
   /// The bucket of `priority`, made on first use and kept when it drains.
   Ring<DeviceJobId>& bucket(unsigned priority) {
@@ -181,6 +216,7 @@ class JobBook {
 
   std::vector<Bucket> buckets_;  // ascending priority
   Ring<Slot> slots_;             // ids base_ .. next_id_ - 1
+  Ring<DeviceJobId> finished_;   // completed since the last take_completed()
   DeviceJobId base_ = 1;         // id of slots_[0]
   DeviceJobId next_id_ = 1;
   std::size_t pending_ = 0;

@@ -46,10 +46,10 @@ class SimDevice final : public Device {
   sim::Cycle quiet_horizon(sim::Cycle cap) const override { return mccp_.quiet_horizon(cap); }
   void advance_quiet(sim::Cycle n) override;
 
-  bool idle() const override { return book_.idle(); }
+  void take_completed(std::vector<Completed>& out) override { book_.take_completed(out); }
   const JobResult* result(DeviceJobId id) const override { return book_.result(id); }
   std::uint64_t completions() const override { return book_.completions(); }
-  std::optional<JobResult> take_result(DeviceJobId id) override { return book_.take_result(id); }
+  void forget(DeviceJobId id) override { book_.forget(id); }
 
   std::optional<std::uint64_t> begin_reconfiguration(std::size_t slot, reconfig::CoreImage image,
                                                      reconfig::BitstreamStore store) override {
@@ -94,9 +94,6 @@ class SimDevice final : public Device {
   top::KeyMemory key_memory_;
   top::Mccp mccp_;
 
-  /// Pending jobs (awaiting an ENCRYPT/DECRYPT slot) and accepted ones,
-  /// their results and the completion count.
-  JobBook<Job> book_;
   /// Ids of the jobs accepted by the device and not yet finalized: the
   /// only ones the interrupt/drain/transfer-done scans need to touch
   /// (bounded by the core count, never by the backlog depth). The drain
@@ -111,6 +108,13 @@ class SimDevice final : public Device {
   bool retrieved_since_drain_ = false;
   std::uint8_t last_rr_ = 0;
   std::size_t open_channels_ = 0;
+
+  /// Pending jobs (awaiting an ENCRYPT/DECRYPT slot) and accepted ones,
+  /// their results, the completion queue and count. Declared last, so the
+  /// book's size does not move the per-cycle drain state above it: a
+  /// 40-byte shift of those members cost `sim_gcm_2k` 4-8% of its
+  /// throughput on a 4-vCPU x86 VM.
+  JobBook<Job> book_;
 };
 
 }  // namespace mccp::host

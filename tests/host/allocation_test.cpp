@@ -5,7 +5,8 @@
 // every ring, bucket and list has already grown and the count is exact:
 // one JobState per packet plus the tag of each GCM/CCM seal. FastDevice
 // computes every payload in the job's own buffer, so results add no other
-// allocation. A second case pins the copying CCM seal/open calls.
+// allocation. A second case pins a bare FastDevice polled through result()
+// and forget() the same way, and a third the copying CCM seal/open calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "crypto/ccm.h"
 #include "crypto/gcm.h"
 #include "host/engine.h"
+#include "host/fast_device.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -169,6 +171,72 @@ TEST(Engine, SteadyStateJobPathAllocations) {
   // tags: 1.33 per packet); the job path itself adds none.
   EXPECT_EQ(allocations, expected) << per_packet << " allocations per packet";
   EXPECT_EQ(expected, 4000u);
+}
+
+TEST(FastDevice, PolledResultForgetPathAllocationsStayFlat) {
+  // A bare FastDevice driven the way a polling caller drives it (submit,
+  // step, completions(), result() and forget(), never take_completed()),
+  // as benchmark/src/loops.cpp's device loop does. The device still queues
+  // each finished id for take_completed(); it must drop the forgotten ones
+  // rather than grow the queue without bound, so after a warm-up phase of
+  // the same shape a phase allocates only each GCM seal's tag.
+  constexpr std::size_t kPackets = 3000;  // per phase
+  constexpr std::size_t kWindow = 64;
+  FastDevice dev(top::MccpConfig{.num_cores = 4});
+  Rng rng(31);
+  dev.provision_key(1, rng.bytes(16));
+  const std::optional<ChannelInfo> gcm = dev.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  const std::optional<ChannelInfo> ctr = dev.open_channel(ChannelMode::kCtr, 1);
+  ASSERT_TRUE(gcm && ctr);
+
+  // GCM seals (one tag each) and CTR jobs (in place), a quarter of them
+  // urgent, so jobs finish and are forgotten out of id order.
+  auto make_specs = [&] {
+    std::vector<JobSpec> specs(kPackets);
+    for (std::size_t i = 0; i < kPackets; ++i) {
+      JobSpec& spec = specs[i];
+      spec.channel = i % 2 ? *ctr : *gcm;
+      spec.iv_or_nonce = rng.bytes(i % 2 ? 16 : 12);
+      spec.payload = rng.bytes(64 + 64 * (i % 3));
+      spec.priority = i % 4 == 0 ? 0 : 128;
+    }
+    return specs;
+  };
+  std::vector<DeviceJobId> inflight;
+  inflight.reserve(kWindow);
+  std::uint64_t seen = 0;
+  std::size_t failures = 0;
+  auto run_phase = [&](std::vector<JobSpec>& specs) {
+    for (std::size_t next = 0, done = 0; done < specs.size();) {
+      for (; inflight.size() < kWindow && next < specs.size(); ++next)
+        inflight.push_back(dev.submit(std::move(specs[next])));
+      dev.step();
+      for (auto it = inflight.begin(); seen < dev.completions() && it != inflight.end();) {
+        const JobResult* r = dev.result(*it);
+        if (r == nullptr || !r->complete) {
+          ++it;
+          continue;
+        }
+        if (!r->auth_ok || r->payload.empty()) ++failures;
+        dev.forget(*it);
+        it = inflight.erase(it);
+        ++seen;
+        ++done;
+      }
+    }
+  };
+
+  std::vector<JobSpec> warmup = make_specs();
+  std::vector<JobSpec> measured = make_specs();
+  run_phase(warmup);
+  const std::uint64_t before = g_allocations.load();
+  run_phase(measured);
+  const std::uint64_t allocations = g_allocations.load() - before;
+
+  EXPECT_EQ(failures, 0u);
+  EXPECT_TRUE(dev.idle());
+  EXPECT_EQ(dev.completions(), 2 * kPackets);
+  EXPECT_EQ(allocations, kPackets / 2) << "one tag per GCM seal, nothing per completion";
 }
 
 TEST(Ccm, SealOpenPairAllocations) {

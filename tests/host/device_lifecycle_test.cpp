@@ -8,8 +8,10 @@
 // submit() in order. The JobBook slot ring behind both backends is checked
 // through the same seam: it grows under a deep backlog, priority buckets
 // drain and refill, refusals and out-of-order forgets leave their
-// neighbours intact, and a reused slot never shows an earlier job. One
-// scripted run checks every DeviceStats field the seam reports.
+// neighbours intact, and a reused slot never shows an earlier job.
+// take_completed() hands over each finished job exactly once, beside
+// forget(). One scripted run checks every DeviceStats field the seam
+// reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -226,6 +228,76 @@ TEST_P(DeviceLifecycle, CompletionsCountEveryResultThatTurnedComplete) {
     ASSERT_EQ(dev->completions(), count_complete()) << "after step " << steps;
   }
   EXPECT_EQ(dev->completions(), ids.size());
+}
+
+TEST_P(DeviceLifecycle, TakeCompletedHandsOverEveryFinishedJobExactlyOnce) {
+  // The completion queue: after every submit and every step,
+  // take_completed() appends exactly the jobs result() newly reports
+  // complete (refusals included), each carrying the result result()
+  // showed, and retires them. A job forgotten first never shows up, and a
+  // call with nothing finished appends nothing.
+  auto dev = device(/*num_cores=*/2);
+  std::vector<DeviceJobId> ids;
+  std::vector<bool> gone;  // taken or forgotten
+  std::vector<Completed> out;
+  std::size_t taken = 0, forgotten = 0, finished = 0;
+  auto take = [&](const std::string& when) {
+    std::vector<std::pair<DeviceJobId, JobResult>> due;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (gone[k]) continue;
+      const JobResult* r = dev->result(ids[k]);
+      ASSERT_NE(r, nullptr) << when << ", id " << ids[k];
+      if (r->complete) due.emplace_back(ids[k], *r);
+    }
+    // Every third finished job is forgotten before the take.
+    for (std::size_t k = 0; k < due.size(); ++k) {
+      if (finished++ % 3 != 2) continue;
+      dev->forget(due[k].first);
+      gone[due[k].first - ids.front()] = true;
+      ++forgotten;
+      due.erase(due.begin() + static_cast<std::ptrdiff_t>(k--));
+    }
+    out.assign(1, Completed{});  // the call appends behind what is there
+    dev->take_completed(out);
+    ASSERT_EQ(out.size(), 1 + due.size()) << when;
+    EXPECT_EQ(out.front().id, 0u) << when;
+    for (std::size_t k = 1; k < out.size(); ++k) {
+      const Completed& c = out[k];
+      auto it = std::find_if(due.begin(), due.end(),
+                             [&](const auto& d) { return d.first == c.id; });
+      ASSERT_NE(it, due.end()) << when << ": id " << c.id << " was not due";
+      const JobResult& want = it->second;
+      EXPECT_TRUE(c.result.complete) << c.id;
+      EXPECT_EQ(c.result.auth_ok, want.auth_ok) << c.id;
+      EXPECT_EQ(c.result.payload, want.payload) << c.id;
+      EXPECT_EQ(c.result.tag, want.tag) << c.id;
+      EXPECT_EQ(c.result.submit_cycle, want.submit_cycle) << c.id;
+      EXPECT_EQ(c.result.accept_cycle, want.accept_cycle) << c.id;
+      EXPECT_EQ(c.result.complete_cycle, want.complete_cycle) << c.id;
+      EXPECT_EQ(c.result.rejections, want.rejections) << c.id;
+      EXPECT_EQ(dev->result(c.id), nullptr) << when << ": taken, so retired";
+      dev->forget(c.id);  // a no-op once taken
+      gone[c.id - ids.front()] = true;
+      due.erase(it);
+      ++taken;
+    }
+  };
+  for (JobSpec& spec : mixed_specs()) {
+    ids.push_back(dev->submit(std::move(spec)));
+    gone.push_back(false);
+    take("after submit " + std::to_string(ids.size()));
+  }
+  for (std::size_t steps = 1; !dev->idle(); ++steps) {
+    dev->step();
+    take("after step " + std::to_string(steps));
+  }
+  take("idle");
+  EXPECT_EQ(taken + forgotten, ids.size());
+  EXPECT_GT(forgotten, 0u);
+  EXPECT_EQ(dev->completions(), ids.size()) << "taken or forgotten, each counted once";
+  out.clear();
+  dev->take_completed(out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST_P(DeviceLifecycle, ResultIsNullForUnknownAndForgottenIds) {
